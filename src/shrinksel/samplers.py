@@ -19,7 +19,7 @@ must use distinct seeds.
 
 from __future__ import annotations
 
-import time
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -123,14 +123,18 @@ def _draw_beta_woodbury(rng, x, y, d, sigma):
     return sigma * (u + d * (x.T @ w))
 
 
-def _draw_beta_dense(rng, gram, xty, d, sigma):
-    """Exact draw via the p x p Cholesky factorization (p <= n path)."""
+def _draw_beta_dense(rng, x, gram, xty, d, sigma):
+    """Exact draw with one p x p solve (p <= n path).
+
+    w = X'e1 + d^-1/2 e2 has covariance A, so A^-1 (X'y + sigma w) has
+    mean A^-1 X'y and covariance sigma2 A^-1 without a Cholesky factor.
+    """
+    n, p = x.shape
+    e = rng.standard_normal(n + p)
     a = gram.copy()
     a[np.diag_indices_from(a)] += 1.0 / d
-    chol = np.linalg.cholesky(a)
-    mean = np.linalg.solve(a, xty)
-    z = rng.standard_normal(d.shape[0])
-    return mean + sigma * np.linalg.solve(chol.T, z)
+    w = x.T @ e[:n] + e[n:] / np.sqrt(d)
+    return np.linalg.solve(a, xty + sigma * w)
 
 
 def _draw_truncated_inv_gamma(rng, shape, scale, upper):
@@ -151,7 +155,7 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     """Run the horseshoe Gibbs chain and return the retained draws.
 
     ``beta`` is drawn from its exact multivariate-normal conditional,
-    through an n x n solve when p > n and a p x p Cholesky otherwise
+    through an n x n solve when p > n and a p x p solve otherwise
     (``beta_update`` in {"auto", "dense", "woodbury"} forces a path, used
     for cross-validation of the two). The global variance scale is kept
     at or below ``prior.tau_upper`` when that bound is set. Identical
@@ -206,7 +210,7 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
         if use_woodbury:
             state.beta = _draw_beta_woodbury(rng, x, y, d, sigma)
         else:
-            state.beta = _draw_beta_dense(rng, gram, xty, d, sigma)
+            state.beta = _draw_beta_dense(rng, x, gram, xty, d, sigma)
 
         resid = y - x @ state.beta
         scaled_b2 = state.beta ** 2 / state.lam
@@ -239,13 +243,6 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
 
     return PosteriorDraws(beta=out_beta, sigma2=out_sigma2,
                           lam=out_lam, tau=out_tau)
-
-
-def _logistic(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
 
 
 def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
@@ -294,29 +291,42 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     beta = state.beta
     z = state.z
     resid = y - x @ beta
+    rdot = resid.dot  # resid is only updated in place from here on
+    cols = [x[:, j] for j in range(p)]
+    norm2 = col_norm2.tolist()
 
     kept = 0
     for it in range(1, mcmc.iterations + 1):
         sigma2 = state.sigma2
-        log_prior_odds = np.log1p(-state.pi) - np.log(state.pi)
+        sj2 = state.sigma_j2
+        q = col_norm2 + 1.0 / sj2
+        # Per-sweep vectors, so the loop below does scalar math on Python
+        # floats only. Including j when u_j < logistic(log odds) is the
+        # same event as logit(u_j) < log odds.
+        u = rng.random(p)
+        logit_u = (np.log(u) - np.log1p(-u)).tolist()
+        log_odds0 = (math.log1p(-state.pi) - math.log(state.pi)
+                     - 0.5 * np.log1p(sj2 * col_norm2)).tolist()
+        half_prec = (0.5 / (sigma2 * q)).tolist()
+        slab_noise = (np.sqrt(sigma2 / q) * rng.standard_normal(p)).tolist()
+        q = q.tolist()
+        b = beta.tolist()
+        zs = z.tolist()
         for j in range(p):
-            xj = x[:, j]
+            xj, old = cols[j], b[j]
             # Partial residual statistic with coordinate j removed.
-            tj = float(xj @ resid) + col_norm2[j] * beta[j]
-            sj2 = state.sigma_j2[j]
-            qj = col_norm2[j] + 1.0 / sj2
-            log_lr = (-0.5 * np.log1p(sj2 * col_norm2[j])
-                      + 0.5 * tj * tj / (sigma2 * qj))
-            p_include = _logistic(log_prior_odds + log_lr)
-            old = beta[j]
-            if rng.random() < p_include:
-                z[j] = 1
-                beta[j] = tj / qj + np.sqrt(sigma2 / qj) * rng.standard_normal()
+            tj = float(rdot(xj)) + norm2[j] * old
+            if logit_u[j] < log_odds0[j] + tj * tj * half_prec[j]:
+                zs[j] = 1
+                new = tj / q[j] + slab_noise[j]
             else:
-                z[j] = 0
-                beta[j] = 0.0
-            if beta[j] != old:
-                resid += xj * (old - beta[j])
+                zs[j] = 0
+                new = 0.0
+            if new != old:
+                resid += xj * (old - new)
+                b[j] = new
+        beta[:] = b
+        z[:] = zs
 
         # Slab variances: conjugate update where included, prior elsewhere
         # (beta_j = 0 there, so one vectorized expression covers both).
@@ -326,9 +336,9 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
 
         k = int(z.sum())
         include_w = rng.beta(a_beta + k, b_beta + p - k)
-        state.pi = float(np.clip(1.0 - include_w, 1e-12, 1.0 - 1e-12))
+        state.pi = min(max(1.0 - include_w, 1e-12), 1.0 - 1e-12)
 
-        resid = y - x @ beta
+        resid[:] = y - x @ beta
         slab_term = float(np.sum(beta ** 2 / state.sigma_j2))
         state.sigma2 = float(_inv_gamma(
             rng, prior.ig_shape + 0.5 * (n + k),
@@ -374,14 +384,3 @@ def write_run_manifest(path: str, data: Dataset, prior: PriorSpec,
         f"wall_time_s: {wall_time_s:.3f}",
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def timed_fit(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
-              manifest_path: Optional[str] = None) -> PosteriorDraws:
-    """Fit and, when asked, drop a manifest next to the draws."""
-    start = time.perf_counter()
-    draws = fit(data, prior, mcmc)
-    if manifest_path is not None:
-        write_run_manifest(manifest_path, data, prior, mcmc,
-                           time.perf_counter() - start)
-    return draws

@@ -64,32 +64,10 @@ class TwoMeansSplit:
     M: float
 
 
-def _best_split(v: np.ndarray) -> tuple[int, float, float]:
-    """Optimal contiguous split of ascending-sorted ``v``.
-
-    Returns (low-cluster size k, low mean, high mean). Scans all n-1
-    contiguous splits; the optimum of 1-D 2-means is always one of them.
-    Ties go to the largest k, i.e. the smaller high cluster; identical
-    values are handled explicitly (prefix-sum rounding would otherwise
-    break their exact tie) so a constant vector ends up with one element
-    alone in the high cluster and equal means.
-    """
-    n = v.size
-    if v[0] == v[-1]:
-        return n - 1, float(v[0]), float(v[0])
-    cs = np.cumsum(v)
-    cq = np.cumsum(v * v)
-    k = np.arange(1, n)
-    s_lo = cs[:-1]
-    ss_lo = cq[:-1] - s_lo * s_lo / k
-    s_hi = cs[-1] - s_lo
-    ss_hi = (cq[-1] - cq[:-1]) - s_hi * s_hi / (n - k)
-    total = ss_lo + ss_hi
-    # np.argmin takes the first minimum; reversing yields the last, i.e.
-    # the largest low cluster among ties.
-    i = total.size - 1 - int(np.argmin(total[::-1]))
-    kbest = i + 1
-    return kbest, float(s_lo[i] / kbest), float(s_hi[i] / (n - kbest))
+#: Rows of |beta| that the batched 2-means handles at once. It bounds the
+#: extra memory to a few block x p float arrays; unblocked, a 3000 x 300
+#: draw matrix would add tens of MB.
+_BLOCK_ROWS = 128
 
 
 def _checked_abs_values(values, minimum=2) -> np.ndarray:
@@ -103,6 +81,78 @@ def _checked_abs_values(values, minimum=2) -> np.ndarray:
     return v
 
 
+def _row_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending-sorted rows plus their row-wise cumsums of v and v*v.
+
+    ``np.cumsum`` adds sequentially, so the first a entries of a row's
+    cumsum equal, bit for bit, the cumsum of the row's first a values:
+    every ``s2m`` peel reuses these sums on a prefix.
+    """
+    v = np.sort(v, axis=1)
+    return v, np.cumsum(v, axis=1), np.cumsum(v * v, axis=1)
+
+
+def _best_splits(v, cs, cq, a):
+    """Optimal contiguous split of each ascending prefix ``v[r, :a[r]]``.
+
+    Returns arrays (low-cluster size k, low mean, high mean), one entry
+    per row. Scans all contiguous splits; the optimum of 1-D 2-means is
+    always one of them. Ties go to the largest k, i.e. the smaller high
+    cluster; identical values are handled explicitly (prefix-sum rounding
+    would otherwise break their exact tie) so a constant prefix ends up
+    with one element alone in the high cluster and equal means.
+    """
+    rows = np.arange(v.shape[0])
+    last = (rows, a - 1)
+    k = np.arange(1, v.shape[1])
+    n_hi = a[:, None] - k
+    s_lo = cs[:, :-1]
+    ss_lo = cq[:, :-1] - s_lo * s_lo / k
+    s_hi = cs[last][:, None] - s_lo
+    # Splits past a row's prefix get an infinite cost; the clamped
+    # divisor only keeps them finite until then.
+    ss_hi = ((cq[last][:, None] - cq[:, :-1])
+             - s_hi * s_hi / np.maximum(n_hi, 1))
+    total = np.where(n_hi > 0, ss_lo + ss_hi, np.inf)
+    # np.argmin takes the first minimum; reversing yields the last, i.e.
+    # the largest low cluster among ties.
+    i = total.shape[1] - 1 - np.argmin(total[:, ::-1], axis=1)
+    k_best = i + 1
+    const = v[:, 0] == v[last]
+    return (np.where(const, a - 1, k_best),
+            np.where(const, v[:, 0], s_lo[rows, i] / k_best),
+            np.where(const, v[:, 0], s_hi[rows, i] / (a - k_best)))
+
+
+def _signal_counts(abs_beta: np.ndarray, b=None) -> np.ndarray:
+    """Per-row signal counts: plain 2-means, or s2m peeling when b is set.
+
+    Rows go through in blocks of :data:`_BLOCK_ROWS`; within a block every
+    row is split at once, and each peel re-splits only the rows still
+    peeling.
+    """
+    t, p = abs_beta.shape
+    if p < 2:
+        raise InvariantError("need a vector of at least 2 values")
+    h = np.empty(t, dtype=np.int64)
+    for start in range(0, t, _BLOCK_ROWS):
+        v, cs, cq = _row_sums(abs_beta[start:start + _BLOCK_ROWS])
+        rows = np.arange(v.shape[0])
+        k, m, big = _best_splits(v, cs, cq, np.full(rows.size, p))
+        if b is None:
+            h[start:start + rows.size] = np.minimum(k, p - k)
+            continue
+        noise = np.zeros(rows.size, dtype=np.int64)
+        while rows.size:
+            gap = big - m > b
+            rows, k = rows[gap], k[gap]
+            noise[rows] = k
+            rows, a = rows[k >= 2], k[k >= 2]
+            k, m, big = _best_splits(v[rows], cs[rows], cq[rows], a)
+        h[start:start + noise.size] = p - noise
+    return h
+
+
 def kmeans2_1d(values) -> TwoMeansSplit:
     """Globally optimal 2-means clustering of nonnegative scalars.
 
@@ -113,20 +163,19 @@ def kmeans2_1d(values) -> TwoMeansSplit:
     """
     v = _checked_abs_values(values)
     order = np.argsort(v, kind="stable")
-    k, m, big = _best_split(v[order])
+    (k,), (m,), (big,) = _best_splits(*_row_sums(v[None, order]),
+                                      np.array([v.size]))
     return TwoMeansSplit(
         low_indices=frozenset(int(j) for j in order[:k]),
         high_indices=frozenset(int(j) for j in order[k:]),
-        m=m,
-        M=big,
+        m=float(m),
+        M=float(big),
     )
 
 
 def count_signals_2m(abs_beta) -> int:
     """Signal count for one draw: the smaller of the two cluster sizes."""
-    v = _checked_abs_values(abs_beta)
-    k, _, _ = _best_split(np.sort(v))
-    return int(min(k, v.size - k))
+    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :])[0])
 
 
 def count_signals_s2m(abs_beta, b: float) -> int:
@@ -141,16 +190,7 @@ def count_signals_s2m(abs_beta, b: float) -> int:
     """
     if not (np.isfinite(b) and b > 0):
         raise InvariantError("b must be strictly positive")
-    v = np.sort(_checked_abs_values(abs_beta))
-    p = v.size
-    k, m, big = _best_split(v)
-    a_len = 0
-    while big - m > b:
-        a_len = k
-        if a_len < 2:
-            break
-        k, m, big = _best_split(v[:a_len])
-    return p - a_len
+    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :], b)[0])
 
 
 def aggregate_mode(h_counts) -> int:
@@ -184,10 +224,7 @@ def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
 def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Sequential-2-means selection over all retained draws."""
     b = resolve_b(draws, cfg)
-    abs_beta = np.abs(draws.beta)
-    h = np.fromiter(
-        (count_signals_s2m(row, b) for row in abs_beta),
-        dtype=np.int64, count=draws.t)
+    h = _signal_counts(np.abs(draws.beta), b)
     degenerate = int(np.sum(h == draws.p))
     if degenerate:
         warnings.warn(
@@ -202,9 +239,7 @@ def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> Selection
 
 def select_2m(draws: PosteriorDraws) -> SelectionResult:
     """Plain 2-means selection over all retained draws."""
-    h = np.fromiter(
-        (count_signals_2m(row) for row in np.abs(draws.beta)),
-        dtype=np.int64, count=draws.t)
+    h = _signal_counts(np.abs(draws.beta))
     mode = aggregate_mode(h)
     return SelectionResult(
         method="2m", selected=select_top_h(draws, mode),
@@ -219,12 +254,11 @@ def select_hppm(draws: PosteriorDraws) -> SelectionResult:
     """
     if draws.z is None:
         raise InvariantError("hppm needs z draws (spike-and-slab chains)")
-    patterns: dict[tuple, int] = {}
-    for row in draws.z:
-        key = tuple(int(v) for v in row)
-        patterns[key] = patterns.get(key, 0) + 1
-    best = min(patterns.items(), key=lambda kv: (-kv[1], sum(kv[0]), kv[0]))[0]
-    selected = frozenset(j + 1 for j, v in enumerate(best) if v)
+    patterns, visits = np.unique(draws.z, axis=0, return_counts=True)
+    # np.unique returns the patterns in lexicographic order and lexsort is
+    # stable, so the first of the sorted keys breaks the last tie too.
+    best = patterns[np.lexsort((patterns.sum(axis=1), -visits))[0]]
+    selected = frozenset(int(j) + 1 for j in np.nonzero(best)[0])
     return SelectionResult(method="hppm", selected=selected,
                            h_mode=len(selected))
 

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, atomic_write_text)
+from .core import (Dataset, HORSESHOE, InvariantError, METHODS,
+                   PosteriorDraws, PriorSpec, atomic_write_text)
 from .samplers import McmcConfig, fit_horseshoe, fit_spike_slab
 from .selection import S2mConfig, run_selector
 
@@ -259,7 +259,7 @@ def run_benchmark(cfg: SimConfig, prior: PriorSpec,
     from ``cfg.seed`` through the replicate tree, superseding ``mcmc.seed``.
     """
     for m in methods:
-        if m not in ("s2m", "2m", "hppm", "mpm", "cs", "ht"):
+        if m not in METHODS:
             raise InvariantError(f"unknown method {m!r}")
     x, truth = gen_design(cfg)
     intercept_p = cfg.p if cfg.intercept else None

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import batch_means_se, exact_two_var_inclusion, orthonormal_design
 from shrinksel.core import Dataset, InvariantError, PriorSpec, load_draws, save_draws
-from shrinksel.samplers import (ChainState, McmcConfig, fit_horseshoe,
+from shrinksel.samplers import (ChainState, McmcConfig, _draw_beta_dense,
+                                _draw_beta_woodbury, _rng, fit_horseshoe,
                                 fit_spike_slab, write_run_manifest)
 
 
@@ -140,6 +141,38 @@ class TestHorseshoe:
         with pytest.raises(RuntimeError, match="iteration"):
             fit_horseshoe(data, PriorSpec.horseshoe(),
                           McmcConfig(iterations=20, burn_in=5, seed=0))
+
+
+class TestBetaDrawOneStep:
+    """One conditional draw of beta against N(A^-1 X'y, sigma2 A^-1)."""
+
+    @pytest.mark.parametrize("path", ["dense", "woodbury"])
+    @pytest.mark.parametrize("n,p", [(7, 3), (3, 5)])
+    def test_moments_match_closed_form(self, path, n, p):
+        gen = np.random.default_rng(n * 10 + p)
+        x = gen.standard_normal((n, p))
+        y = gen.standard_normal(n)
+        d = gen.uniform(0.2, 3.0, p)
+        sigma = 0.7
+        a_inv = np.linalg.inv(x.T @ x + np.diag(1.0 / d))
+        mean = a_inv @ (x.T @ y)
+        cov = sigma ** 2 * a_inv
+        rng = _rng(42)
+        t = 20000
+        if path == "dense":
+            gram, xty = x.T @ x, x.T @ y
+            draws = np.array([_draw_beta_dense(rng, x, gram, xty, d, sigma)
+                              for _ in range(t)])
+        else:
+            draws = np.array([_draw_beta_woodbury(rng, x, y, d, sigma)
+                              for _ in range(t)])
+        mean_se = np.sqrt(np.diag(cov) / t)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * mean_se)
+        # Gaussian sampling error of a covariance entry:
+        # var(S_ij) = (C_ii C_jj + C_ij^2) / t.
+        var = np.diag(cov)
+        cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / t)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
 
 
 class TestSpikeSlab:

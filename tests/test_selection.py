@@ -1,5 +1,7 @@
 """Selector behavior: clustering counts, aggregation, baselines, properties."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,18 @@ class TestBaselines:
         d = draws_from_beta(np.ones((2, 3)), z=z, pi=np.full(2, 0.5))
         assert select_hppm(d).selected == frozenset({1})
 
+    def test_hppm_tie_order_size_then_lexicographic(self):
+        # The smaller model wins even when it is lexicographically larger;
+        # equal sizes fall back to the lexicographically smallest pattern.
+        for z, expected in [([[0, 1, 1], [1, 0, 0]], {1}),
+                            ([[1, 0], [0, 1]], {2}),
+                            ([[1, 1, 0], [0, 1, 1], [0, 1, 1], [1, 1, 0]],
+                             {2, 3})]:
+            z = np.array(z)
+            d = draws_from_beta(np.ones(z.shape), z=z,
+                                pi=np.full(z.shape[0], 0.5))
+            assert select_hppm(d).selected == frozenset(expected)
+
     def test_hppm_requires_z(self):
         with pytest.raises(InvariantError):
             select_hppm(draws_from_beta(np.ones((2, 2))))
@@ -274,6 +288,17 @@ class TestBaselines:
         res = select_ht(d, 0.5)
         # kappa = 0.1, 0.5, 0.9; the boundary value is excluded (strict).
         assert res.selected == frozenset({1})
+
+    def test_ht_ignores_tau_scale(self):
+        # The weight 1/(1+lambda_j) has no tau in it: at tau = 1e-3 the
+        # rule is still lambda_j > 1, although tau * lambda_j is tiny.
+        lam = np.tile([1.5, 0.5, 40.0, 0.9], (6, 1))
+        base = draws_from_beta(np.ones((6, 4)), lam=lam, tau=np.full(6, 0.8))
+        assert select_ht(base).selected == frozenset({1, 3})
+        for scale in (1e-3, 1e-6, 10.0):
+            scaled = draws_from_beta(np.ones((6, 4)), lam=lam,
+                                     tau=base.tau * scale)
+            assert select_ht(scaled).selected == select_ht(base).selected
 
     def test_ht_requires_lambda(self):
         with pytest.raises(InvariantError):
@@ -360,3 +385,96 @@ class TestSelectorProperties:
     def test_unknown_method(self):
         with pytest.raises(InvariantError):
             run_selector(draws_from_beta(np.ones((2, 2))), "lasso")
+
+
+def _reference_split(v):
+    """Exact 2-means of one ascending row; reference for the batched path.
+
+    Returns (low-cluster size, low mean, high mean); ties go to the
+    largest low cluster and a constant vector leaves one value high.
+    """
+    n = v.size
+    if v[0] == v[-1]:
+        return n - 1, float(v[0]), float(v[0])
+    cs = np.cumsum(v)
+    cq = np.cumsum(v * v)
+    k = np.arange(1, n)
+    s_lo = cs[:-1]
+    ss_lo = cq[:-1] - s_lo * s_lo / k
+    s_hi = cs[-1] - s_lo
+    ss_hi = (cq[-1] - cq[:-1]) - s_hi * s_hi / (n - k)
+    total = ss_lo + ss_hi
+    i = total.size - 1 - int(np.argmin(total[::-1]))
+    kbest = i + 1
+    return kbest, float(s_lo[i] / kbest), float(s_hi[i] / (n - kbest))
+
+
+def _reference_counts(abs_beta, b=None):
+    """Row-at-a-time 2m counts (b None) or s2m peeling counts."""
+    out = []
+    for row in abs_beta:
+        v = np.sort(row)
+        k, m, big = _reference_split(v)
+        if b is None:
+            out.append(min(k, v.size - k))
+            continue
+        a_len = 0
+        while big - m > b:
+            a_len = k
+            if a_len < 2:
+                break
+            k, m, big = _reference_split(v[:a_len])
+        out.append(v.size - a_len)
+    return np.array(out, dtype=np.int64)
+
+
+def _awkward_draws(rng, t, p):
+    """Draws whose split costs tie or round: repeated magnitudes, all-zero
+    rows, constant rows at a value with no exact binary form, and evenly
+    spaced rows (exact ties between mirrored splits)."""
+    beta = rng.standard_normal((t, p)) * rng.choice([0.05, 1.0, 10.0], p)
+    if rng.random() < 0.5:
+        beta = np.round(beta, 1)
+    kind = rng.integers(0, 4, t)
+    beta[kind == 1] = 0.0
+    beta[kind == 2] = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0], p)
+    spaced = np.tile(np.arange(p, dtype=float), (int(np.sum(kind == 3)), 1))
+    beta[kind == 3] = rng.permuted(spaced, axis=1)
+    return beta
+
+
+class TestBatchedAgainstRowReference:
+    def test_reference_split_matches_brute_force(self):
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            v = rng.uniform(0.0, 2.0, int(rng.integers(2, 9)))
+            tied = trial % 2 == 1
+            if tied:
+                v = np.round(v, int(rng.integers(0, 2)))
+            order = np.argsort(v, kind="stable")
+            k, _, _ = _reference_split(v[order])
+            split = SimpleNamespace(low_indices=frozenset(order[:k].tolist()))
+            got = within_ss_of_split(v, split)
+            best = brute_force_two_partition_ss(v)
+            # With ties, distinct optimal partitions can evaluate to costs
+            # one rounding apart; without them the optimum is unique.
+            assert got == (pytest.approx(best, rel=1e-12, abs=1e-15)
+                           if tied else best)
+
+    @pytest.mark.filterwarnings("ignore:s2m declared every variable")
+    def test_h_counts_equal_row_reference(self):
+        rng = np.random.default_rng(23)
+        # Row counts on both sides of the selector's block size.
+        for t, p in [(1, 2), (7, 2), (40, 3), (129, 12), (300, 31),
+                     (260, 2), (90, 60)]:
+            d = draws_from_beta(_awkward_draws(rng, t, p),
+                                sigma2=rng.uniform(0.1, 3.0, t))
+            abs_beta = np.abs(d.beta)
+            res = select_2m(d)
+            assert np.array_equal(res.h_counts, _reference_counts(abs_beta))
+            assert res.h_mode == aggregate_mode(res.h_counts)
+            for b in (0.05, 0.5, 2.0, 30.0, S2mConfig().b):
+                res = select_s2m(d, S2mConfig(b=b))
+                expected = _reference_counts(abs_beta, resolve_b(d, S2mConfig(b=b)))
+                assert np.array_equal(res.h_counts, expected), (t, p, b)
+                assert res.h_mode == aggregate_mode(expected)
