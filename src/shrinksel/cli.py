@@ -6,6 +6,11 @@ resolved configuration beside its outputs, and derives all randomness from
 one master seed. Output files are written atomically. Exit codes: 0 on
 success, 1 on internal failure, 2 on user/config errors.
 
+A config file holds one section per config dataclass (``sim``, ``prior``,
+``mcmc``, ``selection``) whose keys are exactly that dataclass's fields,
+plus a top-level ``methods`` list. Each flag's argparse ``dest`` is the
+field it overrides.
+
 Environment overrides exist for exactly two things: ``SHRINKSEL_OUTDIR``
 (default output directory) and ``SHRINKSEL_JOBS`` (default worker count).
 """
@@ -17,29 +22,45 @@ import json
 import os
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import (Dataset, InvariantError, METHODS, PriorSpec,
-                   atomic_write_text, load_draws, load_matrix_csv,
+from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PRIOR_FAMILIES,
+                   PriorSpec, atomic_write_text, load_draws, load_matrix_csv,
                    save_draws, save_matrix_csv)
-from .samplers import McmcConfig, fit_horseshoe, fit_spike_slab, write_run_manifest
+from .samplers import McmcConfig, fit, write_run_manifest
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
     write_selection_report
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
                         reverse_shrinkage_grid, write_grid_csv)
-from .simulate import (ErrorReport, SimConfig, format_benchmark_table,
-                       gen_design, gen_response, replicate_streams,
-                       run_benchmark, score, write_benchmark_csv,
-                       write_replicate_csv)
+from .simulate import (SimConfig, format_benchmark_table, gen_design,
+                       gen_response, replicate_streams, run_benchmark, score,
+                       write_benchmark_csv, write_replicate_csv)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
+#: Config-file sections and the dataclass each one builds.
+_SECTIONS = {"sim": SimConfig, "prior": PriorSpec, "mcmc": McmcConfig,
+             "selection": S2mConfig}
+_TOP_LEVEL = (*_SECTIONS, "methods")
+#: CLI defaults for fields the dataclasses leave without one.
+_DEFAULTS = {"sim": {"n": 50, "p": 300, "r": 10},
+             "prior": {"family": HORSESHOE}}
+
 
 class UsageError(Exception):
     """Bad flags or configuration supplied by the user."""
+
+
+def _check_keys(obj: dict, valid, where: str) -> None:
+    unknown = sorted(set(obj) - set(valid))
+    if unknown:
+        raise UsageError(f"{where}: unknown key(s) {unknown}; valid keys: "
+                         f"{', '.join(valid)}")
 
 
 def _load_config(path):
@@ -54,15 +75,67 @@ def _load_config(path):
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    _check_keys(cfg, _TOP_LEVEL, f"config file {path}")
+    for name, cls in _SECTIONS.items():
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise UsageError(
+                f"{name}: expected a JSON object, got {section!r}")
+        _check_keys(section, [f.name for f in fields(cls)], name)
     return cfg
 
 
-def _pick(flag_value, config_section, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config_section:
-        return config_section[key]
-    return default
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _coerce(value, hint, where: str):
+    """``value`` checked against the field type ``hint``.
+
+    bool takes only true/false and int only integers; a number for a float
+    field becomes a float and for a tuple field a one-item tuple. A Union
+    field keeps a number as written (a JSON 2 stays 2), takes
+    'none'/'off' as null when optional, and takes any string when ``str``
+    is a member (the dataclass checks which).
+    """
+    if get_origin(hint) is Union:
+        options = get_args(hint)
+        if type(None) in options and (value is None or str(value).lower()
+                                      in ("none", "off")):
+            return None
+        if _is_number(value) or (str in options and isinstance(value, str)):
+            return value
+    elif get_origin(hint) is tuple:
+        items = value if isinstance(value, list) else [value]
+        if all(_is_number(v) for v in items):
+            return tuple(float(v) for v in items)
+    elif hint in (int, float):
+        if _is_number(value) and (hint is float or isinstance(value, int)):
+            return hint(value)
+    elif isinstance(value, hint):
+        return value
+    name = hint.__name__ if isinstance(hint, type) else \
+        str(hint).replace("typing.", "")
+    raise UsageError(f"{where}: {value!r} is not a valid {name}")
+
+
+def _build(section: str, config: dict, args):
+    """A section's config dataclass: JSON values, then non-None flags."""
+    cls = _SECTIONS[section]
+    hints = get_type_hints(cls)
+    values = {**_DEFAULTS.get(section, {}), **config.get(section, {})}
+    for name in hints:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    kwargs = {k: _coerce(v, hints[k], f"{section}.{k}")
+              for k, v in values.items()}
+    if cls is SimConfig and len(kwargs.get("strengths", ())) == 1:
+        kwargs["strengths"] *= kwargs["r"]  # one strength broadcasts to all r
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise UsageError(f"{section}.{f.name} is required "
+                             f"(flag or config)")
+    return cls(**kwargs)
 
 
 def _out_dir(args) -> str:
@@ -83,125 +156,33 @@ def _jobs(args) -> int:
     return 1
 
 
-def _parse_strengths(raw, r):
-    if raw is None:
-        raise UsageError("strengths are required (flag --strengths or config)")
-    if isinstance(raw, str):
-        try:
-            values = [float(v) for v in raw.split(",") if v.strip() != ""]
-        except ValueError:
-            raise UsageError(f"malformed strengths list {raw!r}") from None
-    elif isinstance(raw, (int, float)):
-        values = [float(raw)]
-    else:
-        values = [float(v) for v in raw]
-    if len(values) == 1 and r > 1:
-        values = values * r
-    return tuple(values)
-
-
-def _sim_config(args, config) -> SimConfig:
-    sim = config.get("sim", {})
-    r = int(_pick(args.r, sim, "r", 10))
-    strengths = _pick(args.strengths, sim, "strengths",
-                      sim.get("strength"))
-    correlated = args.correlated
-    if correlated is None:
-        correlated = bool(sim.get("correlated", False))
-    intercept = args.intercept
-    if intercept is None:
-        intercept = bool(sim.get("intercept", True))
+def _float_list(text: str) -> list[float]:
+    """argparse type for a non-empty comma list of numbers."""
     try:
-        return SimConfig(
-            n=int(_pick(args.n, sim, "n", 50)),
-            p=int(_pick(args.p, sim, "p", 300)),
-            r=r,
-            strengths=_parse_strengths(strengths, r),
-            correlated=correlated,
-            cor_pairs=int(_pick(args.cor_pairs, sim, "cor_pairs", 2)),
-            cor_target=float(_pick(args.cor_target, sim, "cor_target", 0.99)),
-            noise_sd=float(_pick(args.noise_sd, sim, "noise_sd", 1.0)),
-            intercept=intercept,
-            seed=int(_pick(args.seed, sim, "seed", 0)),
-            replicates=int(_pick(getattr(args, "replicates", None), sim,
-                                 "replicates", 5)),
-        )
-    except InvariantError as exc:
-        raise UsageError(str(exc)) from None
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
-def _prior_config(args, config) -> PriorSpec:
-    section = config.get("prior", {})
-    family = _pick(getattr(args, "prior", None), section, "family", "horseshoe")
-    tau_upper = _pick(getattr(args, "tau_upper", None), section, "tau_upper", 1.0)
-    if isinstance(tau_upper, str):
-        if tau_upper.lower() in ("none", "off"):
-            tau_upper = None
-        else:
-            try:
-                tau_upper = float(tau_upper)
-            except ValueError:
-                raise UsageError(f"bad tau_upper {tau_upper!r}") from None
+def _number_or_word(text: str):
+    """argparse type for a Union field: a float if the text parses, else it."""
     try:
-        return PriorSpec(
-            family=str(family),
-            tau_upper=tau_upper,
-            ig_shape=float(_pick(getattr(args, "ig_shape", None), section,
-                                 "ig_shape", 1.5)),
-            ig_scale=float(_pick(getattr(args, "ig_scale", None), section,
-                                 "ig_scale", 1.5)),
-            ss_beta_a=float(_pick(getattr(args, "ss_beta_a", None), section,
-                                  "ss_beta_a", 1.0)),
-            ss_beta_b=float(_pick(getattr(args, "ss_beta_b", None), section,
-                                  "ss_beta_b", 15.0)),
-        )
-    except InvariantError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _mcmc_config(args, config, seed_default=0) -> McmcConfig:
-    section = config.get("mcmc", {})
-    try:
-        return McmcConfig(
-            iterations=int(_pick(getattr(args, "iterations", None), section,
-                                 "iterations", 5000)),
-            burn_in=int(_pick(getattr(args, "burn_in", None), section,
-                              "burn_in", 2000)),
-            thin=int(_pick(getattr(args, "thin", None), section, "thin", 1)),
-            seed=int(_pick(getattr(args, "seed", None), section, "seed",
-                           seed_default)),
-        )
-    except InvariantError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _selection_config(args, config) -> S2mConfig:
-    section = config.get("selection", {})
-    b = _pick(getattr(args, "b", None), section, "b", TWO_SIGMA_HAT)
-    if isinstance(b, str) and b != TWO_SIGMA_HAT:
-        try:
-            b = float(b)
-        except ValueError:
-            raise UsageError(
-                f"--b must be a positive number or {TWO_SIGMA_HAT!r}") from None
-    try:
-        return S2mConfig(
-            b=b,
-            credible_level=float(_pick(getattr(args, "level", None), section,
-                                       "credible_level", 0.95)),
-            kappa_threshold=float(_pick(getattr(args, "threshold", None),
-                                        section, "kappa_threshold", 0.5)),
-        )
-    except InvariantError as exc:
-        raise UsageError(str(exc)) from None
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _methods_list(args, config, default) -> list[str]:
-    raw = _pick(getattr(args, "methods", None), config, "methods", default)
+    raw = args.methods if args.methods is not None else \
+        config.get("methods", default)
     if isinstance(raw, str):
-        methods = [m.strip() for m in raw.split(",") if m.strip()]
-    else:
-        methods = [str(m) for m in raw]
+        raw = raw.split(",")
+    if not (isinstance(raw, list) and all(isinstance(m, str) for m in raw)):
+        raise UsageError(f"methods: {raw!r} is not a list of method names")
+    methods = [m.strip() for m in raw if m.strip()]
     unknown = [m for m in methods if m not in METHODS]
     if unknown or not methods:
         raise UsageError(
@@ -214,38 +195,8 @@ def _write_resolved(out, command, payload) -> None:
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sim_payload(cfg: SimConfig) -> dict:
-    return {
-        "n": cfg.n, "p": cfg.p, "r": cfg.r,
-        "strengths": list(cfg.strengths),
-        "correlated": cfg.correlated, "cor_pairs": cfg.cor_pairs,
-        "cor_target": cfg.cor_target, "noise_sd": cfg.noise_sd,
-        "intercept": cfg.intercept, "seed": cfg.seed,
-        "replicates": cfg.replicates,
-    }
-
-
-def _prior_payload(prior: PriorSpec) -> dict:
-    return {
-        "family": prior.family, "tau_upper": prior.tau_upper,
-        "ig_shape": prior.ig_shape, "ig_scale": prior.ig_scale,
-        "ss_beta_a": prior.ss_beta_a, "ss_beta_b": prior.ss_beta_b,
-    }
-
-
-def _mcmc_payload(mcmc: McmcConfig) -> dict:
-    return {"iterations": mcmc.iterations, "burn_in": mcmc.burn_in,
-            "thin": mcmc.thin, "seed": mcmc.seed}
-
-
-def _s2m_payload(cfg: S2mConfig) -> dict:
-    return {"b": cfg.b, "credible_level": cfg.credible_level,
-            "kappa_threshold": cfg.kappa_threshold}
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    cfg = _sim_config(args, config)
+    cfg = _build("sim", _load_config(args.config), args)
     out = _out_dir(args)
     x, truth = gen_design(cfg)
     resp_seq, _ = replicate_streams(cfg)[0]
@@ -254,7 +205,7 @@ def cmd_simulate(args) -> int:
     save_matrix_csv(np.asarray(y)[:, None], os.path.join(out, "response.csv"))
     atomic_write_text(os.path.join(out, "truth.txt"),
                       "\n".join(str(j) for j in sorted(truth)) + "\n")
-    _write_resolved(out, "simulate", {"sim": _sim_payload(cfg)})
+    _write_resolved(out, "simulate", {"sim": asdict(cfg)})
     print(f"wrote design.csv ({x.shape[0]}x{x.shape[1]}), response.csv, "
           f"truth.txt to {out}")
     return EXIT_OK
@@ -264,8 +215,8 @@ def cmd_fit(args) -> int:
     config = _load_config(args.config)
     if args.design is None or args.response is None:
         raise UsageError("--design and --response are required")
-    prior = _prior_config(args, config)
-    mcmc = _mcmc_config(args, config)
+    prior = _build("prior", config, args)
+    mcmc = _build("mcmc", config, args)
     out = _out_dir(args)
     x = load_matrix_csv(args.design)
     y = load_matrix_csv(args.response)
@@ -273,16 +224,12 @@ def cmd_fit(args) -> int:
         raise UsageError(f"{args.response}: expected a single column")
     data = Dataset(y=y[:, 0], x=x)
     start = time.perf_counter()
-    if prior.family == "horseshoe":
-        draws = fit_horseshoe(data, prior, mcmc)
-    else:
-        draws = fit_spike_slab(data, prior, mcmc)
+    draws = fit(data, prior, mcmc)
     wall = time.perf_counter() - start
     draws_path = os.path.join(out, "draws.csv")
     save_draws(draws, draws_path)
     write_run_manifest(os.path.join(out, "manifest.txt"), data, prior, mcmc, wall)
-    _write_resolved(out, "fit", {"prior": _prior_payload(prior),
-                                 "mcmc": _mcmc_payload(mcmc),
+    _write_resolved(out, "fit", {"prior": asdict(prior), "mcmc": asdict(mcmc),
                                  "design": args.design,
                                  "response": args.response})
     print(f"wrote {draws.t} retained draws to {draws_path} "
@@ -295,7 +242,7 @@ def cmd_select(args) -> int:
     if args.draws is None:
         raise UsageError("--draws is required")
     methods = _methods_list(args, config, default="s2m")
-    cfg = _selection_config(args, config)
+    cfg = _build("selection", config, args)
     out = _out_dir(args)
     draws = load_draws(args.draws)
     results = []
@@ -310,7 +257,7 @@ def cmd_select(args) -> int:
     write_selection_report(results, os.path.join(out, "selection.csv"),
                            os.path.join(out, "selection.txt"),
                            cfg=cfg, resolved_b=resolved, errors=errors)
-    _write_resolved(out, "select", {"selection": _s2m_payload(cfg),
+    _write_resolved(out, "select", {"selection": asdict(cfg),
                                     "methods": methods,
                                     "resolved_b": resolved,
                                     "draws": args.draws})
@@ -362,11 +309,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
-    cfg = _sim_config(args, config)
-    prior = _prior_config(args, config)
-    mcmc = _mcmc_config(args, config)
-    s2m_cfg = _selection_config(args, config)
-    default_methods = ("s2m,2m,cs,ht" if prior.family == "horseshoe"
+    built = {name: _build(name, config, args) for name in _SECTIONS}
+    cfg, prior, mcmc, s2m_cfg = built.values()
+    default_methods = ("s2m,2m,cs,ht" if prior.family == HORSESHOE
                        else "s2m,2m,hppm,mpm")
     methods = _methods_list(args, config, default=default_methods)
     jobs = _jobs(args)
@@ -378,8 +323,7 @@ def cmd_bench(args) -> int:
     write_benchmark_csv(reports, setting, os.path.join(out, "benchmark.csv"))
     write_replicate_csv(reports, setting, os.path.join(out, "replicates.csv"))
     _write_resolved(out, "bench", {
-        "sim": _sim_payload(cfg), "prior": _prior_payload(prior),
-        "mcmc": _mcmc_payload(mcmc), "selection": _s2m_payload(s2m_cfg),
+        **{name: asdict(c) for name, c in built.items()},
         "methods": methods, "jobs": jobs,
     })
     print(format_benchmark_table(reports, setting))
@@ -387,28 +331,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(raw, default, name):
-    if raw is None:
-        return tuple(default)
-    try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
-    except ValueError:
-        raise UsageError(f"malformed {name} grid {raw!r}") from None
-    if not values:
-        raise UsageError(f"empty {name} grid")
-    return values
-
-
 def cmd_shrinkmap(args) -> int:
-    rho = _parse_grid(args.rho, DEFAULT_RHO_GRID, "rho")
-    tau = _parse_grid(args.tau, DEFAULT_TAU_GRID, "tau")
-    a = _parse_grid(args.a, DEFAULT_A_GRID, "a")
     x2_values = args.x2 or [1.0]
     jobs = _jobs(args)
     out = _out_dir(args)
     written = []
     for x2 in x2_values:
-        points = reverse_shrinkage_grid(rho, tau, a, x2=x2,
+        points = reverse_shrinkage_grid(args.rho, args.tau, args.a, x2=x2,
                                         tol=args.tol, jobs=jobs)
         path = os.path.join(out, f"shrink_grid_x2_{x2:g}.csv")
         write_grid_csv(points, path)
@@ -418,7 +347,7 @@ def cmd_shrinkmap(args) -> int:
         print(f"x2={x2:g}: {len(points)} points, {n_blue} reverse-shrinkage, "
               f"{n_fail} quadrature failures -> {path}")
     _write_resolved(out, "shrinkmap", {
-        "rho": list(rho), "tau": list(tau), "a": list(a),
+        "rho": list(args.rho), "tau": list(args.tau), "a": list(args.a),
         "x2": list(x2_values), "tol": args.tol, "jobs": jobs,
         "files": written,
     })
@@ -431,99 +360,85 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shrinkage-prior variable selection toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help="output directory "
+    # Flag groups shared by several subcommands, attached as parents.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--out", help="output directory "
                         "(default: $SHRINKSEL_OUTDIR or .)")
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("-n", type=int)
+    sim.add_argument("-p", type=int)
+    sim.add_argument("-r", type=int)
+    sim.add_argument("--strengths", type=_float_list,
+                     help="comma list (single value broadcasts)")
+    sim.add_argument("--correlated", action="store_true", default=None)
+    sim.add_argument("--uncorrelated", dest="correlated", action="store_false")
+    sim.add_argument("--cor-pairs", type=int)
+    sim.add_argument("--cor-target", type=float)
+    sim.add_argument("--noise-sd", type=float)
+    sim.add_argument("--intercept", action="store_true", default=None)
+    sim.add_argument("--no-intercept", dest="intercept", action="store_false")
+    sim.add_argument("--seed", type=int)
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--prior", dest="family", choices=PRIOR_FAMILIES)
+    chain.add_argument("--tau-upper", type=_number_or_word,
+                       help="global-scale bound (number or 'none')")
+    chain.add_argument("--iterations", type=int)
+    chain.add_argument("--burn-in", type=int)
+    chain.add_argument("--thin", type=int)
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--methods",
+                           help=f"comma list from {', '.join(METHODS)}")
+    selection.add_argument("--b", type=_number_or_word, help="s2m gap "
+                           f"threshold (number or {TWO_SIGMA_HAT!r})")
+    selection.add_argument("--level", dest="credible_level", type=float,
+                           help="credible level for cs")
+    selection.add_argument("--threshold", dest="kappa_threshold", type=float,
+                           help="shrinkage-weight threshold for ht")
 
-    sp = sub.add_parser("simulate", help="generate a synthetic dataset")
-    common(sp)
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-r", type=int, default=None)
-    sp.add_argument("--strengths", help="comma list (single value broadcasts)")
-    sp.add_argument("--correlated", action="store_true", default=None)
-    sp.add_argument("--uncorrelated", dest="correlated", action="store_false")
-    sp.add_argument("--cor-pairs", dest="cor_pairs", type=int, default=None)
-    sp.add_argument("--cor-target", dest="cor_target", type=float, default=None)
-    sp.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    sp.add_argument("--intercept", action="store_true", default=None)
-    sp.add_argument("--no-intercept", dest="intercept", action="store_false")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=cmd_simulate, replicates=None)
+    sp = sub.add_parser("simulate", help="generate a synthetic dataset",
+                        parents=[common, sim])
+    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("fit", help="run a Gibbs chain on a dataset")
-    common(sp)
+    sp = sub.add_parser("fit", help="run a Gibbs chain on a dataset",
+                        parents=[common, chain])
     sp.add_argument("--design", help="design CSV (headerless numeric)")
     sp.add_argument("--response", help="response CSV (single column)")
-    sp.add_argument("--prior", choices=["horseshoe", "spike-slab"], default=None)
-    sp.add_argument("--tau-upper", dest="tau_upper", default=None,
-                    help="global-scale bound (number or 'none')")
-    sp.add_argument("--ig-shape", dest="ig_shape", type=float, default=None)
-    sp.add_argument("--ig-scale", dest="ig_scale", type=float, default=None)
-    sp.add_argument("--ss-beta-a", dest="ss_beta_a", type=float, default=None)
-    sp.add_argument("--ss-beta-b", dest="ss_beta_b", type=float, default=None)
-    sp.add_argument("--iterations", type=int, default=None)
-    sp.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    sp.add_argument("--thin", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int)
+    for name in ("--ig-shape", "--ig-scale", "--ss-beta-a", "--ss-beta-b"):
+        sp.add_argument(name, type=float)
     sp.set_defaults(func=cmd_fit)
 
-    sp = sub.add_parser("select", help="apply selectors to a draw file")
-    common(sp)
+    sp = sub.add_parser("select", help="apply selectors to a draw file",
+                        parents=[common, selection])
     sp.add_argument("--draws", help="draw CSV")
-    sp.add_argument("--methods", help=f"comma list from {', '.join(METHODS)}")
-    sp.add_argument("--b", default=None,
-                    help=f"s2m gap threshold (number or {TWO_SIGMA_HAT!r})")
-    sp.add_argument("--level", type=float, default=None,
-                    help="credible level for cs")
-    sp.add_argument("--threshold", type=float, default=None,
-                    help="shrinkage-weight threshold for ht")
     sp.set_defaults(func=cmd_select)
 
-    sp = sub.add_parser("evaluate", help="score a selection against truth")
-    common(sp)
+    sp = sub.add_parser("evaluate", help="score a selection against truth",
+                        parents=[common])
     sp.add_argument("--selection", help="selection.csv from the select command")
     sp.add_argument("--truth", help="truth file (one 1-based index per line)")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("bench", help="seeded replicate benchmark")
-    common(sp)
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-r", type=int, default=None)
-    sp.add_argument("--strengths", default=None)
-    sp.add_argument("--correlated", action="store_true", default=None)
-    sp.add_argument("--uncorrelated", dest="correlated", action="store_false")
-    sp.add_argument("--cor-pairs", dest="cor_pairs", type=int, default=None)
-    sp.add_argument("--cor-target", dest="cor_target", type=float, default=None)
-    sp.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    sp.add_argument("--intercept", action="store_true", default=None)
-    sp.add_argument("--no-intercept", dest="intercept", action="store_false")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--prior", choices=["horseshoe", "spike-slab"], default=None)
-    sp.add_argument("--tau-upper", dest="tau_upper", default=None)
-    sp.add_argument("--iterations", type=int, default=None)
-    sp.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    sp.add_argument("--thin", type=int, default=None)
-    sp.add_argument("--methods", default=None)
-    sp.add_argument("--b", default=None)
-    sp.add_argument("--level", type=float, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp = sub.add_parser("bench", help="seeded replicate benchmark",
+                        parents=[common, sim, chain, selection])
+    sp.add_argument("--replicates", type=int)
+    sp.add_argument("--jobs", type=int)
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("shrinkmap", help="reverse-shrinkage classification grid")
-    common(sp)
+    sp = sub.add_parser("shrinkmap", help="reverse-shrinkage classification grid",
+                        parents=[common])
+    sp.add_argument("--jobs", type=int)
     sp.add_argument("--x2", type=float, action="append",
                     help="smaller MLE value; repeat for several grids")
-    sp.add_argument("--rho", help="comma list of correlation values")
-    sp.add_argument("--tau", help="comma list of prior scales")
-    sp.add_argument("--a", help="comma list of MLE ratios (> 1)")
+    sp.add_argument("--rho", type=_float_list, default=DEFAULT_RHO_GRID,
+                    help="comma list of correlation values")
+    sp.add_argument("--tau", type=_float_list, default=DEFAULT_TAU_GRID,
+                    help="comma list of prior scales")
+    sp.add_argument("--a", type=_float_list, default=DEFAULT_A_GRID,
+                    help="comma list of MLE ratios (> 1)")
     sp.add_argument("--tol", type=float, default=1e-6,
                     help="quadrature relative error target")
-    sp.add_argument("--jobs", type=int, default=None)
     sp.set_defaults(func=cmd_shrinkmap)
     return parser
 

@@ -310,6 +310,44 @@ def _indexed_block(names: dict[str, int], stem: str) -> Optional[list[int]]:
     return [found[i] for i in range(1, k + 1)]
 
 
+def _read_rows(fh, path: str, first_line: int,
+               header: Optional[list[str]] = None) -> np.ndarray:
+    """The numeric table in the comma-separated lines left in ``fh``.
+
+    Blank lines are skipped. Every row must have as many cells as
+    ``header`` (or, without one, as the first row); a ragged or
+    non-numeric row raises :class:`InvariantError` naming its file line,
+    counted from ``first_line``.
+    """
+    rows, linenos = [], []
+    width = None if header is None else len(header)
+    for lineno, line in enumerate(fh, start=first_line):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        width = width or len(cells)
+        if len(cells) != width:
+            raise InvariantError(f"{path}: row {lineno} has {len(cells)} "
+                                 f"cells, expected {width}")
+        rows.append(cells)
+        linenos.append(lineno)
+    if not rows:
+        raise InvariantError(f"{path}: no data rows")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    column = repr(header[j]) if header else j + 1
+                    raise InvariantError(
+                        f"{path}: non-numeric cell {cell!r} at row {lineno}, "
+                        f"column {column}") from None
+        raise
+
+
 def load_draws(path: str) -> PosteriorDraws:
     """Read a draw CSV written by :func:`save_draws` or an external sampler.
 
@@ -327,31 +365,7 @@ def load_draws(path: str) -> PosteriorDraws:
             if name in names:
                 raise InvariantError(f"{path}: duplicate column {name!r}")
             names[name] = pos
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise InvariantError(
-                    f"{path}: row {lineno} has {len(cells)} cells, "
-                    f"expected {len(header)}")
-            rows.append(cells)
-    if not rows:
-        raise InvariantError(f"{path}: no data rows")
-    try:
-        table = np.array(rows, dtype=float)
-    except ValueError:
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise InvariantError(
-                        f"{path}: non-numeric cell {cell!r} at row {i + 2}, "
-                        f"column {header[j]!r}") from None
-        raise
+        table = _read_rows(fh, path, 2, header)
 
     beta_pos = _indexed_block(names, "beta")
     if beta_pos is None:
@@ -383,34 +397,14 @@ def load_draws(path: str) -> PosteriorDraws:
     )
 
 
-def load_matrix_csv(path: str, expect_columns: Optional[int] = None) -> np.ndarray:
+def load_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless numeric CSV into a 2-D array.
 
     Used for design/response files. Raises :class:`InvariantError` naming
-    the first malformed row.
+    the file line of the first malformed row.
     """
-    rows = []
-    width = expect_columns
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            if len(cells) != width:
-                raise InvariantError(
-                    f"{path}: row {lineno} has {len(cells)} cells, "
-                    f"expected {width}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise InvariantError(
-                    f"{path}: non-numeric cell at row {lineno}") from None
-    if not rows:
-        raise InvariantError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+        return _read_rows(fh, path, 1)
 
 
 def save_matrix_csv(arr, path: str) -> None:

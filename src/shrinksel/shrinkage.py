@@ -141,7 +141,7 @@ class ShrinkGridPoint:
 
 
 def _f_coeffs(k1, k2, rho):
-    """Quadratic-form coefficients for shrinkage weights (k1, k2).
+    """``d`` and the quadratic-form coefficients for weights (k1, k2).
 
     Accepts scalars or broadcastable arrays.
     """
@@ -149,7 +149,20 @@ def _f_coeffs(k1, k2, rho):
     f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
     f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
     f3 = -rho * k1 * k2 / d
-    return f1, f2, f3
+    return d, f1, f2, f3
+
+
+def _data_part(k1, k2, problem: TwoVarProblem):
+    """Data part of the horseshoe integrand at weights (k1, k2).
+
+    Returns ``d``, the exponent of the data factor E and the two numerator
+    linear forms, for scalars or broadcastable arrays. Every evaluation
+    path multiplies E by its own prior weight.
+    """
+    x1, x2 = problem.mle
+    d, f1, f2, f3 = _f_coeffs(k1, k2, problem.rho)
+    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * problem.sigma2)
+    return d, log_e, f1 * x1 + f3 * x2, f2 * x2 + f3 * x1
 
 
 def _compose_estimate(problem: TwoVarProblem, r1: float, r2: float):
@@ -168,7 +181,7 @@ def normal_shrink_factors(problem: TwoVarProblem) -> ShrinkFactors:
     if problem.a < 1.0:
         raise InvariantError("ratio analysis needs |mle1/mle2| >= 1")
     kappa = 1.0 / (1.0 + problem.tau ** 2)
-    f1, f2, f3 = _f_coeffs(kappa, kappa, problem.rho)
+    _, f1, f2, f3 = _f_coeffs(kappa, kappa, problem.rho)
     a = problem.a
     r1 = -(a * f1 + f3) / a
     r2 = -(f2 + a * f3)
@@ -210,25 +223,19 @@ def hs_integrand(k1: float, k2: float, problem: TwoVarProblem,
     """
     if not (0.0 < k1 < 1.0 and 0.0 < k2 < 1.0):
         raise InvariantError("k1, k2 must lie strictly inside (0, 1)")
-    rho = problem.rho
     tau2 = problem.tau ** 2
-    x1, x2 = problem.mle
-    f1, f2, f3 = _f_coeffs(k1, k2, rho)
-    d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+    d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
     f_factor = (d ** -0.5
                 / (1.0 - (1.0 - tau2) * k1)
                 / (1.0 - (1.0 - tau2) * k2)
                 * (1.0 - k1) ** -0.5 * (1.0 - k2) ** -0.5)
-    e_factor = math.exp(
-        (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2)
-        / (2.0 * problem.sigma2))
-    base = f_factor * e_factor
+    base = f_factor * math.exp(log_e)
     if which == "F_only":
         return base
     if which == "numerator_1":
-        return (f1 * x1 + f3 * x2) * base
+        return lin1 * base
     if which == "numerator_2":
-        return (f2 * x2 + f3 * x1) * base
+        return lin2 * base
     raise InvariantError(f"unknown integrand variant {which!r}")
 
 
@@ -248,21 +255,18 @@ def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     k = sin_t * sin_t
     axis_w = w * 2.0 * sin_t
 
-    rho = problem.rho
     tau2 = problem.tau ** 2
     x1, x2 = problem.mle
     k1 = k[:, None]
     k2 = k[None, :]
-    f1, f2, f3 = _f_coeffs(k1, k2, rho)
-    d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+    d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
     rest = (d ** -0.5
             / (1.0 - (1.0 - tau2) * k1)
             / (1.0 - (1.0 - tau2) * k2))
-    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * problem.sigma2)
     base = (axis_w[:, None] * axis_w[None, :]) * rest * np.exp(log_e - log_e.max())
     den = float(base.sum())
-    num1 = float(((f1 * x1 + f3 * x2) * base).sum())
-    num2 = float(((f2 * x2 + f3 * x1) * base).sum())
+    num1 = float((lin1 * base).sum())
+    num2 = float((lin2 * base).sum())
     return -num1 / (x1 * den), -num2 / (x2 * den)
 
 
@@ -319,14 +323,10 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
         lam2 = np.tan(rng.random(m) * (math.pi / 2.0))
         k1 = 1.0 / (1.0 + (tau * lam1) ** 2)
         k2 = 1.0 / (1.0 + (tau * lam2) ** 2)
-        f1, f2, f3 = _f_coeffs(k1, k2, rho)
-        d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
-        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * problem.sigma2)
+        d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
         # The quadratic form is negative definite, so exp(log_e) <= 1.
         phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
-        a1 = (f1 * x1 + f3 * x2) * phi
-        a2 = (f2 * x2 + f3 * x1) * phi
-        block = np.stack([a1, a2, phi])
+        block = np.stack([lin1 * phi, lin2 * phi, phi])
         sums += block.sum(axis=1)
         prods += block @ block.T
         done += m

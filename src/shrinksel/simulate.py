@@ -22,9 +22,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import (Dataset, HORSESHOE, InvariantError, METHODS,
-                   PosteriorDraws, PriorSpec, atomic_write_text)
-from .samplers import McmcConfig, fit_horseshoe, fit_spike_slab
+from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
+                   PriorSpec, atomic_write_text)
+from .samplers import McmcConfig, fit
 from .selection import S2mConfig, run_selector
 
 _COR_RETRIES = 20
@@ -228,10 +228,7 @@ def _bench_replicate(payload) -> dict[str, Union[tuple[int, int], str]]:
     y = gen_response(x, truth, strengths, noise_sd, resp_seq)
     data = Dataset(y=y, x=x, truth=truth)
     try:
-        if prior.family == HORSESHOE:
-            draws = fit_horseshoe(data, prior, replace(mcmc, seed=chain_seed))
-        else:
-            draws = fit_spike_slab(data, prior, replace(mcmc, seed=chain_seed))
+        draws = fit(data, prior, replace(mcmc, seed=chain_seed))
     except Exception as exc:  # recorded per replicate, not fatal
         return {m: f"chain failed: {exc}" for m in methods}
     if intercept_p is not None:

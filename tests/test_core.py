@@ -186,3 +186,43 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")
         assert load_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestCsvRowsNameFileLines:
+    """Both readers skip blank lines and report the line in the file."""
+
+    def test_draws_non_numeric_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("beta_1,sigma2\n1.0,2.0\n\n\nx,1.0\n")
+        with pytest.raises(InvariantError,
+                           match=r"'x' at row 5, column 'beta_1'"):
+            load_draws(str(path))
+
+    def test_draws_ragged_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("beta_1,sigma2\n\n1.0,2.0\n \n1.0\n")
+        with pytest.raises(InvariantError, match="row 5 has 1 cells"):
+            load_draws(str(path))
+
+    def test_draws_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("beta_1,sigma2\n\n1.0,2.0\n\n3.0,4.0\n\n")
+        d = load_draws(str(path))
+        assert d.beta[:, 0].tolist() == [1.0, 3.0]
+
+    def test_matrix_non_numeric_after_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n\n\n3.0,4.0\n5.0,y\n")
+        with pytest.raises(InvariantError, match=r"'y' at row 5, column 2"):
+            load_matrix_csv(str(path))
+
+    def test_matrix_ragged_after_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1.0,2.0\n\n3.0\n")
+        with pytest.raises(InvariantError, match="row 4 has 1 cells"):
+            load_matrix_csv(str(path))
+
+    def test_matrix_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1.0,2.0\n\n3.0,4.0\n\n")
+        assert load_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -238,3 +238,33 @@ class TestGrid:
                                           a_grid=[2.0, 10.0], x2=1.0, jobs=2)
         assert [(p.ratio_shrunk, p.reverse) for p in serial] == \
             [(p.ratio_shrunk, p.reverse) for p in parallel]
+
+
+class TestIntegrandPathsAgree:
+    """The vectorised quadrature against pointwise ``hs_integrand``.
+
+    ``hs_integrand`` is the path checked against mpmath above; here its
+    values, summed on the same sin^2 nodes with weights
+    w_i * 2 sin(theta_i) cos(theta_i) (dk = 2 sin cos dtheta), must give
+    the r-values of ``_quad_r_values``.
+    """
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+    def test_order_16_r_values(self, rho):
+        from numpy.polynomial.legendre import leggauss
+        from shrinksel.shrinkage import _quad_r_values
+
+        pr = TwoVarProblem(rho=rho, tau=0.5, mle=(2.0, 1.0))
+        nodes, weights = leggauss(16)
+        theta = (nodes + 1.0) * (math.pi / 4.0)
+        k = np.sin(theta) ** 2
+        jac = weights * (math.pi / 4.0) * 2.0 * np.sin(theta) * np.cos(theta)
+        sums = {which: sum(jac[i] * jac[j] * hs_integrand(k[i], k[j], pr, which)
+                           for i in range(16) for j in range(16))
+                for which in ("F_only", "numerator_1", "numerator_2")}
+        x1, x2 = pr.mle
+        rebuilt = (-sums["numerator_1"] / (x1 * sums["F_only"]),
+                   -sums["numerator_2"] / (x2 * sums["F_only"]))
+        quad = _quad_r_values(pr, 16)
+        for got, want in zip(quad, rebuilt):
+            assert got == pytest.approx(want, rel=1e-10)
