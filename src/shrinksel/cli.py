@@ -291,7 +291,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError(
                 f"{args.selection}: not a selection report") from None
         e_pos = header.index("error") if "error" in header else None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
             if len(cells) < len(header) or not cells[m_pos]:
                 continue
@@ -299,7 +299,12 @@ def cmd_evaluate(args) -> int:
                 print(f"{cells[m_pos]}: skipped (selector failed: "
                       f"{cells[e_pos]})", file=sys.stderr)
                 continue
-            selected = {int(v) for v in cells[s_pos].split() if v}
+            try:
+                selected = {int(v) for v in cells[s_pos].split()}
+            except ValueError:
+                raise UsageError(
+                    f"{args.selection}: line {lineno}: selected indices must "
+                    f"be integers, got {cells[s_pos]!r}") from None
             masking, swamping = score(selected, truth)
             lines.append(f"{cells[m_pos]},{masking},{swamping}")
             print(f"{cells[m_pos]}: masking={masking} swamping={swamping}")

@@ -81,18 +81,21 @@ def _checked_abs_values(values, minimum=2) -> np.ndarray:
     return v
 
 
-def _row_sums(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending-sorted rows plus their row-wise cumsums of v and v*v.
+def _row_sums(v: np.ndarray):
+    """Ascending-sorted rows, their row-wise cumsums of v and v*v, and ss_lo.
 
     ``np.cumsum`` adds sequentially, so the first a entries of a row's
     cumsum equal, bit for bit, the cumsum of the row's first a values:
-    every ``s2m`` peel reuses these sums on a prefix.
+    every ``s2m`` peel reuses these sums on a prefix. ``ss_lo[:, k-1]`` is
+    the within-cluster SS of the k smallest values, which no peel changes.
     """
     v = np.sort(v, axis=1)
-    return v, np.cumsum(v, axis=1), np.cumsum(v * v, axis=1)
+    cs, cq = np.cumsum(v, axis=1), np.cumsum(v * v, axis=1)
+    s_lo = cs[:, :-1]
+    return v, cs, cq, cq[:, :-1] - s_lo * s_lo / np.arange(1, v.shape[1])
 
 
-def _best_splits(v, cs, cq, a):
+def _best_splits(v, cs, cq, ss_lo, a):
     """Optimal contiguous split of each ascending prefix ``v[r, :a[r]]``.
 
     Returns arrays (low-cluster size k, low mean, high mean), one entry
@@ -104,10 +107,8 @@ def _best_splits(v, cs, cq, a):
     """
     rows = np.arange(v.shape[0])
     last = (rows, a - 1)
-    k = np.arange(1, v.shape[1])
-    n_hi = a[:, None] - k
+    n_hi = a[:, None] - np.arange(1, v.shape[1])
     s_lo = cs[:, :-1]
-    ss_lo = cq[:, :-1] - s_lo * s_lo / k
     s_hi = cs[last][:, None] - s_lo
     # Splits past a row's prefix get an infinite cost; the clamped
     # divisor only keeps them finite until then.
@@ -136,9 +137,9 @@ def _signal_counts(abs_beta: np.ndarray, b=None) -> np.ndarray:
         raise InvariantError("need a vector of at least 2 values")
     h = np.empty(t, dtype=np.int64)
     for start in range(0, t, _BLOCK_ROWS):
-        v, cs, cq = _row_sums(abs_beta[start:start + _BLOCK_ROWS])
+        v, cs, cq, ss_lo = _row_sums(abs_beta[start:start + _BLOCK_ROWS])
         rows = np.arange(v.shape[0])
-        k, m, big = _best_splits(v, cs, cq, np.full(rows.size, p))
+        k, m, big = _best_splits(v, cs, cq, ss_lo, np.full(rows.size, p))
         if b is None:
             h[start:start + rows.size] = np.minimum(k, p - k)
             continue
@@ -148,7 +149,8 @@ def _signal_counts(abs_beta: np.ndarray, b=None) -> np.ndarray:
             rows, k = rows[gap], k[gap]
             noise[rows] = k
             rows, a = rows[k >= 2], k[k >= 2]
-            k, m, big = _best_splits(v[rows], cs[rows], cq[rows], a)
+            k, m, big = _best_splits(v[rows], cs[rows], cq[rows],
+                                     ss_lo[rows], a)
         h[start:start + noise.size] = p - noise
     return h
 

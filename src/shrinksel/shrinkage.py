@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ DEFAULT_A_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_X2_VALUES = (1.0, 1.5)
 
 _QUAD_ORDERS = (16, 32, 64, 128, 256, 512)
+_MC_BLOCK = 1 << 15  # samples per cache-sized slice of the MC pipeline
 
 
 class QuadratureError(RuntimeError):
@@ -239,22 +241,29 @@ def hs_integrand(k1: float, k2: float, problem: TwoVarProblem,
     raise InvariantError(f"unknown integrand variant {which!r}")
 
 
+@lru_cache(maxsize=len(_QUAD_ORDERS))
+def _quad_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes k and tensor weights of one order, built on first use.
+
+    Substituting k = sin^2(theta) turns the (1-k)^{-1/2} endpoint factor
+    into 2*sin(theta), so the integrand is smooth on [0, pi/2]^2.
+    """
+    nodes, weights = leggauss(order)
+    sin_t = np.sin((nodes + 1.0) * (math.pi / 4.0))
+    axis_w = weights * (math.pi / 4.0) * 2.0 * sin_t
+    k, w2 = sin_t * sin_t, axis_w[:, None] * axis_w[None, :]
+    k.flags.writeable = w2.flags.writeable = False
+    return k, w2
+
+
 def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     """(r1, r2) by tensor Gauss-Legendre at a fixed order.
 
-    Substituting k = sin^2(theta) turns the (1-k)^{-1/2} endpoint factor
-    into 2*sin(theta), so the integrand is smooth on [0, pi/2]^2. The
-    exponential factor is evaluated in log space and normalized by its
+    The exponential factor is evaluated in log space and normalized by its
     maximum over the node grid; the shift cancels between numerator and
     denominator.
     """
-    nodes, weights = leggauss(order)
-    theta = (nodes + 1.0) * (math.pi / 4.0)
-    w = weights * (math.pi / 4.0)
-    sin_t = np.sin(theta)
-    k = sin_t * sin_t
-    axis_w = w * 2.0 * sin_t
-
+    k, w2 = _quad_rule(order)
     tau2 = problem.tau ** 2
     x1, x2 = problem.mle
     k1 = k[:, None]
@@ -263,7 +272,7 @@ def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     rest = (d ** -0.5
             / (1.0 - (1.0 - tau2) * k1)
             / (1.0 - (1.0 - tau2) * k2))
-    base = (axis_w[:, None] * axis_w[None, :]) * rest * np.exp(log_e - log_e.max())
+    base = w2 * rest * np.exp(log_e - log_e.max())
     den = float(base.sum())
     num1 = float((lin1 * base).sum())
     num2 = float((lin2 * base).sum())
@@ -277,6 +286,7 @@ def hs_shrinkage(problem: TwoVarProblem, tol: float = 1e-6) -> HsEstimate:
     ``tol`` relative; on failure a :class:`QuadratureError` carries the
     achieved estimate.
     """
+    _check_tol(tol)
     prev = None
     err = math.inf
     for order in _QUAD_ORDERS:
@@ -294,6 +304,11 @@ def hs_shrinkage(problem: TwoVarProblem, tol: float = 1e-6) -> HsEstimate:
         f"{_QUAD_ORDERS[-1]} (achieved {err:g})", achieved=err)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvariantError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def hs_estimator(problem: TwoVarProblem, tol: float = 1e-6) -> tuple[float, float]:
     """Horseshoe posterior mean of the coefficient pair."""
     return hs_shrinkage(problem, tol=tol).estimate
@@ -307,8 +322,11 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     the standard half-Cauchy, averages the integrands, and propagates the
     sampling covariance of the three means through the estimator by the
     delta method. The returned standard errors are for the two estimate
-    components.
+    components. Uniforms are drawn ``chunk`` at a time, then used in
+    cache-sized slices.
     """
+    if n_samples < 1 or chunk < 1:
+        raise InvariantError("n_samples and chunk must be at least 1")
     rho = problem.rho
     tau = problem.tau
     x1, x2 = problem.mle
@@ -316,20 +334,19 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
 
     sums = np.zeros(3)
     prods = np.zeros((3, 3))
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        lam1 = np.tan(rng.random(m) * (math.pi / 2.0))
-        lam2 = np.tan(rng.random(m) * (math.pi / 2.0))
-        k1 = 1.0 / (1.0 + (tau * lam1) ** 2)
-        k2 = 1.0 / (1.0 + (tau * lam2) ** 2)
-        d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
-        # The quadratic form is negative definite, so exp(log_e) <= 1.
-        phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
-        block = np.stack([lin1 * phi, lin2 * phi, phi])
-        sums += block.sum(axis=1)
-        prods += block @ block.T
-        done += m
+    for start in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - start)
+        u1, u2 = rng.random(m), rng.random(m)
+        for lo in range(0, m, _MC_BLOCK):
+            s = slice(lo, lo + _MC_BLOCK)
+            k1 = 1.0 / (1.0 + (tau * np.tan(u1[s] * (math.pi / 2.0))) ** 2)
+            k2 = 1.0 / (1.0 + (tau * np.tan(u2[s] * (math.pi / 2.0))) ** 2)
+            d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
+            # The quadratic form is negative definite, so exp(log_e) <= 1.
+            phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
+            block = np.stack([lin1 * phi, lin2 * phi, phi])
+            sums += block.sum(axis=1)
+            prods += block @ block.T
 
     means = sums / n_samples
     cov_samples = prods / n_samples - np.outer(means, means)
@@ -383,6 +400,7 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     returned in grid order (rho outermost, then tau, then A). Quadrature
     failures are recorded on the point rather than raised.
     """
+    _check_tol(tol)
     tasks = [(float(r), float(t), float(a), float(x2), tol)
              for r in rho_grid for t in tau_grid for a in a_grid]
     if jobs > 1:

@@ -163,6 +163,21 @@ class TestEvaluate:
         assert text.splitlines()[0] == "method,masking,swamping"
         assert text.splitlines()[1].startswith("s2m,")
 
+    @pytest.mark.parametrize("cell", ["1 x", "1.5", "1;2"])
+    def test_non_integer_index_is_usage_error(self, sim_dir, tmp_path, capsys,
+                                              cell):
+        sel = tmp_path / "selection.csv"
+        sel.write_text("method,h,selected,b,level,threshold,error\n"
+                       "2m,1,3,,,,\n"
+                       f"s2m,2,{cell},2,,,\n")
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel),
+                   "--truth", str(sim_dir / "truth.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sel}: line 3" in err and "internal error" not in err
+        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+
 
 class TestBench:
     def test_config_file_run_and_composition(self, tmp_path):
@@ -266,6 +281,14 @@ class TestShrinkmap:
         code = run("shrinkmap", "--out", str(tmp_path), "--rho", "0.9;0.95")
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_is_usage_error(self, tmp_path, capsys, tol):
+        code = run("shrinkmap", "--out", str(tmp_path), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "2", f"--tol={tol}")
+        assert code == 2
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("shrink_grid_*.csv"))
 
 
 class TestExitCodes:

@@ -268,3 +268,140 @@ class TestIntegrandPathsAgree:
         quad = _quad_r_values(pr, 16)
         for got, want in zip(quad, rebuilt):
             assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestCachedQuadratureRules:
+    """Each Gauss-Legendre rule is built once and reused read-only."""
+
+    @staticmethod
+    def fresh_rule_r_values(pr, order):
+        """The r-values with the rule rebuilt from ``leggauss`` in place."""
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(order)
+        theta = (nodes + 1.0) * (math.pi / 4.0)
+        w = weights * (math.pi / 4.0)
+        sin_t = np.sin(theta)
+        k = sin_t * sin_t
+        axis_w = w * 2.0 * sin_t
+        tau2 = pr.tau ** 2
+        x1, x2 = pr.mle
+        k1, k2 = k[:, None], k[None, :]
+        rho = pr.rho
+        d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+        f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
+        f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
+        f3 = -rho * k1 * k2 / d
+        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * pr.sigma2)
+        rest = (d ** -0.5
+                / (1.0 - (1.0 - tau2) * k1)
+                / (1.0 - (1.0 - tau2) * k2))
+        base = (axis_w[:, None] * axis_w[None, :]) * rest * np.exp(log_e - log_e.max())
+        den = float(base.sum())
+        num1 = float(((f1 * x1 + f3 * x2) * base).sum())
+        num2 = float(((f2 * x2 + f3 * x1) * base).sum())
+        return -num1 / (x1 * den), -num2 / (x2 * den)
+
+    @pytest.mark.parametrize("order", [16, 32, 64])
+    def test_bit_identical_to_a_fresh_rule(self, order):
+        from shrinksel.shrinkage import _quad_r_values
+
+        for pr in (TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)),
+                   TwoVarProblem(rho=0.94, tau=0.5, mle=(3.0, 1.5)),
+                   TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
+            want = self.fresh_rule_r_values(pr, order)
+            # A second call reads the cached rule.
+            assert _quad_r_values(pr, order) == want
+            assert _quad_r_values(pr, order) == want
+
+    def test_cached_arrays_are_read_only(self):
+        from shrinksel.shrinkage import _quad_rule
+
+        k, w2 = _quad_rule(32)
+        assert _quad_rule(32)[0] is k
+        assert k.shape == (32,) and w2.shape == (32, 32)
+        for arr in (k, w2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+def whole_chunk_mc(pr, n_samples, seed, chunk):
+    """``hs_estimator_mc`` with every chunk processed in one piece.
+
+    Draws the same uniforms in the same order (two vectors per chunk),
+    accumulates the sums and cross-products of (lin1 phi, lin2 phi, phi)
+    over whole chunks, and maps them to the estimate and its delta-method
+    standard errors. Returns (estimate, se).
+    """
+    from numpy.random import Generator, Philox, SeedSequence
+
+    rho, tau = pr.rho, pr.tau
+    x1, x2 = pr.mle
+    rng = Generator(Philox(SeedSequence(seed)))
+    sums, prods, done = np.zeros(3), np.zeros((3, 3)), 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        k1 = 1.0 / (1.0 + (tau * np.tan(rng.random(m) * (math.pi / 2.0))) ** 2)
+        k2 = 1.0 / (1.0 + (tau * np.tan(rng.random(m) * (math.pi / 2.0))) ** 2)
+        d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+        f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
+        f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
+        f3 = -rho * k1 * k2 / d
+        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * pr.sigma2)
+        phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
+        block = np.stack([(f1 * x1 + f3 * x2) * phi, (f2 * x2 + f3 * x1) * phi, phi])
+        sums += block.sum(axis=1)
+        prods += block @ block.T
+        done += m
+    means = sums / n_samples
+    cov_means = (prods / n_samples - np.outer(means, means)) / n_samples
+    m1, m2, mb = means
+    r1, r2 = -m1 / (x1 * mb), -m2 / (x2 * mb)
+    a, denom = pr.a, 1.0 - rho * rho
+    s1 = (r1 - rho * r2 / a) / denom
+    s2 = (r2 - rho * r1 * a) / denom
+    # d(estimate)/d(means) = d(estimate)/d(r) @ d(r)/d(means).
+    jac_r = np.array([[-1.0 / (x1 * mb), 0.0, m1 / (x1 * mb * mb)],
+                      [0.0, -1.0 / (x2 * mb), m2 / (x2 * mb * mb)]])
+    jac_b = np.array([[-x1 / denom, x1 * rho / (a * denom)],
+                      [x2 * rho * a / denom, -x2 / denom]]) @ jac_r
+    se = np.sqrt(np.diag(jac_b @ cov_means @ jac_b.T))
+    return ((1.0 - s1) * x1, (1.0 - s2) * x2), tuple(se)
+
+
+class TestMcSlices:
+    """The sliced Monte Carlo pipeline against whole-chunk accumulation."""
+
+    @pytest.mark.parametrize("chunk", [40_000, 1_000_000])
+    def test_matches_whole_chunk_reference(self, chunk):
+        from shrinksel.shrinkage import _MC_BLOCK
+
+        n = 100_003
+        assert n % _MC_BLOCK and chunk % _MC_BLOCK
+        pr = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5))
+        mc = hs_estimator_mc(pr, n_samples=n, seed=7, chunk=chunk)
+        est, se = whole_chunk_mc(pr, n, seed=7, chunk=chunk)
+        assert mc.n_samples == n
+        for got, want in zip(mc.estimate + mc.se, est + se):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
+        with pytest.raises(InvariantError, match="tol"):
+            hs_shrinkage(pr, tol=tol)
+        with pytest.raises(InvariantError, match="tol"):
+            reverse_shrinkage_grid([0.95], [0.5], [2.0], tol=tol)
+        with pytest.raises(InvariantError, match="tol"):
+            reverse_shrinkage_grid([0.95], [0.5], [2.0], tol=tol, jobs=2)
+
+    @pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5},
+                                        {"chunk": 0}, {"chunk": -1}])
+    def test_mc_sample_counts_must_be_positive(self, kwargs):
+        # chunk=0 used to loop forever; the check fires before any draw.
+        pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
+        with pytest.raises(InvariantError, match="at least 1"):
+            hs_estimator_mc(pr, **{"n_samples": 10, **kwargs})
