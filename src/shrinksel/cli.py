@@ -292,8 +292,14 @@ def cmd_evaluate(args) -> int:
                 f"{args.selection}: not a selection report") from None
         e_pos = header.index("error") if "error" in header else None
         for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             cells = line.rstrip("\n").split(",")
-            if len(cells) < len(header) or not cells[m_pos]:
+            if len(cells) < len(header):
+                raise UsageError(
+                    f"{args.selection}: line {lineno}: {len(cells)} cells, "
+                    f"the header has {len(header)}")
+            if not cells[m_pos]:
                 continue
             if e_pos is not None and cells[e_pos]:
                 print(f"{cells[m_pos]}: skipped (selector failed: "

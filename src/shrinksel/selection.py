@@ -280,8 +280,7 @@ def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResu
     if not 0 < level < 1:
         raise InvariantError("level must lie in (0, 1)")
     alpha = 1.0 - level
-    lo = np.quantile(draws.beta, alpha / 2, axis=0)
-    hi = np.quantile(draws.beta, 1 - alpha / 2, axis=0)
+    lo, hi = np.quantile(draws.beta, [alpha / 2, 1 - alpha / 2], axis=0)
     keep = (lo > 0) | (hi < 0)
     selected = frozenset(int(j) + 1 for j in np.nonzero(keep)[0])
     return SelectionResult(method="cs", selected=selected,

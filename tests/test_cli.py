@@ -178,6 +178,32 @@ class TestEvaluate:
         assert f"{sel}: line 3" in err and "internal error" not in err
         assert not (tmp_path / "eval" / "evaluate.csv").exists()
 
+    def test_short_row_is_usage_error(self, sim_dir, tmp_path, capsys):
+        sel = tmp_path / "selection.csv"
+        sel.write_text("method,h,selected,b,level,threshold,error\n"
+                       "2m,1,3,,,,\n"
+                       "\n"
+                       "s2m,2,1 x,,\n")
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel),
+                   "--truth", str(sim_dir / "truth.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sel}: line 4" in err and "internal error" not in err
+        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+
+    def test_blank_lines_are_skipped(self, sim_dir, tmp_path):
+        sel = tmp_path / "selection.csv"
+        sel.write_text("method,h,selected,b,level,threshold,error\n"
+                       "\n"
+                       "2m,1,3,,,,\n"
+                       "  \n")
+        out = tmp_path / "eval"
+        assert run("evaluate", "--out", str(out), "--selection", str(sel),
+                   "--truth", str(sim_dir / "truth.txt")) == 0
+        lines = (out / "evaluate.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("2m,")
+
 
 class TestBench:
     def test_config_file_run_and_composition(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from shrinksel.core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
                             SelectionResult, load_draws, load_matrix_csv,
-                            save_draws)
+                            save_draws, save_matrix_csv)
 
 
 def _random_draws(rng, t, p, with_hs=False, with_ss=False) -> PosteriorDraws:
@@ -173,6 +173,42 @@ class TestDrawCsv:
         path.write_text("beta_1,beta_3,sigma2\n1.0,2.0,1.0\n")
         with pytest.raises(InvariantError):
             load_draws(str(path))
+
+
+class TestCsvText:
+    """Written files equal formatting each float64 scalar with %.17g."""
+
+    @staticmethod
+    def _scalar_lines(table) -> list[str]:
+        return [",".join("%.17g" % v for v in row) for row in table]
+
+    def test_draw_file_bytes(self, tmp_path):
+        rng = np.random.default_rng(21)
+        draws = _random_draws(rng, 9, 6, with_hs=True, with_ss=True)
+        beta = draws.beta.copy()
+        beta[0, :4] = (-0.0, 5e-324, -1.7976931348623157e308, 3.0)
+        beta[1] *= 1e-12
+        draws = PosteriorDraws(beta=beta, sigma2=draws.sigma2, lam=draws.lam,
+                               tau=draws.tau, z=draws.z, pi=draws.pi)
+        path = tmp_path / "d.csv"
+        save_draws(draws, str(path))
+        table = np.hstack([draws.beta, draws.sigma2[:, None], draws.lam,
+                           draws.tau[:, None], draws.z.astype(float),
+                           draws.pi[:, None]])
+        header = path.read_text().splitlines()[0]
+        expected = "\n".join([header] + self._scalar_lines(table)) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_matrix_file_bytes(self, tmp_path):
+        arr = np.random.default_rng(22).standard_normal((5, 3)) * 1e5
+        arr[2, 1] = -0.0
+        path = tmp_path / "m.csv"
+        save_matrix_csv(arr, str(path))
+        expected = "\n".join(self._scalar_lines(arr)) + "\n"
+        assert path.read_bytes() == expected.encode()
+        save_matrix_csv(arr[0], str(path))  # a vector is one row
+        assert path.read_bytes() == (self._scalar_lines(arr[:1])[0]
+                                     + "\n").encode()
 
 
 class TestMatrixCsv:

@@ -1,5 +1,9 @@
 """Sampler contracts: determinism, invariants, and posterior correctness."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,3 +264,128 @@ class TestRoundTripThroughSampler:
         assert np.array_equal(back.beta, draws.beta)
         assert np.array_equal(back.lam, draws.lam)
         assert np.array_equal(back.tau, draws.tau)
+
+
+def _plain_inv_gamma(rng, shape, scale):
+    size = np.shape(scale) if np.ndim(scale) else None
+    g = rng.standard_gamma(shape, size=size)
+    return np.maximum(np.asarray(scale) / np.maximum(g, 1e-300), 1e-300)
+
+
+def _plain_truncated_inv_gamma(rng, shape, scale, upper):
+    for _ in range(100):
+        draw = float(_plain_inv_gamma(rng, shape, scale))
+        if draw <= upper:
+            return draw
+    return upper
+
+
+def _reference_horseshoe(data, prior, mcmc, init, path):
+    """The horseshoe loop as first written, one Gibbs update at a time.
+
+    Its only change is the Woodbury matrix, formed as xs @ xs.T with
+    xs = x * sqrt(d) instead of (x * d) @ x.T; the dense path is verbatim.
+    """
+    x, y = data.x, data.y
+    n, p = x.shape
+    gram, xty = x.T @ x, x.T @ y
+    rng = _rng(mcmc.seed)
+    beta, sigma2 = np.array(init.beta, dtype=float), float(init.sigma2)
+    lam, tau = np.array(init.lam, dtype=float), float(init.tau)
+    nu, xi = np.array(init.nu, dtype=float), float(init.xi)
+    kept = {"beta": [], "sigma2": [], "lam": [], "tau": []}
+    for it in range(1, mcmc.iterations + 1):
+        d = tau * lam
+        sigma = np.sqrt(sigma2)
+        if path == "woodbury":
+            u = np.sqrt(d) * rng.standard_normal(p)
+            delta = rng.standard_normal(n)
+            v = x @ u + delta
+            xs = x * np.sqrt(d)
+            m = xs @ xs.T
+            m[np.diag_indices_from(m)] += 1.0
+            w = np.linalg.solve(m, y / sigma - v)
+            beta = sigma * (u + d * (x.T @ w))
+        else:
+            e = rng.standard_normal(n + p)
+            a = gram.copy()
+            a[np.diag_indices_from(a)] += 1.0 / d
+            w = x.T @ e[:n] + e[n:] / np.sqrt(d)
+            beta = np.linalg.solve(a, xty + sigma * w)
+        resid = y - x @ beta
+        scaled_b2 = beta ** 2 / lam
+        sigma2 = float(_plain_inv_gamma(
+            rng, prior.ig_shape + 0.5 * (n + p),
+            prior.ig_scale + 0.5 * (resid @ resid)
+            + 0.5 * scaled_b2.sum() / tau))
+        lam = _plain_inv_gamma(
+            rng, 1.0, 1.0 / nu + beta ** 2 / (2.0 * sigma2 * tau))
+        nu = _plain_inv_gamma(rng, 1.0, 1.0 + 1.0 / lam)
+        tau_scale = 1.0 / xi + 0.5 * (beta ** 2 / lam).sum() / sigma2
+        if prior.tau_upper is None:
+            tau = float(_plain_inv_gamma(rng, 0.5 * (p + 1), tau_scale))
+        else:
+            tau = _plain_truncated_inv_gamma(
+                rng, 0.5 * (p + 1), tau_scale, prior.tau_upper)
+        xi = float(_plain_inv_gamma(rng, 1.0, 1.0 + 1.0 / tau))
+        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
+            for name, value in (("beta", beta), ("sigma2", sigma2),
+                                ("lam", lam), ("tau", tau)):
+                kept[name].append(value)
+    return {name: np.array(v) for name, v in kept.items()}
+
+
+class TestHorseshoeAgainstReferenceLoop:
+    """fit_horseshoe reproduces the plain Gibbs loop bit for bit."""
+
+    @pytest.mark.parametrize("tau_upper", [1.0, None])
+    @pytest.mark.parametrize("path,n,p", [("woodbury", 30, 70),
+                                          ("dense", 60, 12)])
+    def test_bit_identical(self, path, n, p, tau_upper):
+        gen = np.random.default_rng(n + p)
+        x = gen.standard_normal((n, p))
+        beta_t = np.zeros(p)
+        beta_t[:3] = (5.0, -4.0, 3.0)
+        data = Dataset(y=x @ beta_t + gen.standard_normal(n), x=x)
+        prior = PriorSpec.horseshoe(tau_upper=tau_upper)
+        mcmc = McmcConfig(iterations=300, burn_in=100, thin=2, seed=17)
+        init = ChainState(beta=beta_t, sigma2=2.0,
+                          lam=gen.uniform(0.5, 2.0, p), tau=0.3,
+                          nu=gen.uniform(0.5, 2.0, p), xi=1.5)
+        got = fit_horseshoe(data, prior, mcmc, init_state=init,
+                            beta_update=path)
+        ref = _reference_horseshoe(data, prior, mcmc, init, path)
+        for name in ("beta", "sigma2", "lam", "tau"):
+            assert np.array_equal(getattr(got, name), ref[name]), name
+
+
+_THREAD_CHILD = """
+import hashlib
+import numpy as np
+from shrinksel.core import Dataset, PriorSpec
+from shrinksel.samplers import McmcConfig, fit_horseshoe
+gen = np.random.default_rng(5)
+x = gen.standard_normal((50, 300))
+beta = np.zeros(300)
+beta[:5] = 4.0
+data = Dataset(y=x @ beta + gen.standard_normal(50), x=x)
+draws = fit_horseshoe(data, PriorSpec.horseshoe(),
+                      McmcConfig(iterations=400, burn_in=100, seed=9))
+print(hashlib.sha256(draws.beta.tobytes() + draws.tau.tobytes()).hexdigest())
+"""
+
+
+def test_woodbury_draws_independent_of_blas_threads():
+    """A seeded p > n chain gives the same bytes on one and two BLAS threads."""
+    import shrinksel
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinksel.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
