@@ -28,7 +28,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PRIOR_FAMILIES,
-                   PriorSpec, atomic_write_text, load_draws, load_matrix_csv,
+                   PriorSpec, atomic_write_lines, load_draws, load_matrix_csv,
                    save_draws, save_matrix_csv)
 from .samplers import McmcConfig, fit, write_run_manifest
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
@@ -191,8 +191,8 @@ def _methods_list(args, config, default) -> list[str]:
 
 
 def _write_resolved(out, command, payload) -> None:
-    atomic_write_text(os.path.join(out, f"{command}_resolved.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_lines(os.path.join(out, f"{command}_resolved.json"),
+                       [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def cmd_simulate(args) -> int:
@@ -203,8 +203,8 @@ def cmd_simulate(args) -> int:
     y = gen_response(x, truth, cfg.strengths, cfg.noise_sd, resp_seq)
     save_matrix_csv(x, os.path.join(out, "design.csv"))
     save_matrix_csv(np.asarray(y)[:, None], os.path.join(out, "response.csv"))
-    atomic_write_text(os.path.join(out, "truth.txt"),
-                      "\n".join(str(j) for j in sorted(truth)) + "\n")
+    atomic_write_lines(os.path.join(out, "truth.txt"),
+                       (str(j) for j in sorted(truth)))
     _write_resolved(out, "simulate", {"sim": asdict(cfg)})
     print(f"wrote design.csv ({x.shape[0]}x{x.shape[1]}), response.csv, "
           f"truth.txt to {out}")
@@ -314,7 +314,7 @@ def cmd_evaluate(args) -> int:
             masking, swamping = score(selected, truth)
             lines.append(f"{cells[m_pos]},{masking},{swamping}")
             print(f"{cells[m_pos]}: masking={masking} swamping={swamping}")
-    atomic_write_text(os.path.join(out, "evaluate.csv"), "\n".join(lines) + "\n")
+    atomic_write_lines(os.path.join(out, "evaluate.csv"), lines)
     return EXIT_OK
 
 

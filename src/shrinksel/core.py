@@ -13,10 +13,11 @@ produced by external samplers can be fed straight into the selectors.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,24 +47,31 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise InvariantError(f"{name} contains non-finite entries")
 
 
-def _csv_lines(table: np.ndarray) -> list[str]:
+def _csv_lines(table: np.ndarray) -> Iterable[str]:
     """Rows of a 2-D float array as CSV lines of ``_FLOAT_FMT`` cells.
 
     One format string per row, applied to Python floats, writes the same
-    text as formatting each float64 scalar, faster. Converting one row at
-    a time holds one row's Python floats, not the whole table's.
+    text as formatting each float64 scalar, faster. Lines are produced one
+    row at a time, so a writer holds one row's text, not the table's.
     """
     row_fmt = ",".join([_FLOAT_FMT] * table.shape[1])
-    return [row_fmt % tuple(row.tolist()) for row in table]
+    return (row_fmt % tuple(row.tolist()) for row in table)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same dir."""
+def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to ``path`` atomically.
+
+    Lines go to a temporary file in the same directory as they are
+    produced, then the file is renamed onto ``path``; on any error the
+    temporary file is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".tmp_", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,6 +165,33 @@ class PriorSpec:
         return cls(family=SPIKE_SLAB, **kwargs)
 
 
+class _Latent(NamedTuple):
+    """One kind of posterior draw: its field and its draw-file columns."""
+
+    field: str  # PosteriorDraws attribute
+    stem: str  # CSV column name, or the stem of stem_1..stem_p
+    per_coef: bool  # T x p, one column per coefficient; else length T
+    dtype: type
+    rule: str  # the value domain, as error messages state it
+    ok: Optional[Callable[[np.ndarray], np.ndarray]]  # elementwise domain test
+
+
+_POSITIVE = ("strictly positive", lambda a: a > 0)
+
+#: Every kind of draw, in draw-file column order. ``beta`` and ``sigma2``
+#: are required; the rest are the optional latents.
+_LATENTS = (
+    _Latent("beta", "beta", True, float, "finite", None),
+    _Latent("sigma2", "sigma2", False, float, *_POSITIVE),
+    _Latent("lam", "lambda", True, float, *_POSITIVE),
+    _Latent("tau", "tau", False, float, *_POSITIVE),
+    _Latent("z", "z", True, np.int64, "0 or 1", lambda a: (a == 0) | (a == 1)),
+    _Latent("pi", "pi", False, float, "strictly inside (0, 1)",
+            lambda a: (a > 0) & (a < 1)),
+)
+_REQUIRED = _LATENTS[:2]
+
+
 @dataclass(frozen=True)
 class PosteriorDraws:
     """Retained MCMC draws: ``beta`` is T x p, ``sigma2`` length T.
@@ -175,52 +210,27 @@ class PosteriorDraws:
     pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        beta = _readonly(self.beta)
-        sigma2 = _readonly(self.sigma2)
-        if beta.ndim != 2:
-            raise InvariantError(f"beta must be T x p, got shape {beta.shape}")
-        if sigma2.shape != (beta.shape[0],):
-            raise InvariantError("sigma2 must have one entry per retained draw")
-        if beta.shape[0] < 1 or beta.shape[1] < 1:
+        if np.ndim(self.beta) != 2:
+            raise InvariantError(
+                f"beta must be T x p, got shape {np.shape(self.beta)}")
+        t, p = np.shape(self.beta)
+        if t < 1 or p < 1:
             raise InvariantError("need at least one draw and one coefficient")
-        _require_finite("beta", beta)
-        _require_finite("sigma2", sigma2)
-        if np.any(sigma2 <= 0):
-            raise InvariantError("sigma2 draws must be strictly positive")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "sigma2", sigma2)
-        t, p = beta.shape
-        if self.lam is not None:
-            lam = _readonly(self.lam)
-            if lam.shape != (t, p):
-                raise InvariantError("lambda matrix must match beta's shape")
-            _require_finite("lambda", lam)
-            if np.any(lam <= 0):
-                raise InvariantError("lambda draws must be strictly positive")
-            object.__setattr__(self, "lam", lam)
-        if self.tau is not None:
-            tau = _readonly(self.tau)
-            if tau.shape != (t,):
-                raise InvariantError("tau must have one entry per retained draw")
-            _require_finite("tau", tau)
-            if np.any(tau <= 0):
-                raise InvariantError("tau draws must be strictly positive")
-            object.__setattr__(self, "tau", tau)
-        if self.z is not None:
-            z = np.array(self.z)
-            if z.shape != (t, p):
-                raise InvariantError("z matrix must match beta's shape")
-            if not np.all(np.isin(z, (0, 1))):
-                raise InvariantError("z entries must be 0 or 1")
-            object.__setattr__(self, "z", _readonly(z, dtype=np.int64))
-        if self.pi is not None:
-            pi = _readonly(self.pi)
-            if pi.shape != (t,):
-                raise InvariantError("pi must have one entry per retained draw")
-            _require_finite("pi", pi)
-            if np.any((pi <= 0) | (pi >= 1)):
-                raise InvariantError("pi draws must lie strictly inside (0, 1)")
-            object.__setattr__(self, "pi", pi)
+        for lat in _LATENTS:
+            value = getattr(self, lat.field)
+            if value is None and lat not in _REQUIRED:
+                continue
+            arr = np.array(value, dtype=float)
+            shape = (t, p) if lat.per_coef else (t,)
+            if arr.shape != shape:
+                raise InvariantError(
+                    f"{lat.stem} has shape {arr.shape}, expected {shape}")
+            _require_finite(lat.stem, arr)
+            if lat.ok is not None and not np.all(lat.ok(arr)):
+                raise InvariantError(f"{lat.stem} draws must be {lat.rule}")
+            arr = arr.astype(lat.dtype, copy=False)
+            arr.setflags(write=False)
+            object.__setattr__(self, lat.field, arr)
 
     @property
     def t(self) -> int:
@@ -264,18 +274,10 @@ class SelectionResult:
                 f"h_mode is {self.h_mode}")
 
 
-def _header_columns(draws: PosteriorDraws) -> list[str]:
-    p = draws.p
-    cols = [f"beta_{k}" for k in range(1, p + 1)] + ["sigma2"]
-    if draws.lam is not None:
-        cols += [f"lambda_{k}" for k in range(1, p + 1)]
-    if draws.tau is not None:
-        cols.append("tau")
-    if draws.z is not None:
-        cols += [f"z_{k}" for k in range(1, p + 1)]
-    if draws.pi is not None:
-        cols.append("pi")
-    return cols
+def _present(draws: PosteriorDraws) -> list[tuple[_Latent, np.ndarray]]:
+    """Each kind of draw that ``draws`` carries, with its array."""
+    return [(lat, getattr(draws, lat.field)) for lat in _LATENTS
+            if getattr(draws, lat.field) is not None]
 
 
 def save_draws(draws: PosteriorDraws, path: str) -> None:
@@ -285,27 +287,23 @@ def save_draws(draws: PosteriorDraws, path: str) -> None:
     ``lambda_1..lambda_p, tau, z_1..z_p, pi`` the draws carry. Floats are
     stored with 17 significant digits, so a save/load round trip is exact.
     """
-    blocks = [draws.beta, draws.sigma2[:, None]]
-    if draws.lam is not None:
-        blocks.append(draws.lam)
-    if draws.tau is not None:
-        blocks.append(draws.tau[:, None])
-    if draws.z is not None:
-        blocks.append(draws.z.astype(float))
-    if draws.pi is not None:
-        blocks.append(draws.pi[:, None])
-    lines = [",".join(_header_columns(draws))] + _csv_lines(np.hstack(blocks))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    present = _present(draws)
+    header = ",".join(
+        ",".join(f"{lat.stem}_{k}" for k in range(1, draws.p + 1))
+        if lat.per_coef else lat.stem for lat, _ in present)
+    table = np.hstack([a if lat.per_coef else a[:, None] for lat, a in present])
+    atomic_write_lines(path, itertools.chain([header], _csv_lines(table)))
 
 
-def _indexed_block(names: dict[str, int], stem: str) -> Optional[list[int]]:
+def _indexed_block(names: dict[str, int], stem: str,
+                   path: str) -> Optional[list[int]]:
     """Column positions of ``stem_1..stem_k``, or None if absent entirely."""
     found = {}
     for name, pos in names.items():
         if name.startswith(stem + "_"):
             suffix = name[len(stem) + 1:]
             if not suffix.isdigit() or int(suffix) < 1:
-                raise InvariantError(f"malformed column name {name!r}")
+                raise InvariantError(f"{path}: malformed column name {name!r}")
             found[int(suffix)] = pos
     if not found:
         return None
@@ -313,8 +311,8 @@ def _indexed_block(names: dict[str, int], stem: str) -> Optional[list[int]]:
     missing = sorted(set(range(1, k + 1)) - set(found))
     if missing:
         raise InvariantError(
-            f"columns {stem}_{missing[0]}.. missing (have {stem}_1..{stem}_{k} "
-            f"with gaps)")
+            f"{path}: columns {stem}_{missing[0]}.. missing (have "
+            f"{stem}_1..{stem}_{k} with gaps)")
     return [found[i] for i in range(1, k + 1)]
 
 
@@ -360,8 +358,9 @@ def load_draws(path: str) -> PosteriorDraws:
     """Read a draw CSV written by :func:`save_draws` or an external sampler.
 
     The header decides which optional latents are present; column order is
-    irrelevant. Raises :class:`InvariantError` on missing required columns,
-    ragged rows, or non-numeric cells, naming the offending row.
+    irrelevant. Raises :class:`InvariantError` naming the file on missing
+    required columns, ragged rows or non-numeric cells (naming the row),
+    and on values :class:`PosteriorDraws` refuses.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline().strip()
@@ -375,34 +374,20 @@ def load_draws(path: str) -> PosteriorDraws:
             names[name] = pos
         table = _read_rows(fh, path, 2, header)
 
-    beta_pos = _indexed_block(names, "beta")
-    if beta_pos is None:
-        raise InvariantError(f"{path}: required beta_1..beta_p columns missing")
-    if "sigma2" not in names:
-        raise InvariantError(f"{path}: required sigma2 column missing")
-    p = len(beta_pos)
-
-    lam_pos = _indexed_block(names, "lambda")
-    z_pos = _indexed_block(names, "z")
-    for stem, pos in (("lambda", lam_pos), ("z", z_pos)):
-        if pos is not None and len(pos) != p:
-            raise InvariantError(
-                f"{path}: {stem} block has {len(pos)} columns, beta has {p}")
-
-    z = None
-    if z_pos is not None:
-        zf = table[:, z_pos]
-        if not np.all(np.isin(zf, (0.0, 1.0))):
-            raise InvariantError(f"{path}: z entries must be 0 or 1")
-        z = zf.astype(np.int64)
-    return PosteriorDraws(
-        beta=table[:, beta_pos],
-        sigma2=table[:, names["sigma2"]],
-        lam=table[:, lam_pos] if lam_pos is not None else None,
-        tau=table[:, names["tau"]] if "tau" in names else None,
-        z=z,
-        pi=table[:, names["pi"]] if "pi" in names else None,
-    )
+    columns = {}
+    for lat in _LATENTS:
+        pos = (_indexed_block(names, lat.stem, path) if lat.per_coef
+               else names.get(lat.stem))
+        if pos is not None:
+            columns[lat.field] = table[:, pos]
+        elif lat in _REQUIRED:
+            label = (f"{lat.stem}_1..{lat.stem}_p columns" if lat.per_coef
+                     else f"{lat.stem} column")
+            raise InvariantError(f"{path}: required {label} missing")
+    try:
+        return PosteriorDraws(**columns)
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from None
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -418,4 +403,4 @@ def load_matrix_csv(path: str) -> np.ndarray:
 def save_matrix_csv(arr, path: str) -> None:
     """Write a numeric array as headerless CSV at full precision."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    atomic_write_text(path, "\n".join(_csv_lines(arr)) + "\n")
+    atomic_write_lines(path, _csv_lines(arr))

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, SPIKE_SLAB, atomic_write_text)
+                   PriorSpec, SPIKE_SLAB, _LATENTS, atomic_write_lines)
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
@@ -91,22 +91,6 @@ def _inv_gamma(rng: Generator, shape, scale):
     return np.maximum(scale / np.maximum(g, _TINY), _TINY)
 
 
-def _warn_degenerate_columns(x: np.ndarray) -> None:
-    zero = np.nonzero(~np.any(x != 0.0, axis=0))[0]
-    if zero.size:
-        warnings.warn(
-            f"design has all-zero column(s) {[int(j) + 1 for j in zero]}; "
-            f"their coefficients are determined by the prior alone",
-            stacklevel=3)
-
-
-def _check_finite_state(state: ChainState, iteration: int) -> None:
-    if not (np.all(np.isfinite(state.beta)) and np.isfinite(state.sigma2)):
-        raise RuntimeError(
-            f"sampler produced a non-finite state at iteration {iteration}; "
-            f"the likelihood is numerically degenerate for this dataset")
-
-
 def _draw_beta_woodbury(rng, x, y, d, sigma):
     """Exact draw of beta ~ N(A^-1 X'y, sigma2 A^-1), A = X'X + diag(d)^-1.
 
@@ -151,6 +135,61 @@ def _draw_truncated_inv_gamma(rng, shape, scale, upper):
     return upper
 
 
+def _start(default: ChainState,
+           init_state: Optional[ChainState]) -> ChainState:
+    """``default`` with each of its fields that ``init_state`` sets, in the
+    default's shape and type (float or array dtype); other fields are
+    ignored."""
+    if init_state is not None:
+        for f in fields(ChainState):
+            value, given = getattr(default, f.name), getattr(init_state, f.name)
+            if value is not None and given is not None:
+                if np.shape(given) != np.shape(value):
+                    raise InvariantError(
+                        f"init_state.{f.name} has shape {np.shape(given)}, "
+                        f"expected {np.shape(value)}")
+                setattr(default, f.name,
+                        np.array(given, dtype=value.dtype)
+                        if isinstance(value, np.ndarray) else float(given))
+    return default
+
+
+def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
+               sweeps, *args) -> PosteriorDraws:
+    """Run the schedule of ``mcmc`` and return the retained draws.
+
+    ``sweeps(rng, x, y, state, *args)`` is a generator: its set-up, then
+    one Gibbs sweep of ``state``, in place, per ``next``. Every
+    :class:`PosteriorDraws` field that ``state`` carries is retained.
+    """
+    if data.n < 2:
+        raise InvariantError("need at least two observations")
+    zero = np.nonzero(~np.any(data.x != 0.0, axis=0))[0]
+    if zero.size:
+        warnings.warn(
+            f"design has all-zero column(s) {[int(j) + 1 for j in zero]}; "
+            f"their coefficients are determined by the prior alone",
+            stacklevel=3)
+    x = np.ascontiguousarray(data.x)
+    y = np.ascontiguousarray(data.y)
+    t, p = mcmc.retained, data.p
+    out = {lat.field: np.empty((t, p) if lat.per_coef else t, lat.dtype)
+           for lat in _LATENTS if getattr(state, lat.field) is not None}
+    steps = sweeps(_rng(mcmc.seed), x, y, state, *args)
+    kept = 0
+    for it in range(1, mcmc.iterations + 1):
+        next(steps)
+        if not (np.all(np.isfinite(state.beta)) and np.isfinite(state.sigma2)):
+            raise RuntimeError(
+                f"sampler produced a non-finite state at iteration {it}; "
+                f"the likelihood is numerically degenerate for this dataset")
+        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
+            for name, arr in out.items():
+                arr[kept] = getattr(state, name)
+            kept += 1
+    return PosteriorDraws(**out)
+
+
 def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
                   init_state: Optional[ChainState] = None,
                   beta_update: str = "auto") -> PosteriorDraws:
@@ -164,47 +203,29 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     inputs (including the seed) reproduce the output bit for bit.
 
     ``init_state`` overrides the default deterministic initialization
-    (beta = 0, all scales = 1); it exists for dispersed-start diagnostics.
+    (beta = 0, sigma2 = 1, lam = nu = xi = 1, tau = min(1, tau_upper));
+    it exists for dispersed-start diagnostics. Its fields left as None
+    keep their default start; a field of the wrong shape is refused.
     """
     if prior.family != HORSESHOE:
         raise InvariantError(f"fit_horseshoe needs family={HORSESHOE!r}")
-    if data.n < 2:
-        raise InvariantError("need at least two observations")
     if beta_update not in ("auto", "dense", "woodbury"):
         raise InvariantError("beta_update must be auto, dense or woodbury")
-    _warn_degenerate_columns(data.x)
-
-    x = np.ascontiguousarray(data.x)
-    y = np.ascontiguousarray(data.y)
-    n, p = x.shape
+    n, p = data.n, data.p
     use_woodbury = p > n if beta_update == "auto" else beta_update == "woodbury"
+    tau0 = 1.0 if prior.tau_upper is None else min(1.0, prior.tau_upper)
+    state = _start(ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p),
+                              tau=tau0, nu=np.ones(p), xi=1.0), init_state)
+    return _run_chain(data, mcmc, state, _horseshoe_sweeps, prior,
+                      use_woodbury)
+
+
+def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
+    n, p = x.shape
     gram, xty = (None, None) if use_woodbury else (x.T @ x, x.T @ y)
-
-    rng = _rng(mcmc.seed)
     tau_upper = prior.tau_upper
-    if init_state is None:
-        tau0 = 1.0 if tau_upper is None else min(1.0, tau_upper)
-        state = ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p),
-                           tau=tau0, nu=np.ones(p), xi=1.0)
-    else:
-        state = ChainState(
-            beta=np.array(init_state.beta, dtype=float),
-            sigma2=float(init_state.sigma2),
-            lam=np.array(init_state.lam, dtype=float),
-            tau=float(init_state.tau),
-            nu=np.array(init_state.nu if init_state.nu is not None else np.ones(p)),
-            xi=float(init_state.xi if init_state.xi is not None else 1.0),
-        )
-
-    t = mcmc.retained
-    out_beta = np.empty((t, p))
-    out_sigma2 = np.empty(t)
-    out_lam = np.empty((t, p))
-    out_tau = np.empty(t)
-
     sigma2_shape, tau_shape = prior.ig_shape + 0.5 * (n + p), 0.5 * (p + 1)
-    kept = 0
-    for it in range(1, mcmc.iterations + 1):
+    while True:
         d = state.tau * state.lam
         sigma = math.sqrt(state.sigma2)
         beta = state.beta = (
@@ -232,17 +253,7 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
             state.tau = _draw_truncated_inv_gamma(
                 rng, tau_shape, tau_scale, tau_upper)
         state.xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / state.tau)
-
-        _check_finite_state(state, it)
-        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
-            out_beta[kept] = state.beta
-            out_sigma2[kept] = state.sigma2
-            out_lam[kept] = state.lam
-            out_tau[kept] = state.tau
-            kept += 1
-
-    return PosteriorDraws(beta=out_beta, sigma2=out_sigma2,
-                          lam=out_lam, tau=out_tau)
+        yield
 
 
 def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
@@ -254,49 +265,33 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     inclusion weight and the error variance. Excluded coordinates have
     beta_j exactly 0, and their slab variance is refreshed from its prior.
     Deterministic per seed.
+
+    ``init_state`` overrides the default start (beta = 0, sigma2 = 1,
+    z = 0, pi = b/(a+b), sigma_j2 = 1); its fields left as None keep
+    their default start, and a field of the wrong shape is refused.
     """
     if prior.family != SPIKE_SLAB:
         raise InvariantError(f"fit_spike_slab needs family={SPIKE_SLAB!r}")
-    if data.n < 2:
-        raise InvariantError("need at least two observations")
-    _warn_degenerate_columns(data.x)
+    p, a_beta, b_beta = data.p, prior.ss_beta_a, prior.ss_beta_b
+    state = _start(ChainState(beta=np.zeros(p), sigma2=1.0,
+                              z=np.zeros(p, dtype=np.int64),
+                              pi=b_beta / (a_beta + b_beta),
+                              sigma_j2=np.ones(p)), init_state)
+    return _run_chain(data, mcmc, state, _spike_slab_sweeps, prior)
 
-    x = np.asfortranarray(data.x)
-    y = np.ascontiguousarray(data.y)
+
+def _spike_slab_sweeps(rng, x, y, state, prior):
+    x = np.asfortranarray(x)  # contiguous columns for the coordinate loop
     n, p = x.shape
     col_norm2 = np.sum(x * x, axis=0)
     a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b
-
-    rng = _rng(mcmc.seed)
-    if init_state is None:
-        state = ChainState(beta=np.zeros(p), sigma2=1.0,
-                           z=np.zeros(p, dtype=np.int64),
-                           pi=b_beta / (a_beta + b_beta),
-                           sigma_j2=np.ones(p))
-    else:
-        state = ChainState(
-            beta=np.array(init_state.beta, dtype=float),
-            sigma2=float(init_state.sigma2),
-            z=np.array(init_state.z, dtype=np.int64),
-            pi=float(init_state.pi),
-            sigma_j2=np.array(init_state.sigma_j2, dtype=float),
-        )
-
-    t = mcmc.retained
-    out_beta = np.empty((t, p))
-    out_sigma2 = np.empty(t)
-    out_z = np.empty((t, p), dtype=np.int64)
-    out_pi = np.empty(t)
-
     beta = state.beta
     z = state.z
     resid = y - x @ beta
     rdot = resid.dot  # resid is only updated in place from here on
     cols = [x[:, j] for j in range(p)]
     norm2 = col_norm2.tolist()
-
-    kept = 0
-    for it in range(1, mcmc.iterations + 1):
+    while True:
         sigma2 = state.sigma2
         sj2 = state.sigma_j2
         q = col_norm2 + 1.0 / sj2
@@ -343,17 +338,7 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
         state.sigma2 = float(_inv_gamma(
             rng, prior.ig_shape + 0.5 * (n + k),
             prior.ig_scale + 0.5 * (resid @ resid) + 0.5 * slab_term))
-
-        _check_finite_state(state, it)
-        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
-            out_beta[kept] = beta
-            out_sigma2[kept] = state.sigma2
-            out_z[kept] = z
-            out_pi[kept] = state.pi
-            kept += 1
-
-    return PosteriorDraws(beta=out_beta, sigma2=out_sigma2,
-                          z=out_z, pi=out_pi)
+        yield
 
 
 def fit(data: Dataset, prior: PriorSpec, mcmc: McmcConfig) -> PosteriorDraws:
@@ -383,4 +368,4 @@ def write_run_manifest(path: str, data: Dataset, prior: PriorSpec,
         f"rng: philox (counter-based), seeded via SeedSequence(seed)",
         f"wall_time_s: {wall_time_s:.3f}",
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)

@@ -18,7 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import InvariantError, PosteriorDraws, SelectionResult, atomic_write_text
+from .core import (InvariantError, PosteriorDraws, SelectionResult,
+                   atomic_write_lines)
 
 #: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
 TWO_SIGMA_HAT = "2sigma2"
@@ -354,5 +355,5 @@ def write_selection_report(results, csv_path: str, text_path: str,
     for method, msg in errors.items():
         rows.append(f"{method},,,,,,{msg.replace(',', ';')}")
         lines.append(f"method={method} ERROR: {msg}")
-    atomic_write_text(csv_path, "\n".join(rows) + "\n")
-    atomic_write_text(text_path, "\n".join(lines) + "\n")
+    atomic_write_lines(csv_path, rows)
+    atomic_write_lines(text_path, lines)

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import InvariantError, atomic_write_text
+from .core import InvariantError, atomic_write_lines
 
 #: Default classification grids (two MLE levels mirror the two panels).
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.94, 0.9951, 0.01), 2))
@@ -419,4 +419,4 @@ def write_grid_csv(points: Sequence[ShrinkGridPoint], path: str) -> None:
             f"{pr.rho:.17g},{pr.tau:.17g},{pt.ratio_mle:.17g},"
             f"{pr.mle[1]:.17g},{pt.ratio_mle:.17g},{pt.ratio_shrunk:.17g},"
             f"{int(pt.reverse)},{pt.quad_error:.6g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)

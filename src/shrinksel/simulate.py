@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
-                   PriorSpec, atomic_write_text)
+                   PriorSpec, _present, atomic_write_lines)
 from .samplers import McmcConfig, fit
 from .selection import S2mConfig, run_selector
 
@@ -212,14 +212,8 @@ def score(selected, truth) -> tuple[int, int]:
 
 
 def _strip_intercept(draws: PosteriorDraws, p: int) -> PosteriorDraws:
-    return PosteriorDraws(
-        beta=draws.beta[:, :p],
-        sigma2=draws.sigma2,
-        lam=draws.lam[:, :p] if draws.lam is not None else None,
-        tau=draws.tau,
-        z=draws.z[:, :p] if draws.z is not None else None,
-        pi=draws.pi,
-    )
+    return PosteriorDraws(**{lat.field: a[:, :p] if lat.per_coef else a
+                             for lat, a in _present(draws)})
 
 
 def _bench_replicate(payload) -> dict[str, Union[tuple[int, int], str]]:
@@ -313,7 +307,7 @@ def write_benchmark_csv(reports: dict[str, ErrorReport], setting: str,
     lines = ["method,setting,masking,swamping"]
     for method, rep in reports.items():
         lines.append(f"{method},{setting},{rep.masking:.17g},{rep.swamping:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)
 
 
 def write_replicate_csv(reports: dict[str, ErrorReport], setting: str,
@@ -332,4 +326,4 @@ def write_replicate_csv(reports: dict[str, ErrorReport], setting: str,
             else:
                 m, s = next(pair_iter)
                 lines.append(f"{method},{setting},{i},{m},{s},")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shrinksel.core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
-                            SelectionResult, load_draws, load_matrix_csv,
-                            save_draws, save_matrix_csv)
+                            SelectionResult, atomic_write_lines, load_draws,
+                            load_matrix_csv, save_draws, save_matrix_csv)
 
 
 def _random_draws(rng, t, p, with_hs=False, with_ss=False) -> PosteriorDraws:
@@ -88,6 +88,12 @@ class TestPosteriorDraws:
     def test_shapes(self):
         d = _random_draws(np.random.default_rng(1), 5, 3, with_hs=True)
         assert d.t == 5 and d.p == 3
+
+    def test_z_stored_as_read_only_int64(self):
+        d = PosteriorDraws(beta=np.zeros((2, 2)), sigma2=np.ones(2),
+                           z=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert d.z.dtype == np.int64 and d.z.tolist() == [[1, 0], [0, 1]]
+        assert not d.z.flags.writeable and not d.beta.flags.writeable
 
 
 class TestSelectionResult:
@@ -175,6 +181,35 @@ class TestDrawCsv:
             load_draws(str(path))
 
 
+class TestDrawFileErrorsNameFile:
+    """Every value error from a draw file names the file."""
+
+    @pytest.mark.parametrize("text,match", [
+        ("beta_1,sigma2,z_1,pi\n1.0,1.0,0.5,0.5\n", "z draws must be 0 or 1"),
+        ("beta_1,sigma2,lambda_1,tau\n1.0,1.0,0.0,0.5\n",
+         "lambda draws must be strictly positive"),
+        ("beta_1,sigma2,lambda_1,tau\n1.0,1.0,-2.0,0.5\n",
+         "lambda draws must be strictly positive"),
+        ("beta_1,sigma2,lambda_1,tau\n1.0,1.0,1.0,0.0\n",
+         "tau draws must be strictly positive"),
+        ("beta_1,sigma2,z_1,pi\n1.0,1.0,1.0,1.0\n",
+         r"pi draws must be strictly inside \(0, 1\)"),
+        ("beta_1,beta_2,sigma2,lambda_1\n1.0,2.0,1.0,1.0\n",
+         r"lambda has shape \(1, 1\), expected \(1, 2\)"),
+        ("beta_1,sigma2,beta_1\n1.0,1.0,1.0\n", "duplicate column 'beta_1'"),
+        ("beta_1,beta_x,sigma2\n1.0,1.0,1.0\n",
+         "malformed column name 'beta_x'"),
+    ], ids=["z-half", "lambda-zero", "lambda-negative", "tau-zero", "pi-one",
+            "lambda-short", "duplicate", "beta_x"])
+    def test_message_names_file(self, tmp_path, text, match):
+        path = tmp_path / "draws.csv"
+        path.write_text(text)
+        with pytest.raises(InvariantError) as info:
+            load_draws(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert info.match(match)
+
+
 class TestCsvText:
     """Written files equal formatting each float64 scalar with %.17g."""
 
@@ -209,6 +244,26 @@ class TestCsvText:
         save_matrix_csv(arr[0], str(path))  # a vector is one row
         assert path.read_bytes() == (self._scalar_lines(arr[:1])[0]
                                      + "\n").encode()
+
+
+class TestAtomicWriteLines:
+    def test_failing_line_source_leaves_target_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def lines():
+            yield "first"
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            atomic_write_lines(str(path), lines())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_each_line_ends_with_newline(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_lines(str(path), (str(k) for k in range(3)))
+        assert path.read_bytes() == b"0\n1\n2\n"
 
 
 class TestMatrixCsv:

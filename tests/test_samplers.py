@@ -1,5 +1,6 @@
 """Sampler contracts: determinism, invariants, and posterior correctness."""
 
+import math
 import os
 import subprocess
 import sys
@@ -389,3 +390,132 @@ def test_woodbury_draws_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def _reference_spike_slab(data, prior, mcmc, init):
+    """The spike-and-slab sweep as a plain loop, one update at a time.
+
+    The design is copied to column-major order, as the sampler does, so
+    the column dots and the residual product run the same BLAS kernels.
+    """
+    x, y = np.asfortranarray(data.x), data.y
+    n, p = x.shape
+    col_norm2 = np.sum(x * x, axis=0)
+    a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b
+    rng = _rng(mcmc.seed)
+    if init is None:
+        beta, sigma2, z = np.zeros(p), 1.0, np.zeros(p, dtype=np.int64)
+        pi, sj2 = b_beta / (a_beta + b_beta), np.ones(p)
+    else:
+        beta, sigma2 = np.array(init.beta, dtype=float), float(init.sigma2)
+        z, pi = np.array(init.z, dtype=np.int64), float(init.pi)
+        sj2 = np.array(init.sigma_j2, dtype=float)
+    resid = y - x @ beta
+    kept = {"beta": [], "sigma2": [], "z": [], "pi": []}
+    for it in range(1, mcmc.iterations + 1):
+        q = col_norm2 + 1.0 / sj2
+        u = rng.random(p)
+        logit_u = np.log(u) - np.log1p(-u)
+        log_odds0 = (math.log1p(-pi) - math.log(pi)
+                     - 0.5 * np.log1p(sj2 * col_norm2))
+        half_prec = 0.5 / (sigma2 * q)
+        slab_noise = np.sqrt(sigma2 / q) * rng.standard_normal(p)
+        for j in range(p):
+            old = float(beta[j])
+            tj = float(resid @ x[:, j]) + float(col_norm2[j]) * old
+            if logit_u[j] < log_odds0[j] + tj * tj * half_prec[j]:
+                z[j] = 1
+                new = tj / float(q[j]) + float(slab_noise[j])
+            else:
+                z[j] = 0
+                new = 0.0
+            if new != old:
+                resid += x[:, j] * (old - new)
+                beta[j] = new
+        sj2 = _plain_inv_gamma(rng, prior.ig_shape + 0.5 * z,
+                               prior.ig_scale + 0.5 * beta ** 2 / sigma2)
+        k = int(z.sum())
+        pi = 1.0 - rng.beta(a_beta + k, b_beta + p - k)
+        pi = min(max(pi, 1e-12), 1.0 - 1e-12)
+        resid = y - x @ beta
+        sigma2 = float(_plain_inv_gamma(
+            rng, prior.ig_shape + 0.5 * (n + k),
+            prior.ig_scale + 0.5 * float(resid @ resid)
+            + 0.5 * float(np.sum(beta ** 2 / sj2))))
+        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
+            for name, value in (("beta", beta), ("sigma2", sigma2),
+                                ("z", z), ("pi", pi)):
+                kept[name].append(np.copy(value))
+    return {name: np.array(v) for name, v in kept.items()}
+
+
+class TestSpikeSlabAgainstReferenceLoop:
+    """fit_spike_slab reproduces the plain Gibbs loop bit for bit."""
+
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("n,p", [(60, 12), (30, 70)])
+    def test_bit_identical(self, n, p, with_init):
+        gen = np.random.default_rng(n * p)
+        x = gen.standard_normal((n, p))
+        beta_t = np.zeros(p)
+        beta_t[:3] = (5.0, -4.0, 3.0)
+        data = Dataset(y=x @ beta_t + gen.standard_normal(n), x=x)
+        prior = PriorSpec.spike_slab()
+        # A short burn-in: chains on one stream can coalesce, so late draws
+        # need not show the start.
+        mcmc = McmcConfig(iterations=200, burn_in=1, thin=2, seed=23)
+        init = None
+        if with_init:
+            init = ChainState(beta=beta_t, sigma2=2.0,
+                              z=(beta_t != 0).astype(np.int64), pi=0.8,
+                              sigma_j2=gen.uniform(0.5, 2.0, p))
+        got = fit_spike_slab(data, prior, mcmc, init_state=init)
+        ref = _reference_spike_slab(data, prior, mcmc, init)
+        for name in ("beta", "sigma2", "z", "pi"):
+            assert np.array_equal(getattr(got, name), ref[name]), name
+
+
+class TestPartialInitState:
+    """Fields an init_state leaves as None start from the default."""
+
+    def _data(self):
+        gen = np.random.default_rng(31)
+        x = gen.standard_normal((40, 5))
+        return Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(40), x=x)
+
+    def test_horseshoe(self):
+        data, prior = self._data(), PriorSpec.horseshoe(tau_upper=0.5)
+        mcmc = McmcConfig(iterations=60, burn_in=10, seed=3)
+        beta0 = np.linspace(-1.0, 1.0, 5)
+        got = fit_horseshoe(data, prior, mcmc,
+                            init_state=ChainState(beta=beta0, sigma2=2.0))
+        full = ChainState(beta=beta0, sigma2=2.0, lam=np.ones(5), tau=0.5,
+                          nu=np.ones(5), xi=1.0)
+        want = fit_horseshoe(data, prior, mcmc, init_state=full)
+        for name in ("beta", "sigma2", "lam", "tau"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_spike_slab(self):
+        data, prior = self._data(), PriorSpec.spike_slab()
+        mcmc = McmcConfig(iterations=60, burn_in=10, seed=3)
+        beta0 = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
+        got = fit_spike_slab(
+            data, prior, mcmc,
+            init_state=ChainState(beta=beta0, sigma2=2.0, pi=0.5))
+        full = ChainState(beta=beta0, sigma2=2.0,
+                          z=np.zeros(5, dtype=np.int64), pi=0.5,
+                          sigma_j2=np.ones(5))
+        want = fit_spike_slab(data, prior, mcmc, init_state=full)
+        for name in ("beta", "sigma2", "z", "pi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("field,value", [("beta", np.zeros(2)),
+                                             ("lam", np.ones(1)),
+                                             ("sigma2", np.ones(5))])
+    def test_wrong_shape_refused(self, field, value):
+        init = ChainState(beta=np.zeros(5), sigma2=1.0)
+        setattr(init, field, value)
+        with pytest.raises(InvariantError, match=f"init_state.{field}"):
+            fit_horseshoe(self._data(), PriorSpec.horseshoe(),
+                          McmcConfig(iterations=20, burn_in=5, seed=1),
+                          init_state=init)
