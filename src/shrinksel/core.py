@@ -79,6 +79,22 @@ def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
+def _map_jobs(fn: Callable, items: Iterable, jobs: int,
+              chunksize: int = 1) -> list:
+    """``[fn(i) for i in items]``, in order, on at most ``jobs`` processes.
+
+    Starts no more workers than there are items and runs in this process
+    when that leaves one; otherwise ``fn`` and the items must pickle.
+    """
+    items = list(items)
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return [fn(i) for i in items]
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A Gaussian linear-regression problem: response ``y``, design ``x``.
@@ -323,9 +339,10 @@ def _read_rows(fh, path: str, first_line: int,
     Blank lines are skipped. Every row must have as many cells as
     ``header`` (or, without one, as the first row); a ragged or
     non-numeric row raises :class:`InvariantError` naming its file line,
-    counted from ``first_line``.
+    counted from ``first_line``. Each row is converted as it is read, so
+    the cell strings of one row, not of the table, are held at a time.
     """
-    rows, linenos = [], []
+    rows = []
     width = None if header is None else len(header)
     for lineno, line in enumerate(fh, start=first_line):
         cells = line.strip().split(",")
@@ -335,15 +352,10 @@ def _read_rows(fh, path: str, first_line: int,
         if len(cells) != width:
             raise InvariantError(f"{path}: row {lineno} has {len(cells)} "
                                  f"cells, expected {width}")
-        rows.append(cells)
-        linenos.append(lineno)
-    if not rows:
-        raise InvariantError(f"{path}: no data rows")
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        for lineno, row in zip(linenos, rows):
-            for j, cell in enumerate(row):
+        try:
+            rows.append(np.array(cells, dtype=float))
+        except ValueError:
+            for j, cell in enumerate(cells):
                 try:
                     float(cell)
                 except ValueError:
@@ -351,7 +363,10 @@ def _read_rows(fh, path: str, first_line: int,
                     raise InvariantError(
                         f"{path}: non-numeric cell {cell!r} at row {lineno}, "
                         f"column {column}") from None
-        raise
+            raise
+    if not rows:
+        raise InvariantError(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def load_draws(path: str) -> PosteriorDraws:

@@ -249,6 +249,12 @@ def select_2m(draws: PosteriorDraws) -> SelectionResult:
         h_counts=h, h_mode=mode)
 
 
+def _from_mask(method: str, mask) -> SelectionResult:
+    """The variables where ``mask`` is true, by 1-based index."""
+    selected = frozenset(int(j) + 1 for j in np.flatnonzero(mask))
+    return SelectionResult(method, selected, h_mode=len(selected))
+
+
 def select_hppm(draws: PosteriorDraws) -> SelectionResult:
     """Most frequently visited inclusion pattern (needs ``z`` draws).
 
@@ -261,19 +267,14 @@ def select_hppm(draws: PosteriorDraws) -> SelectionResult:
     # np.unique returns the patterns in lexicographic order and lexsort is
     # stable, so the first of the sorted keys breaks the last tie too.
     best = patterns[np.lexsort((patterns.sum(axis=1), -visits))[0]]
-    selected = frozenset(int(j) + 1 for j in np.nonzero(best)[0])
-    return SelectionResult(method="hppm", selected=selected,
-                           h_mode=len(selected))
+    return _from_mask("hppm", best)
 
 
 def select_mpm(draws: PosteriorDraws) -> SelectionResult:
     """Variables with posterior inclusion frequency >= 1/2 (needs ``z``)."""
     if draws.z is None:
         raise InvariantError("mpm needs z draws (spike-and-slab chains)")
-    freq = draws.z.mean(axis=0)
-    selected = frozenset(int(j) + 1 for j in np.nonzero(freq >= 0.5)[0])
-    return SelectionResult(method="mpm", selected=selected,
-                           h_mode=len(selected))
+    return _from_mask("mpm", draws.z.mean(axis=0) >= 0.5)
 
 
 def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResult:
@@ -282,10 +283,7 @@ def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResu
         raise InvariantError("level must lie in (0, 1)")
     alpha = 1.0 - level
     lo, hi = np.quantile(draws.beta, [alpha / 2, 1 - alpha / 2], axis=0)
-    keep = (lo > 0) | (hi < 0)
-    selected = frozenset(int(j) + 1 for j in np.nonzero(keep)[0])
-    return SelectionResult(method="cs", selected=selected,
-                           h_mode=len(selected))
+    return _from_mask("cs", (lo > 0) | (hi < 0))
 
 
 def select_ht(draws: PosteriorDraws, threshold: float = 0.5) -> SelectionResult:
@@ -299,39 +297,27 @@ def select_ht(draws: PosteriorDraws, threshold: float = 0.5) -> SelectionResult:
     if not 0 < threshold < 1:
         raise InvariantError("threshold must lie in (0, 1)")
     kappa = np.mean(1.0 / (1.0 + draws.lam), axis=0)
-    selected = frozenset(int(j) + 1 for j in np.nonzero(kappa < threshold)[0])
-    return SelectionResult(method="ht", selected=selected,
-                           h_mode=len(selected))
+    return _from_mask("ht", kappa < threshold)
+
+
+#: Each selector tag, in :data:`~shrinksel.core.METHODS` order: its call
+#: on (draws, cfg) and the report column that records its parameter.
+_SELECTORS = {
+    "s2m": (select_s2m, "b"),
+    "2m": (lambda d, c: select_2m(d), None),
+    "hppm": (lambda d, c: select_hppm(d), None),
+    "mpm": (lambda d, c: select_mpm(d), None),
+    "cs": (lambda d, c: select_credible(d, c.credible_level), "level"),
+    "ht": (lambda d, c: select_ht(d, c.kappa_threshold), "threshold"),
+}
 
 
 def run_selector(draws: PosteriorDraws, method: str,
                  cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Dispatch one selector by its tag."""
-    if method == "s2m":
-        return select_s2m(draws, cfg)
-    if method == "2m":
-        return select_2m(draws)
-    if method == "hppm":
-        return select_hppm(draws)
-    if method == "mpm":
-        return select_mpm(draws)
-    if method == "cs":
-        return select_credible(draws, cfg.credible_level)
-    if method == "ht":
-        return select_ht(draws, cfg.kappa_threshold)
-    raise InvariantError(f"unknown method {method!r}")
-
-
-def _result_params(result: SelectionResult, cfg: S2mConfig,
-                   resolved_b: float) -> dict[str, str]:
-    params = {"b": "", "level": "", "threshold": ""}
-    if result.method == "s2m":
-        params["b"] = "%.17g" % resolved_b
-    elif result.method == "cs":
-        params["level"] = "%.17g" % cfg.credible_level
-    elif result.method == "ht":
-        params["threshold"] = "%.17g" % cfg.kappa_threshold
-    return params
+    if method not in _SELECTORS:
+        raise InvariantError(f"unknown method {method!r}")
+    return _SELECTORS[method][0](draws, cfg)
 
 
 def write_selection_report(results, csv_path: str, text_path: str,
@@ -344,13 +330,16 @@ def write_selection_report(results, csv_path: str, text_path: str,
     row with an empty selection so every requested method appears once.
     """
     errors = errors or {}
-    rows = ["method,h,selected,b,level,threshold,error"]
+    params = {"b": resolved_b, "level": cfg.credible_level,
+              "threshold": cfg.kappa_threshold}
+    rows = [f"method,h,selected,{','.join(params)},error"]
     lines = []
     for r in results:
-        params = _result_params(r, cfg, resolved_b)
+        column = _SELECTORS[r.method][1]
+        cells = ",".join("%.17g" % v if c == column else ""
+                         for c, v in params.items())
         sel = " ".join(str(j) for j in sorted(r.selected))
-        rows.append(f"{r.method},{r.h_mode},{sel},{params['b']},"
-                    f"{params['level']},{params['threshold']},")
+        rows.append(f"{r.method},{r.h_mode},{sel},{cells},")
         lines.append(f"method={r.method} H={r.h_mode} selected=[{sel}]")
     for method, msg in errors.items():
         rows.append(f"{method},,,,,,{msg.replace(',', ';')}")

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import InvariantError, atomic_write_lines
+from .core import InvariantError, _map_jobs, atomic_write_lines
 
 #: Default classification grids (two MLE levels mirror the two panels).
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.94, 0.9951, 0.01), 2))
@@ -327,7 +327,6 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     """
     if n_samples < 1 or chunk < 1:
         raise InvariantError("n_samples and chunk must be at least 1")
-    rho = problem.rho
     tau = problem.tau
     x1, x2 = problem.mle
     rng = Generator(Philox(SeedSequence(seed)))
@@ -359,12 +358,11 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
         [0.0, -1.0 / (x2 * mb), m2 / (x2 * mb * mb)],
     ])
     cov_r = jac @ cov_means @ jac.T
-    a = problem.a
-    denom = 1.0 - rho * rho
-    lin = np.array([
-        [-x1 / denom, x1 * rho / (a * denom)],
-        [x2 * rho * a / denom, -x2 / denom],
-    ])
+    # The estimate is affine in (r1, r2), so the columns of its Jacobian
+    # are the changes that a unit step in each factor makes.
+    est0, est1, est2 = (np.array(_compose_estimate(problem, *r)[2])
+                        for r in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    lin = np.column_stack([est1 - est0, est2 - est0])
     cov_b = lin @ cov_r @ lin.T
     _, _, est = _compose_estimate(problem, r1, r2)
     se = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov_b), 0.0)))
@@ -403,11 +401,7 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     _check_tol(tol)
     tasks = [(float(r), float(t), float(a), float(x2), tol)
              for r in rho_grid for t in tau_grid for a in a_grid]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_grid_point, tasks, chunksize=8))
-    return [_grid_point(t) for t in tasks]
+    return _map_jobs(_grid_point, tasks, jobs, chunksize=8)
 
 
 def write_grid_csv(points: Sequence[ShrinkGridPoint], path: str) -> None:

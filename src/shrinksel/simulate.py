@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
-                   PriorSpec, _present, atomic_write_lines)
+                   PriorSpec, _map_jobs, _present, atomic_write_lines)
 from .samplers import McmcConfig, fit
 from .selection import S2mConfig, run_selector
 
@@ -211,29 +212,29 @@ def score(selected, truth) -> tuple[int, int]:
     return len(tru - sel), len(sel - tru)
 
 
-def _strip_intercept(draws: PosteriorDraws, p: int) -> PosteriorDraws:
-    return PosteriorDraws(**{lat.field: a[:, :p] if lat.per_coef else a
-                             for lat, a in _present(draws)})
+def _bench_replicate(stream, *, x, truth, cfg, prior, mcmc, methods,
+                     s2m_cfg) -> list[Union[tuple[int, int], str]]:
+    """Per method, one replicate's (masking, swamping) or error message.
 
-
-def _bench_replicate(payload) -> dict[str, Union[tuple[int, int], str]]:
-    (x, truth, strengths, noise_sd, resp_seq, chain_seed, intercept_p,
-     prior, mcmc, methods, s2m_cfg) = payload
-    y = gen_response(x, truth, strengths, noise_sd, resp_seq)
-    data = Dataset(y=y, x=x, truth=truth)
+    ``stream`` is the replicate's (response stream, chain seed).
+    """
+    resp_seq, chain_seed = stream
+    y = gen_response(x, truth, cfg.strengths, cfg.noise_sd, resp_seq)
     try:
-        draws = fit(data, prior, replace(mcmc, seed=chain_seed))
+        draws = fit(Dataset(y=y, x=x, truth=truth), prior,
+                    replace(mcmc, seed=chain_seed))
     except Exception as exc:  # recorded per replicate, not fatal
-        return {m: f"chain failed: {exc}" for m in methods}
-    if intercept_p is not None:
-        draws = _strip_intercept(draws, intercept_p)
-    out: dict[str, Union[tuple[int, int], str]] = {}
+        return [f"chain failed: {exc}"] * len(methods)
+    if cfg.intercept:  # fitted, but never selected or scored
+        draws = PosteriorDraws(**{lat.field: a[:, :cfg.p] if lat.per_coef
+                                  else a for lat, a in _present(draws)})
+    out = []
     for method in methods:
         try:
-            result = run_selector(draws, method, s2m_cfg)
-            out[method] = score(result.selected, truth)
+            out.append(score(run_selector(draws, method, s2m_cfg).selected,
+                             truth))
         except Exception as exc:
-            out[method] = str(exc)
+            out.append(str(exc))
     return out
 
 
@@ -253,41 +254,22 @@ def run_benchmark(cfg: SimConfig, prior: PriorSpec,
         if m not in METHODS:
             raise InvariantError(f"unknown method {m!r}")
     x, truth = gen_design(cfg)
-    intercept_p = cfg.p if cfg.intercept else None
-    payloads = [
-        (x, truth, cfg.strengths, cfg.noise_sd, resp_seq, chain_seed,
-         intercept_p, prior, mcmc, tuple(methods), s2m_cfg)
-        for resp_seq, chain_seed in replicate_streams(cfg)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bench_replicate, payloads))
-    else:
-        outcomes = [_bench_replicate(p) for p in payloads]
+    replicate = partial(_bench_replicate, x=x, truth=truth, cfg=cfg,
+                        prior=prior, mcmc=mcmc, methods=tuple(methods),
+                        s2m_cfg=s2m_cfg)
+    outcomes = _map_jobs(replicate, replicate_streams(cfg), jobs)
 
     reports = {}
-    for method in methods:
-        pairs = []
-        failures = []
-        for i, outcome in enumerate(outcomes):
-            res = outcome[method]
-            if isinstance(res, str):
-                failures.append((i, res))
-            else:
-                pairs.append(res)
+    for method, results in zip(methods, zip(*outcomes)):
+        failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
+        pairs = [r for r in results if not isinstance(r, str)]
         if failures:
             warnings.warn(
                 f"{method}: {len(failures)} of {cfg.replicates} replicates "
                 f"failed and were excluded ({failures[0][1]})", stacklevel=2)
-        if pairs:
-            masking = float(np.mean([p[0] for p in pairs]))
-            swamping = float(np.mean([p[1] for p in pairs]))
-        else:
-            masking = swamping = float("nan")
-        reports[method] = ErrorReport(
-            masking=masking, swamping=swamping,
-            per_replicate=tuple(pairs), failures=tuple(failures))
+        means = np.mean(pairs, axis=0) if pairs else (np.nan, np.nan)
+        reports[method] = ErrorReport(*map(float, means), tuple(pairs),
+                                      tuple(failures))
     return reports
 
 

@@ -1,9 +1,38 @@
 """Shared oracles and helpers for the test suite."""
 
+import concurrent.futures
 import math
 
 import numpy as np
+import pytest
 from numpy.polynomial.legendre import leggauss
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """``max_workers`` of each process pool made; the pools start no process.
+
+    A stand-in replaces ``concurrent.futures.ProcessPoolExecutor`` and maps
+    in this process, so a test can ask for many workers at no cost.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
 
 
 def partition_ss_by_mask(values, member: np.ndarray) -> np.ndarray:

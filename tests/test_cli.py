@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shrinksel.cli import main
-from shrinksel.core import load_draws
+from shrinksel.core import PosteriorDraws, load_draws, save_draws
 
 
 def run(*argv) -> int:
@@ -146,6 +146,80 @@ class TestSelect:
                    "--draws", str(hs_draws_file), "--methods", "s2m,bogus")
         assert code == 2
         assert "valid methods" in capsys.readouterr().err
+
+
+# Fixed draws, not a chain, so the report bytes do not depend on the BLAS
+# thread count. Column 4 is a borderline signal that each selector's knob
+# moves in or out, so every parameter column is exercised.
+_REPORT_BETA = [[4.0, 0.1, -3.0, 1.0, 0.0],
+                [3.5, -0.2, -2.5, 0.8, 0.3],
+                [4.2, 0.05, -3.1, 1.2, 0.1],
+                [3.9, 0.3, -2.8, 0.9, -0.1],
+                [4.1, -0.1, -0.2, -0.2, 0.2],
+                [3.7, 0.2, -2.9, 1.1, 0.0]]
+_REPORT_SIGMA2 = [0.25, 0.35, 0.3, 0.4, 0.2, 0.3]
+_REPORT_LATENTS = {
+    "horseshoe": {
+        "lam": [[9.0, 0.2, 6.0, 1.2, 0.1], [8.0, 0.5, 5.0, 1.1, 0.2],
+                [7.0, 0.3, 0.9, 1.3, 0.4], [9.5, 0.6, 4.0, 1.2, 0.1],
+                [6.0, 0.4, 0.5, 1.25, 0.3], [8.5, 0.4, 7.0, 1.15, 0.2]],
+        "tau": [0.5, 0.4, 0.6, 0.45, 0.55, 0.5]},
+    "spike-slab": {
+        "z": [[1, 0, 1, 0, 0], [1, 0, 1, 1, 0], [1, 0, 1, 0, 0],
+              [1, 1, 1, 1, 0], [1, 0, 0, 1, 1], [1, 0, 1, 0, 0]],
+        "pi": [0.7, 0.65, 0.8, 0.75, 0.7, 0.72]},
+}
+_TUNED = ("--b", "1.5", "--level", "0.9", "--threshold", "0.4")
+_NEEDS_Z = ("hppm,,,,,,hppm needs z draws (spike-and-slab chains)\n"
+            "mpm,,,,,,mpm needs z draws (spike-and-slab chains)\n")
+_NEEDS_Z_TXT = ("method=hppm ERROR: hppm needs z draws (spike-and-slab chains)\n"
+                "method=mpm ERROR: mpm needs z draws (spike-and-slab chains)\n")
+_NEEDS_LAM = "ht,,,,,,ht needs lambda draws (horseshoe chains)\n"
+_NEEDS_LAM_TXT = "method=ht ERROR: ht needs lambda draws (horseshoe chains)\n"
+_HEADER = "method,h,selected,b,level,threshold,error\n"
+_EXPECTED_REPORTS = {
+    ("horseshoe", ()): (
+        _HEADER + "s2m,3,1 3 4,0.59999999999999998,,,\n2m,2,1 3,,,,\n"
+        "cs,2,1 3,,0.94999999999999996,,\nht,3,1 3 4,,,0.5,\n" + _NEEDS_Z,
+        "method=s2m H=3 selected=[1 3 4]\nmethod=2m H=2 selected=[1 3]\n"
+        "method=cs H=2 selected=[1 3]\nmethod=ht H=3 selected=[1 3 4]\n"
+        + _NEEDS_Z_TXT),
+    ("horseshoe", _TUNED): (
+        _HEADER + "s2m,2,1 3,1.5,,,\n2m,2,1 3,,,,\n"
+        "cs,3,1 3 4,,0.90000000000000002,,\n"
+        "ht,2,1 3,,,0.40000000000000002,\n" + _NEEDS_Z,
+        "method=s2m H=2 selected=[1 3]\nmethod=2m H=2 selected=[1 3]\n"
+        "method=cs H=3 selected=[1 3 4]\nmethod=ht H=2 selected=[1 3]\n"
+        + _NEEDS_Z_TXT),
+    ("spike-slab", ()): (
+        _HEADER + "s2m,3,1 3 4,0.59999999999999998,,,\n2m,2,1 3,,,,\n"
+        "hppm,2,1 3,,,,\nmpm,3,1 3 4,,,,\n"
+        "cs,2,1 3,,0.94999999999999996,,\n" + _NEEDS_LAM,
+        "method=s2m H=3 selected=[1 3 4]\nmethod=2m H=2 selected=[1 3]\n"
+        "method=hppm H=2 selected=[1 3]\nmethod=mpm H=3 selected=[1 3 4]\n"
+        "method=cs H=2 selected=[1 3]\n" + _NEEDS_LAM_TXT),
+    ("spike-slab", _TUNED): (
+        _HEADER + "s2m,2,1 3,1.5,,,\n2m,2,1 3,,,,\n"
+        "hppm,2,1 3,,,,\nmpm,3,1 3 4,,,,\n"
+        "cs,3,1 3 4,,0.90000000000000002,,\n" + _NEEDS_LAM,
+        "method=s2m H=2 selected=[1 3]\nmethod=2m H=2 selected=[1 3]\n"
+        "method=hppm H=2 selected=[1 3]\nmethod=mpm H=3 selected=[1 3 4]\n"
+        "method=cs H=3 selected=[1 3 4]\n" + _NEEDS_LAM_TXT),
+}
+
+
+class TestSelectionReport:
+    @pytest.mark.parametrize("prior,tuning", list(_EXPECTED_REPORTS))
+    def test_all_six_methods_pinned(self, tmp_path, prior, tuning):
+        path = tmp_path / "draws.csv"
+        save_draws(PosteriorDraws(beta=_REPORT_BETA, sigma2=_REPORT_SIGMA2,
+                                  **_REPORT_LATENTS[prior]), str(path))
+        out = tmp_path / "sel"
+        assert run("select", "--out", str(out), "--draws", str(path),
+                   "--methods", "s2m,2m,hppm,mpm,cs,ht", *tuning) == 0
+        csv_text, txt_text = _EXPECTED_REPORTS[prior, tuning]
+        assert (out / "selection.csv").read_text() == csv_text
+        assert (out / "selection.txt").read_text() == txt_text
 
 
 class TestEvaluate:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from shrinksel.core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
-                            SelectionResult, atomic_write_lines, load_draws,
-                            load_matrix_csv, save_draws, save_matrix_csv)
+                            SelectionResult, _map_jobs, atomic_write_lines,
+                            load_draws, load_matrix_csv, save_draws,
+                            save_matrix_csv)
 
 
 def _random_draws(rng, t, p, with_hs=False, with_ss=False) -> PosteriorDraws:
@@ -317,3 +318,23 @@ class TestCsvRowsNameFileLines:
         path = tmp_path / "m.csv"
         path.write_text("\n1.0,2.0\n\n3.0,4.0\n\n")
         assert load_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path):
+        # Rows are converted as they are read, so a non-numeric row is
+        # reported before a later ragged one, and its first bad cell.
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\nx,y\n3.0\n")
+        with pytest.raises(InvariantError, match=r"'x' at row 2, column 1"):
+            load_matrix_csv(str(path))
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (8, 3)])
+    def test_workers_never_outnumber_items(self, pool_sizes, jobs, workers):
+        assert _map_jobs(abs, [-1, 2, -3], jobs) == [1, 2, 3]
+        assert pool_sizes == [workers]
+
+    @pytest.mark.parametrize("items,jobs", [([-4], 64), ([], 4), ([-4, 5], 1)])
+    def test_serial_without_a_pool(self, pool_sizes, items, jobs):
+        assert _map_jobs(abs, items, jobs) == [abs(i) for i in items]
+        assert pool_sizes == []

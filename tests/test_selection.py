@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_two_partition_ss, within_ss_of_split
-from shrinksel.core import InvariantError, PosteriorDraws
+from shrinksel import selection
+from shrinksel.core import METHODS, InvariantError, PosteriorDraws
 from shrinksel.selection import (S2mConfig, aggregate_mode, count_signals_2m,
                                  count_signals_s2m, kmeans2_1d, resolve_b,
                                  run_selector, select_2m, select_credible,
@@ -385,6 +386,9 @@ class TestSelectorProperties:
     def test_unknown_method(self):
         with pytest.raises(InvariantError):
             run_selector(draws_from_beta(np.ones((2, 2))), "lasso")
+
+    def test_table_lists_every_method_in_order(self):
+        assert tuple(selection._SELECTORS) == METHODS
 
 
 def _reference_split(v):

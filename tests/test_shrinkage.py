@@ -239,6 +239,11 @@ class TestGrid:
         assert [(p.ratio_shrunk, p.reverse) for p in serial] == \
             [(p.ratio_shrunk, p.reverse) for p in parallel]
 
+    def test_workers_never_outnumber_points(self, pool_sizes):
+        points = reverse_shrinkage_grid(rho_grid=[0.95], tau_grid=[0.5],
+                                        a_grid=[2.0, 10.0], x2=1.0, jobs=8)
+        assert len(points) == 2 and pool_sizes == [2]
+
 
 class TestIntegrandPathsAgree:
     """The vectorised quadrature against pointwise ``hs_integrand``.
@@ -385,6 +390,19 @@ class TestMcSlices:
         assert mc.n_samples == n
         for got, want in zip(mc.estimate + mc.se, est + se):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestMcStandardError:
+    """The delta-method standard errors against the seed-to-seed spread."""
+
+    @pytest.mark.parametrize("rho,tau,mle", [(0.97, 0.5, (2.0, 1.0)),
+                                             (0.9, 0.3, (3.0, 1.5))])
+    def test_se_matches_spread_over_seeds(self, rho, tau, mle):
+        pr = TwoVarProblem(rho=rho, tau=tau, mle=mle)
+        runs = [hs_estimator_mc(pr, n_samples=5000, seed=s) for s in range(200)]
+        spread = np.std([r.estimate for r in runs], axis=0, ddof=1)
+        se = np.mean([r.se for r in runs], axis=0)
+        assert se == pytest.approx(spread, rel=0.15)
 
 
 class TestArgumentChecks:

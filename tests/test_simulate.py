@@ -180,6 +180,30 @@ class TestRunBenchmark:
         parallel = run_benchmark(cfg, prior, ["s2m"], SMALL_MCMC, jobs=2)
         assert serial == parallel
 
+    def test_fold_through_pool_matches_serial(self, tmp_path):
+        # hppm fails on every horseshoe replicate; s2m succeeds on each.
+        cfg = SimConfig.constant_strength(n=30, p=12, r=2, strength=6.0,
+                                          seed=47, replicates=3)
+        runs = []
+        for jobs in (1, 2):
+            with pytest.warns(UserWarning, match="hppm: 3 of 3"):
+                reports = run_benchmark(cfg, PriorSpec.horseshoe(),
+                                        ["s2m", "hppm"], SMALL_MCMC, jobs=jobs)
+            path = tmp_path / f"replicates_{jobs}.csv"
+            write_replicate_csv(reports, "uncor", str(path))
+            runs.append(([(r.per_replicate, r.failures)
+                          for r in reports.values()], path.read_bytes()))
+        assert runs[0] == runs[1]
+        (s2m_pairs, s2m_failures), (hppm_pairs, hppm_failures) = runs[0][0]
+        assert len(s2m_pairs) == 3 and not s2m_failures
+        assert not hppm_pairs and [i for i, _ in hppm_failures] == [0, 1, 2]
+
+    def test_one_replicate_starts_no_pool(self, pool_sizes):
+        cfg = SimConfig.constant_strength(n=20, p=5, r=1, strength=5.0,
+                                          seed=3, replicates=1)
+        run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m"], SMALL_MCMC, jobs=64)
+        assert pool_sizes == []
+
     def test_method_prior_mismatch_recorded_not_fatal(self):
         cfg = SimConfig.constant_strength(n=30, p=10, r=2, strength=6.0,
                                           seed=41, replicates=2)
