@@ -13,13 +13,21 @@ moves.
 Randomness: each chain owns a ``numpy.random.Generator`` backed by the
 counter-based Philox bit generator seeded through ``SeedSequence(seed)``,
 so distinct seeds give independent streams and a repeated seed reproduces
-the draws bit for bit. One chain runs on one thread; concurrent chains
-must use distinct seeds.
+the draws bit for bit. One chain runs on one thread, BLAS included: the
+chain pins numpy's bundled OpenBLAS to one thread while it runs, so its
+draws do not depend on the thread count, and restores the caller's count
+afterwards. Concurrent chains must use distinct seeds.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -100,8 +108,7 @@ def _draw_beta_woodbury(rng, x, y, d, sigma):
     sd = np.sqrt(d)
     u = sd * rng.standard_normal(p)
     v = x @ u + rng.standard_normal(n)
-    # xs @ xs.T is a BLAS syrk: half the flops of a general product, and
-    # OpenBLAS keeps it on one thread (draws tested at n=50, p=300).
+    # xs @ xs.T is a BLAS syrk: half the flops of a general product.
     xs = x * sd
     m = xs @ xs.T
     m.flat[::n + 1] += 1.0
@@ -135,6 +142,60 @@ def _draw_truncated_inv_gamma(rng, shape, scale, upper):
     return upper
 
 
+@functools.cache
+def _blas_thread_calls():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None when numpy ships another BLAS or the symbols are missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread, then restore the caller's count.
+
+    A p x p solve is too small to gain from BLAS threads: they cost CPU,
+    oversubscribe the cores under a worker pool, and make the rounding of
+    the result depend on the thread count. The count is process-wide, so
+    chains that overlap in threads of one process share one pin: the first
+    saves the count and the last restores it. Does nothing when
+    :func:`_blas_thread_calls` finds no OpenBLAS.
+    """
+    global _pin_depth, _pin_saved
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
 def _start(default: ChainState,
            init_state: Optional[ChainState]) -> ChainState:
     """``default`` with each of its fields that ``init_state`` sets, in the
@@ -161,6 +222,7 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
     ``sweeps(rng, x, y, state, *args)`` is a generator: its set-up, then
     one Gibbs sweep of ``state``, in place, per ``next``. Every
     :class:`PosteriorDraws` field that ``state`` carries is retained.
+    The set-up and the sweeps run on one BLAS thread.
     """
     if data.n < 2:
         raise InvariantError("need at least two observations")
@@ -177,16 +239,19 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
            for lat in _LATENTS if getattr(state, lat.field) is not None}
     steps = sweeps(_rng(mcmc.seed), x, y, state, *args)
     kept = 0
-    for it in range(1, mcmc.iterations + 1):
-        next(steps)
-        if not (np.all(np.isfinite(state.beta)) and np.isfinite(state.sigma2)):
-            raise RuntimeError(
-                f"sampler produced a non-finite state at iteration {it}; "
-                f"the likelihood is numerically degenerate for this dataset")
-        if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
-            for name, arr in out.items():
-                arr[kept] = getattr(state, name)
-            kept += 1
+    with _one_blas_thread():
+        for it in range(1, mcmc.iterations + 1):
+            next(steps)
+            if not (np.all(np.isfinite(state.beta))
+                    and np.isfinite(state.sigma2)):
+                raise RuntimeError(
+                    f"sampler produced a non-finite state at iteration {it}; "
+                    f"the likelihood is numerically degenerate for this "
+                    f"dataset")
+            if it > mcmc.burn_in and (it - mcmc.burn_in) % mcmc.thin == 0:
+                for name, arr in out.items():
+                    arr[kept] = getattr(state, name)
+                kept += 1
     return PosteriorDraws(**out)
 
 

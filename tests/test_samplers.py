@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import batch_means_se, exact_two_var_inclusion, orthonormal_design
+from shrinksel import samplers
 from shrinksel.core import Dataset, InvariantError, PriorSpec, load_draws, save_draws
 from shrinksel.samplers import (ChainState, McmcConfig, _draw_beta_dense,
                                 _draw_beta_woodbury, _rng, fit_horseshoe,
@@ -390,6 +392,134 @@ def test_woodbury_draws_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_DENSE_THREAD_CHILD = """
+import hashlib
+import numpy as np
+from shrinksel.core import Dataset, PriorSpec
+from shrinksel.samplers import McmcConfig, fit_horseshoe
+gen = np.random.default_rng(5)
+x = gen.standard_normal((200, 101))
+beta = np.zeros(101)
+beta[:5] = 4.0
+data = Dataset(y=x @ beta + gen.standard_normal(200), x=x)
+draws = fit_horseshoe(data, PriorSpec.horseshoe(),
+                      McmcConfig(iterations=400, burn_in=100, seed=9))
+print(hashlib.sha256(draws.beta.tobytes() + draws.tau.tobytes()).hexdigest())
+"""
+
+
+def test_dense_draws_independent_of_blas_threads():
+    """A seeded p < n chain gives the same bytes on one and two BLAS threads:
+    the p x p solve runs inside the chain's one-thread pin."""
+    import shrinksel
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinksel.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _DENSE_THREAD_CHILD],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+class TestBlasPin:
+    """``_run_chain`` runs on one BLAS thread and restores the caller's
+    count, also when the chain raises."""
+
+    @pytest.fixture
+    def blas_two_threads(self):
+        calls = samplers._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's OpenBLAS thread-count symbols are missing")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            yield get
+        finally:
+            set_(before)
+
+    @staticmethod
+    def _data():
+        gen = np.random.default_rng(2)
+        x = gen.standard_normal((20, 4))
+        return Dataset(y=gen.standard_normal(20), x=x)
+
+    def test_chain_on_one_thread_then_restored(self, blas_two_threads):
+        seen = []
+
+        def sweeps(rng, x, y, state):
+            seen.append(blas_two_threads())  # the set-up
+            while True:
+                state.beta = rng.standard_normal(x.shape[1])
+                seen.append(blas_two_threads())
+                yield
+
+        state = ChainState(beta=np.zeros(4), sigma2=1.0)
+        draws = samplers._run_chain(self._data(),
+                                    McmcConfig(iterations=6, burn_in=2),
+                                    state, sweeps)
+        assert draws.t == 4
+        assert seen == [1] * 7
+        assert blas_two_threads() == 2
+
+    def test_restored_after_non_finite_state(self, blas_two_threads):
+        def sweeps(rng, x, y, state):
+            while True:
+                state.beta = np.full(x.shape[1], np.nan)
+                yield
+
+        with pytest.raises(RuntimeError, match="non-finite"):
+            samplers._run_chain(self._data(),
+                                McmcConfig(iterations=6, burn_in=2),
+                                ChainState(beta=np.zeros(4), sigma2=1.0),
+                                sweeps)
+        assert blas_two_threads() == 2
+
+    def test_overlapping_pins_restore_once(self, blas_two_threads):
+        """Chain A pins, chain B pins, A leaves, B leaves: B keeps one
+        thread after A has left, and the count is restored once B leaves."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def chain_a():
+            with samplers._one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def chain_b():
+            a_in.wait(10)
+            with samplers._one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen.append(blas_two_threads())
+
+        threads = [threading.Thread(target=f) for f in (chain_a, chain_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert a_out.is_set() and seen == [1]
+        assert blas_two_threads() == 2
+
+    def test_without_openblas_same_woodbury_draws(self, monkeypatch):
+        gen = np.random.default_rng(4)
+        x = gen.standard_normal((15, 30))
+        data = Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(15), x=x)
+        mcmc = McmcConfig(iterations=60, burn_in=20, seed=3)
+        pinned = fit_horseshoe(data, PriorSpec.horseshoe(), mcmc)
+        monkeypatch.setattr(samplers, "_blas_thread_calls", lambda: None)
+        plain = fit_horseshoe(data, PriorSpec.horseshoe(), mcmc)
+        assert np.array_equal(pinned.beta, plain.beta)
+        assert np.array_equal(pinned.tau, plain.tau)
 
 
 def _reference_spike_slab(data, prior, mcmc, init):
