@@ -333,10 +333,11 @@ def cmd_bench(args) -> int:
     wall = time.perf_counter() - start
     write_benchmark_csv(reports, setting, os.path.join(out, "benchmark.csv"))
     write_replicate_csv(reports, setting, os.path.join(out, "replicates.csv"))
-    _write_resolved(out, "bench", {
-        **{name: asdict(c) for name, c in built.items()},
-        "methods": methods, "jobs": jobs,
-    })
+    resolved = {name: asdict(c) for name, c in built.items()}
+    # run_benchmark derives every chain seed from sim.seed, so mcmc.seed
+    # has no effect and is not recorded.
+    del resolved["mcmc"]["seed"]
+    _write_resolved(out, "bench", {**resolved, "methods": methods, "jobs": jobs})
     print(format_benchmark_table(reports, setting))
     print(f"done in {wall:.1f}s; table in {out}/benchmark.csv")
     return EXIT_OK

@@ -86,10 +86,11 @@ class TestStrictValues:
 
 
 #: ``bench_resolved.json`` for PINNED_CONFIG plus PINNED_FLAGS, byte for
-#: byte as the earlier hand-written config readers wrote it. It covers a single strength
+#: byte as the earlier hand-written config readers wrote it, less
+#: ``mcmc.seed``, which a bench run does not use. It covers a single strength
 #: broadcast to r, a null tau_upper, a JSON integer b kept as an integer,
-#: integers in float fields written as floats, --seed setting both the sim
-#: seed and the chain seed, and flags beating config values.
+#: integers in float fields written as floats, --seed setting the sim
+#: seed, and flags beating config values.
 PINNED_CONFIG = {
     "sim": {"n": 20, "p": 8, "r": 2, "strengths": [5], "correlated": True,
             "cor_pairs": 1, "cor_target": 0.9, "noise_sd": 1,
@@ -104,7 +105,7 @@ PINNED_FLAGS = ("--seed", "7", "--iterations", "120", "--burn-in", "40",
                 "--level", "0.85", "--replicates", "1", "--jobs", "1")
 PINNED_RESOLVED = {
     "jobs": 1,
-    "mcmc": {"burn_in": 40, "iterations": 120, "seed": 7, "thin": 2},
+    "mcmc": {"burn_in": 40, "iterations": 120, "thin": 2},
     "methods": ["s2m", "cs"],
     "prior": {"family": "horseshoe", "ig_scale": 1.5, "ig_shape": 2.0,
               "ss_beta_a": 1.0, "ss_beta_b": 15.0, "tau_upper": None},
@@ -125,3 +126,20 @@ def test_bench_resolved_config_is_pinned(tmp_path):
     # Text, not dict, equality: 2 == 2.0 in Python, but not in the file.
     assert text == json.dumps(PINNED_RESOLVED, indent=2, sort_keys=True) + "\n"
     assert '"b": 2,' in text and '"noise_sd": 1.0,' in text
+
+
+def test_bench_record_ignores_the_unused_chain_seed(tmp_path):
+    # Every bench chain seed derives from sim.seed; configs that differ
+    # only in mcmc.seed give the same replicates and the same record.
+    outs = []
+    for seed in (1, 2):
+        config = {**PINNED_CONFIG, "mcmc": {**PINNED_CONFIG["mcmc"], "seed": seed}}
+        path = tmp_path / f"bench{seed}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"bench{seed}"
+        flags = PINNED_FLAGS[2:]  # without --seed, which sets mcmc.seed too
+        assert flags[0] != "--seed"
+        assert main(["bench", "--config", str(path), "--out", str(out), *flags]) == 0
+        outs.append(out)
+    for name in ("bench_resolved.json", "replicates.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

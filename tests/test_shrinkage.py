@@ -232,12 +232,33 @@ class TestGrid:
                         assert b1 > 0 and b2 > 0, (rho, tau, a, x2)
 
     def test_parallel_matches_serial(self):
-        serial = reverse_shrinkage_grid(rho_grid=[0.95], tau_grid=[0.2, 0.8],
-                                        a_grid=[2.0, 10.0], x2=1.0, jobs=1)
-        parallel = reverse_shrinkage_grid(rho_grid=[0.95], tau_grid=[0.2, 0.8],
-                                          a_grid=[2.0, 10.0], x2=1.0, jobs=2)
-        assert [(p.ratio_shrunk, p.reverse) for p in serial] == \
-            [(p.ratio_shrunk, p.reverse) for p in parallel]
+        # Twelve points in two contiguous slices of six: each worker's
+        # slice ends or starts inside the block of the middle rho.
+        grid = dict(rho_grid=[0.94, 0.95, 0.98], tau_grid=[0.2, 0.8],
+                    a_grid=[2.0, 10.0], x2=1.0)
+        serial = reverse_shrinkage_grid(**grid, jobs=1)
+        parallel = reverse_shrinkage_grid(**grid, jobs=2)
+        assert len(serial) == 12
+        assert all(p.error is None for p in serial)
+        assert parallel == serial
+
+    def test_pool_gets_contiguous_slices_of_built_rules(self, monkeypatch):
+        # One slice per worker, and the rules of orders 16-64 exist before
+        # the fork, so no worker calls LAPACK for them.
+        from shrinksel import shrinkage
+
+        calls = []
+
+        def record(fn, tasks, jobs, chunksize):
+            calls.append((len(tasks), jobs, chunksize,
+                          shrinkage._quad_rule.cache_info().currsize))
+            return []
+
+        shrinkage._quad_rule.cache_clear()
+        monkeypatch.setattr(shrinkage, "_map_jobs", record)
+        reverse_shrinkage_grid(rho_grid=[0.94, 0.95, 0.98], tau_grid=[0.2, 0.8],
+                               a_grid=[2.0, 10.0], x2=1.0, jobs=2)
+        assert calls == [(12, 2, 6, 3)]
 
     def test_workers_never_outnumber_points(self, pool_sizes):
         points = reverse_shrinkage_grid(rho_grid=[0.95], tau_grid=[0.5],
@@ -329,6 +350,68 @@ class TestCachedQuadratureRules:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+
+    @staticmethod
+    def fresh_rule_point(pr, tol=1e-6):
+        """(ratio_shrunk, reverse, quad_error) by doubling fresh rules.
+
+        Doubles the order from 16 until the r-values change by less than
+        ``tol`` relative, then maps them to the estimate and its ratio.
+        """
+        prev = None
+        for order in (16, 32, 64, 128, 256, 512):
+            r1, r2 = TestCachedQuadratureRules.fresh_rule_r_values(pr, order)
+            if prev is not None:
+                err = (max(abs(r1 - prev[0]), abs(r2 - prev[1]))
+                       / max(abs(r1), abs(r2), 1e-300))
+                if err < tol:
+                    rho, a = pr.rho, pr.a
+                    s1 = (r1 - rho * r2 / a) / (1.0 - rho * rho)
+                    s2 = (r2 - rho * r1 * a) / (1.0 - rho * rho)
+                    ratio = abs((1.0 - s1) * pr.mle[0] / ((1.0 - s2) * pr.mle[1]))
+                    return ratio, ratio >= a, err
+            prev = (r1, r2)
+        raise AssertionError(f"no convergence at {pr}")
+
+    @pytest.mark.parametrize("x2", [1.0, 1.5])
+    def test_default_grid_bit_identical_to_fresh_rules(self, x2):
+        points = reverse_shrinkage_grid(x2=x2)
+        assert len(points) == (len(DEFAULT_RHO_GRID) * len(DEFAULT_TAU_GRID)
+                               * len(DEFAULT_A_GRID))
+        for pt in points:
+            got = (pt.ratio_shrunk, pt.reverse, pt.quad_error)
+            assert got == self.fresh_rule_point(pt.problem), pt.problem
+
+    def test_rho_tables_are_read_only_and_bounded(self):
+        from shrinksel.shrinkage import _QUAD_ORDERS, _rho_tables
+
+        assert _rho_tables.cache_info().maxsize == len(_QUAD_ORDERS)
+        tables = _rho_tables(0.95, 32)
+        assert _rho_tables(0.95, 32) is tables
+        assert len(tables) == 4
+        for arr in tables:
+            assert arr.shape == (32, 32)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+
+    def test_interleaved_rho_values_give_identical_r_values(self):
+        from shrinksel.shrinkage import _quad_r_values, _rho_tables
+
+        orders = (16, 32, 64, 128)
+        pr_a = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.0))
+        pr_b = TwoVarProblem(rho=0.5, tau=0.7, mle=(2.0, 1.5))
+        want_a = [self.fresh_rule_r_values(pr_a, o) for o in orders]
+        want_b = [self.fresh_rule_r_values(pr_b, o) for o in orders]
+        _rho_tables.cache_clear()
+        # One order at a time: B's set sits beside A's.
+        for o, wa, wb in zip(orders, want_a, want_b):
+            assert _quad_r_values(pr_a, o) == wa
+            assert _quad_r_values(pr_b, o) == wb
+            assert _quad_r_values(pr_a, o) == wa
+        # Every order of A, then of B, then of A: B's sets evict some of A's.
+        for pr, want in ((pr_a, want_a), (pr_b, want_b), (pr_a, want_a)):
+            assert [_quad_r_values(pr, o) for o in orders] == want
 
 
 def whole_chunk_mc(pr, n_samples, seed, chunk):
