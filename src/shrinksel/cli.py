@@ -12,7 +12,7 @@ plus a top-level ``methods`` list. Each flag's argparse ``dest`` is the
 field it overrides.
 
 Environment overrides exist for exactly two things: ``SHRINKSEL_OUTDIR``
-(default output directory) and ``SHRINKSEL_JOBS`` (default worker count).
+(default output directory) and ``SHRINKSEL_JOBS`` (``bench`` worker count).
 """
 
 from __future__ import annotations
@@ -144,16 +144,22 @@ def _out_dir(args) -> str:
     return out
 
 
+def _positive_int(value, where: str) -> int:
+    """``value`` as an integer >= 1; otherwise a UsageError naming ``where``."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or number < 1:
+        raise UsageError(f"{where}: expected an integer >= 1, got {value!r}")
+    return number
+
+
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return max(1, args.jobs)
+    if args.jobs is not None:
+        return _positive_int(args.jobs, "--jobs")
     env = os.environ.get("SHRINKSEL_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SHRINKSEL_JOBS={env!r} is not an integer") from None
-    return 1
+    return _positive_int(env, "SHRINKSEL_JOBS") if env else 1
 
 
 def _float_list(text: str) -> list[float]:
@@ -268,12 +274,13 @@ def cmd_select(args) -> int:
 
 
 def _read_truth_file(path) -> frozenset[int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return frozenset(int(line.strip()) for line in fh if line.strip())
-    except ValueError:
-        raise UsageError(f"{path}: truth file must hold one integer per line") \
-            from None
+    """The 1-based signal indices of a truth file, one per line."""
+    truth = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                truth.add(_positive_int(line.strip(), f"{path}: line {lineno}"))
+    return frozenset(truth)
 
 
 def cmd_evaluate(args) -> int:
@@ -345,13 +352,21 @@ def cmd_bench(args) -> int:
 
 def cmd_shrinkmap(args) -> int:
     x2_values = args.x2 or [1.0]
-    jobs = _jobs(args)
+    names = {}
+    for x2 in x2_values:
+        if not (np.isfinite(x2) and x2 != 0):
+            raise UsageError(f"--x2 {x2:g}: must be finite and nonzero")
+        name = f"shrink_grid_x2_{x2:g}.csv"
+        if name in names:
+            raise UsageError(f"--x2 {names[name]!r} and --x2 {x2!r} both "
+                             f"write {name}")
+        names[name] = x2
     out = _out_dir(args)
     written = []
-    for x2 in x2_values:
+    for name, x2 in names.items():
         points = reverse_shrinkage_grid(args.rho, args.tau, args.a, x2=x2,
-                                        tol=args.tol, jobs=jobs)
-        path = os.path.join(out, f"shrink_grid_x2_{x2:g}.csv")
+                                        tol=args.tol)
+        path = os.path.join(out, name)
         write_grid_csv(points, path)
         n_blue = sum(p.reverse for p in points)
         n_fail = sum(p.error is not None for p in points)
@@ -360,7 +375,7 @@ def cmd_shrinkmap(args) -> int:
               f"{n_fail} quadrature failures -> {path}")
     _write_resolved(out, "shrinkmap", {
         "rho": list(args.rho), "tau": list(args.tau), "a": list(args.a),
-        "x2": list(x2_values), "tol": args.tol, "jobs": jobs,
+        "x2": list(x2_values), "tol": args.tol,
         "files": written,
     })
     return EXIT_OK
@@ -440,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("shrinkmap", help="reverse-shrinkage classification grid",
                         parents=[common])
-    sp.add_argument("--jobs", type=int)
     sp.add_argument("--x2", type=float, action="append",
                     help="smaller MLE value; repeat for several grids")
     sp.add_argument("--rho", type=_float_list, default=DEFAULT_RHO_GRID,

@@ -79,8 +79,7 @@ def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _map_jobs(fn: Callable, items: Iterable, jobs: int,
-              chunksize: int = 1) -> list:
+def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
     """``[fn(i) for i in items]``, in order, on at most ``jobs`` processes.
 
     Starts no more workers than there are items and runs in this process
@@ -92,7 +91,7 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int,
         return [fn(i) for i in items]
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ reverse-shrinkage (shrunk ratio >= MLE ratio) or not. A plain Monte Carlo
 integrator over half-Cauchy scale draws provides an independent
 cross-check of the quadrature path.
 
-Everything here is a pure function; grid evaluation parallelizes over
-points, one contiguous slice per worker. The quadrature caches what does
-not depend on the point: each order's nodes and weights, and, per (rho,
-order), the read-only tables of the integrand's rho part. The table cache
-keeps at most one set per order (six sets; the worst case, six rho values
-at order 512, is about 50 MB), and the default grid, which converges by
-order 64, keeps about 0.3 MB.
+Everything here is a pure function and runs in the calling process: a
+grid point costs about 0.2 ms, less than handing it to a worker process.
+The quadrature caches what does not depend on the point: each order's
+nodes and weights, and, per (rho, order), the read-only tables of the
+integrand's rho part. The table cache keeps at most one set per order
+(six sets; the worst case, six rho values at order 512, is about 50 MB),
+and the default grid, which converges by order 64, keeps about 0.3 MB.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import InvariantError, _map_jobs, atomic_write_lines
+from .core import InvariantError, atomic_write_lines
 
 #: Default classification grids (two MLE levels mirror the two panels).
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.94, 0.9951, 0.01), 2))
@@ -43,6 +43,7 @@ DEFAULT_A_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_X2_VALUES = (1.0, 1.5)
 
 _QUAD_ORDERS = (16, 32, 64, 128, 256, 512)
+_MC_CHUNK = 1_000_000  # uniforms drawn per RNG call (16 MB for the pair)
 _MC_BLOCK = 1 << 15  # samples per cache-sized slice of the MC pipeline
 
 
@@ -190,8 +191,6 @@ def _compose_estimate(problem: TwoVarProblem, r1: float, r2: float):
 
 def normal_shrink_factors(problem: TwoVarProblem) -> ShrinkFactors:
     """Closed-form shrinkage factors under the global-only normal prior."""
-    if problem.a < 1.0:
-        raise InvariantError("ratio analysis needs |mle1/mle2| >= 1")
     kappa = 1.0 / (1.0 + problem.tau ** 2)
     _, f1, f2, f3 = _f_coeffs(kappa, kappa, problem.rho)
     a = problem.a
@@ -286,13 +285,10 @@ def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     """(r1, r2) by tensor Gauss-Legendre at a fixed order.
 
     The rho part of the integrand comes from the cached
-    :func:`_rho_tables`; only the terms in the MLE pair, sigma2 and tau
-    are evaluated here. At most ``len(_QUAD_ORDERS)`` table sets are kept:
-    the worst case is six sets at order 512, about 8 MB each, and the
-    default grid, which needs orders up to 64, keeps about 0.3 MB. The
-    exponential factor is evaluated in log space and normalized by its
-    maximum over the node grid; the shift cancels between numerator and
-    denominator.
+    :func:`_rho_tables` (sizes in the module docstring); only the terms in
+    the MLE pair, sigma2 and tau are evaluated here. The exponential factor
+    is evaluated in log space and normalized by its maximum over the node
+    grid; the shift cancels between numerator and denominator.
     """
     k, w2 = _quad_rule(order)
     tau2 = problem.tau ** 2
@@ -347,26 +343,26 @@ def hs_estimator(problem: TwoVarProblem, tol: float = 1e-6) -> tuple[float, floa
 
 
 def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
-                    seed: int = 0, chunk: int = 1_000_000) -> McEstimate:
+                    seed: int = 0) -> McEstimate:
     """Monte Carlo evaluation of the horseshoe estimator.
 
     Independent of the quadrature path: samples the two local scales from
     the standard half-Cauchy, averages the integrands, and propagates the
     sampling covariance of the three means through the estimator by the
     delta method. The returned standard errors are for the two estimate
-    components. Uniforms are drawn ``chunk`` at a time, then used in
-    cache-sized slices.
+    components. Uniforms are drawn ``_MC_CHUNK`` at a time, then used in
+    cache-sized slices, so the stream depends only on the seed.
     """
-    if n_samples < 1 or chunk < 1:
-        raise InvariantError("n_samples and chunk must be at least 1")
+    if n_samples < 1:
+        raise InvariantError("n_samples must be at least 1")
     tau = problem.tau
     x1, x2 = problem.mle
     rng = Generator(Philox(SeedSequence(seed)))
 
     sums = np.zeros(3)
     prods = np.zeros((3, 3))
-    for start in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - start)
+    for start in range(0, n_samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, n_samples - start)
         u1, u2 = rng.random(m), rng.random(m)
         for lo in range(0, m, _MC_BLOCK):
             s = slice(lo, lo + _MC_BLOCK)
@@ -401,8 +397,7 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     return McEstimate(estimate=est, se=se, r1=r1, r2=r2, n_samples=n_samples)
 
 
-def _grid_point(args) -> ShrinkGridPoint:
-    rho, tau, a, x2, tol = args
+def _grid_point(rho, tau, a, x2, tol) -> ShrinkGridPoint:
     problem = TwoVarProblem(rho=rho, tau=tau, mle=(a * x2, x2))
     try:
         res = hs_shrinkage(problem, tol=tol)
@@ -422,26 +417,17 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
                            tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
                            a_grid: Sequence[float] = DEFAULT_A_GRID,
                            x2: float = 1.0,
-                           tol: float = 1e-6,
-                           jobs: int = 1) -> list[ShrinkGridPoint]:
+                           tol: float = 1e-6) -> list[ShrinkGridPoint]:
     """Classify every (rho, tau, A) combination at a fixed smaller MLE.
 
-    Points are evaluated independently (optionally in parallel, one
-    contiguous slice of the grid per worker) and returned in grid order
-    (rho outermost, then tau, then A). Quadrature failures are recorded on
-    the point rather than raised.
+    Points are evaluated independently and returned in grid order (rho
+    outermost, then tau, then A), so each rho's quadrature tables are
+    built once. Quadrature failures are recorded on the point rather than
+    raised.
     """
     _check_tol(tol)
-    tasks = [(float(r), float(t), float(a), float(x2), tol)
-             for r in rho_grid for t in tau_grid for a in a_grid]
-    if jobs > 1:
-        # leggauss calls LAPACK, whose first call in a forked worker starts
-        # OpenBLAS threads that spin on the cores the workers need. Build
-        # the orders most points use (16-64, about 3 ms) before the fork.
-        for order in _QUAD_ORDERS[:3]:
-            _quad_rule(order)
-    return _map_jobs(_grid_point, tasks, jobs,
-                     chunksize=math.ceil(len(tasks) / max(jobs, 1)))
+    return [_grid_point(float(r), float(t), float(a), float(x2), tol)
+            for r in rho_grid for t in tau_grid for a in a_grid]
 
 
 def write_grid_csv(points: Sequence[ShrinkGridPoint], path: str) -> None:

@@ -266,6 +266,27 @@ class TestEvaluate:
         assert f"{sel}: line 4" in err and "internal error" not in err
         assert not (tmp_path / "eval" / "evaluate.csv").exists()
 
+    @pytest.mark.parametrize("body,lineno,cell", [
+        ("0\n1\n-3\n", 1, "'0'"),
+        ("1\n\n-3\n", 3, "'-3'"),
+        ("2\n1.5\n", 2, "'1.5'"),
+        ("x\n", 1, "'x'"),
+    ], ids=["zero", "negative", "fraction", "word"])
+    def test_truth_indices_must_be_positive_integers(self, tmp_path, capsys,
+                                                     body, lineno, cell):
+        # 0 and -3 used to be accepted and scored as masked signals.
+        sel = tmp_path / "selection.csv"
+        sel.write_text("method,h,selected,b,level,threshold,error\n"
+                       "2m,1,1,,,,\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text(body)
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel), "--truth", str(truth))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: line {lineno}" in err and cell in err
+        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+
     def test_blank_lines_are_skipped(self, sim_dir, tmp_path):
         sel = tmp_path / "selection.csv"
         sel.write_text("method,h,selected,b,level,threshold,error\n"
@@ -277,6 +298,12 @@ class TestEvaluate:
                    "--truth", str(sim_dir / "truth.txt")) == 0
         lines = (out / "evaluate.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("2m,")
+
+
+#: A bench run of one replicate that takes well under a second.
+TINY_BENCH = ("-n", "20", "-p", "6", "-r", "1", "--strengths", "4",
+              "--replicates", "1", "--methods", "s2m", "--iterations", "50",
+              "--burn-in", "10", "--seed", "1")
 
 
 class TestBench:
@@ -349,14 +376,30 @@ class TestBench:
 
     def test_env_jobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SHRINKSEL_JOBS", "2")
-        out = tmp_path / "g"
-        assert run("shrinkmap", "--out", str(out), "--rho", "0.95",
-                   "--tau", "0.5", "--a", "2", "--x2", "1") == 0
-        resolved = json.loads((out / "shrinkmap_resolved.json").read_text())
+        out = tmp_path / "b"
+        assert run("bench", "--out", str(out), *TINY_BENCH) == 0
+        resolved = json.loads((out / "bench_resolved.json").read_text())
         assert resolved["jobs"] == 2
         monkeypatch.setenv("SHRINKSEL_JOBS", "many")
-        assert run("shrinkmap", "--out", str(out), "--rho", "0.95",
-                   "--tau", "0.5", "--a", "2", "--x2", "1") == 2
+        assert run("bench", "--out", str(out), *TINY_BENCH) == 2
+
+    @pytest.mark.parametrize("flag,env,named", [
+        (["--jobs", "0"], None, "--jobs"),
+        (["--jobs", "-1"], "3", "--jobs"),
+        ([], "-4", "SHRINKSEL_JOBS"),
+        ([], "0", "SHRINKSEL_JOBS"),
+    ], ids=["flag-zero", "flag-over-env", "env-negative", "env-zero"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch, flag, env,
+                                                   named):
+        # These used to run one worker and record "jobs": 1.
+        if env is not None:
+            monkeypatch.setenv("SHRINKSEL_JOBS", env)
+        out = tmp_path / "b"
+        assert run("bench", "--out", str(out), *TINY_BENCH, *flag) == 2
+        err = capsys.readouterr().err
+        assert named in err and "integer >= 1" in err
+        assert not out.exists()
 
 
 class TestShrinkmap:
@@ -389,6 +432,47 @@ class TestShrinkmap:
         assert code == 2
         assert "tol must be finite and > 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("shrink_grid_*.csv"))
+
+    def test_jobs_flag_is_gone(self, tmp_path):
+        # The grid runs in one process; a point costs less than a fork.
+        assert run("shrinkmap", "--out", str(tmp_path), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "2", "--jobs", "2") == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad", ["0", "-0", "nan", "inf"])
+    def test_zero_or_non_finite_x2_writes_nothing(self, tmp_path, capsys,
+                                                  bad):
+        # --x2 0 after a good value used to write that grid, then exit 2
+        # with a message that did not name x2.
+        out = tmp_path / "g"
+        code = run("shrinkmap", "--out", str(out), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "2", "--x2", "1", f"--x2={bad}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--x2" in err and bad.lstrip("-") in err
+        assert not out.exists()
+
+    def test_x2_values_with_one_file_name_write_nothing(self, tmp_path,
+                                                        capsys):
+        # Both values format as "1", so the second grid used to overwrite
+        # the first, and "files" listed the same path twice.
+        out = tmp_path / "g"
+        code = run("shrinkmap", "--out", str(out), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "2", "--x2", "1",
+                   "--x2", "1.0000001")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1.0000001" in err and "shrink_grid_x2_1.csv" in err
+        assert not out.exists()
+
+    def test_resolved_file_lists_each_grid_once(self, tmp_path):
+        out = tmp_path / "g"
+        assert run("shrinkmap", "--out", str(out), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "2", "--x2", "1", "--x2", "-1") == 0
+        resolved = json.loads((out / "shrinkmap_resolved.json").read_text())
+        assert resolved["x2"] == [1.0, -1.0] and "jobs" not in resolved
+        assert [os.path.basename(f) for f in resolved["files"]] == [
+            "shrink_grid_x2_1.csv", "shrink_grid_x2_-1.csv"]
 
 
 class TestExitCodes:

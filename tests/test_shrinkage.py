@@ -231,40 +231,6 @@ class TestGrid:
                         b1, b2 = hs_estimator(pr)
                         assert b1 > 0 and b2 > 0, (rho, tau, a, x2)
 
-    def test_parallel_matches_serial(self):
-        # Twelve points in two contiguous slices of six: each worker's
-        # slice ends or starts inside the block of the middle rho.
-        grid = dict(rho_grid=[0.94, 0.95, 0.98], tau_grid=[0.2, 0.8],
-                    a_grid=[2.0, 10.0], x2=1.0)
-        serial = reverse_shrinkage_grid(**grid, jobs=1)
-        parallel = reverse_shrinkage_grid(**grid, jobs=2)
-        assert len(serial) == 12
-        assert all(p.error is None for p in serial)
-        assert parallel == serial
-
-    def test_pool_gets_contiguous_slices_of_built_rules(self, monkeypatch):
-        # One slice per worker, and the rules of orders 16-64 exist before
-        # the fork, so no worker calls LAPACK for them.
-        from shrinksel import shrinkage
-
-        calls = []
-
-        def record(fn, tasks, jobs, chunksize):
-            calls.append((len(tasks), jobs, chunksize,
-                          shrinkage._quad_rule.cache_info().currsize))
-            return []
-
-        shrinkage._quad_rule.cache_clear()
-        monkeypatch.setattr(shrinkage, "_map_jobs", record)
-        reverse_shrinkage_grid(rho_grid=[0.94, 0.95, 0.98], tau_grid=[0.2, 0.8],
-                               a_grid=[2.0, 10.0], x2=1.0, jobs=2)
-        assert calls == [(12, 2, 6, 3)]
-
-    def test_workers_never_outnumber_points(self, pool_sizes):
-        points = reverse_shrinkage_grid(rho_grid=[0.95], tau_grid=[0.5],
-                                        a_grid=[2.0, 10.0], x2=1.0, jobs=8)
-        assert len(points) == 2 and pool_sizes == [2]
-
 
 class TestIntegrandPathsAgree:
     """The vectorised quadrature against pointwise ``hs_integrand``.
@@ -462,13 +428,14 @@ class TestMcSlices:
     """The sliced Monte Carlo pipeline against whole-chunk accumulation."""
 
     @pytest.mark.parametrize("chunk", [40_000, 1_000_000])
-    def test_matches_whole_chunk_reference(self, chunk):
-        from shrinksel.shrinkage import _MC_BLOCK
+    def test_matches_whole_chunk_reference(self, chunk, monkeypatch):
+        from shrinksel import shrinkage
 
         n = 100_003
-        assert n % _MC_BLOCK and chunk % _MC_BLOCK
+        assert n % shrinkage._MC_BLOCK and chunk % shrinkage._MC_BLOCK
+        monkeypatch.setattr(shrinkage, "_MC_CHUNK", chunk)
         pr = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5))
-        mc = hs_estimator_mc(pr, n_samples=n, seed=7, chunk=chunk)
+        mc = hs_estimator_mc(pr, n_samples=n, seed=7)
         est, se = whole_chunk_mc(pr, n, seed=7, chunk=chunk)
         assert mc.n_samples == n
         for got, want in zip(mc.estimate + mc.se, est + se):
@@ -496,13 +463,9 @@ class TestArgumentChecks:
             hs_shrinkage(pr, tol=tol)
         with pytest.raises(InvariantError, match="tol"):
             reverse_shrinkage_grid([0.95], [0.5], [2.0], tol=tol)
-        with pytest.raises(InvariantError, match="tol"):
-            reverse_shrinkage_grid([0.95], [0.5], [2.0], tol=tol, jobs=2)
 
-    @pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5},
-                                        {"chunk": 0}, {"chunk": -1}])
+    @pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5}])
     def test_mc_sample_counts_must_be_positive(self, kwargs):
-        # chunk=0 used to loop forever; the check fires before any draw.
         pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
         with pytest.raises(InvariantError, match="at least 1"):
-            hs_estimator_mc(pr, **{"n_samples": 10, **kwargs})
+            hs_estimator_mc(pr, **kwargs)
