@@ -8,8 +8,8 @@ success, 1 on internal failure, 2 on user/config errors.
 
 A config file holds one section per config dataclass (``sim``, ``prior``,
 ``mcmc``, ``selection``) whose keys are exactly that dataclass's fields,
-plus a top-level ``methods`` list. Each flag's argparse ``dest`` is the
-field it overrides.
+plus a top-level ``methods`` list. Each field has one flag, ``--field-name``
+unless ``_FLAGS`` names another, whose argparse ``dest`` is the field.
 
 Environment overrides exist for exactly two things: ``SHRINKSEL_OUTDIR``
 (default output directory) and ``SHRINKSEL_JOBS`` (``bench`` worker count).
@@ -27,9 +27,9 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PRIOR_FAMILIES,
-                   PriorSpec, atomic_write_lines, load_draws, load_matrix_csv,
-                   save_draws, save_matrix_csv)
+from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
+                   atomic_write_lines, load_draws, load_matrix_csv, save_draws,
+                   save_matrix_csv)
 from .samplers import McmcConfig, fit, write_run_manifest
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
     write_selection_report
@@ -50,6 +50,15 @@ _TOP_LEVEL = (*_SECTIONS, "methods")
 #: CLI defaults for fields the dataclasses leave without one.
 _DEFAULTS = {"sim": {"n": 50, "p": 300, "r": 10},
              "prior": {"family": HORSESHOE}}
+#: The flags that are not ``--field-name``, and the fields' help strings.
+_FLAGS = {"n": ("-n", None), "p": ("-p", None), "r": ("-r", None),
+          "family": ("--prior", None),
+          "credible_level": ("--level", "credible level for cs"),
+          "kappa_threshold": ("--threshold",
+                              "shrinkage-weight threshold for ht"),
+          "strengths": (None, "comma list (single value broadcasts)"),
+          "tau_upper": (None, "global-scale bound (number or 'none')"),
+          "b": (None, f"s2m gap threshold (number or {TWO_SIGMA_HAT!r})")}
 
 
 class UsageError(Exception):
@@ -219,8 +228,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    if args.design is None or args.response is None:
-        raise UsageError("--design and --response are required")
     prior = _build("prior", config, args)
     mcmc = _build("mcmc", config, args)
     out = _out_dir(args)
@@ -245,8 +252,6 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     config = _load_config(args.config)
-    if args.draws is None:
-        raise UsageError("--draws is required")
     methods = _methods_list(args, config, default="s2m")
     cfg = _build("selection", config, args)
     out = _out_dir(args)
@@ -284,8 +289,6 @@ def _read_truth_file(path) -> frozenset[int]:
 
 
 def cmd_evaluate(args) -> int:
-    if args.selection is None or args.truth is None:
-        raise UsageError("--selection and --truth are required")
     truth = _read_truth_file(args.truth)
     out = _out_dir(args)
     lines = ["method,masking,swamping"]
@@ -312,12 +315,8 @@ def cmd_evaluate(args) -> int:
                 print(f"{cells[m_pos]}: skipped (selector failed: "
                       f"{cells[e_pos]})", file=sys.stderr)
                 continue
-            try:
-                selected = {int(v) for v in cells[s_pos].split()}
-            except ValueError:
-                raise UsageError(
-                    f"{args.selection}: line {lineno}: selected indices must "
-                    f"be integers, got {cells[s_pos]!r}") from None
+            selected = {_positive_int(v, f"{args.selection}: line {lineno}")
+                        for v in cells[s_pos].split()}
             masking, swamping = score(selected, truth)
             lines.append(f"{cells[m_pos]},{masking},{swamping}")
             print(f"{cells[m_pos]}: masking={masking} swamping={swamping}")
@@ -361,6 +360,13 @@ def cmd_shrinkmap(args) -> int:
             raise UsageError(f"--x2 {names[name]!r} and --x2 {x2!r} both "
                              f"write {name}")
         names[name] = x2
+    for flag, values, ok, rule in (
+            ("--rho", args.rho, lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("--tau", args.tau, lambda v: v > 0, "> 0"),
+            ("--a", args.a, lambda v: v >= 1, ">= 1")):
+        for v in values:
+            if not (np.isfinite(v) and ok(v)):
+                raise UsageError(f"{flag} {v:g}: must be finite and {rule}")
     out = _out_dir(args)
     written = []
     for name, x2 in names.items():
@@ -381,6 +387,26 @@ def cmd_shrinkmap(args) -> int:
     return EXIT_OK
 
 
+def _add_config_flags(parser, *sections, skip=()) -> None:
+    """Add one flag per field of each section, its dest the field name.
+
+    A tuple field takes a comma list, a Union a number or a word, a bool
+    ``--x``/``--no-x``; ``skip`` holds ``section.field`` names left out.
+    """
+    for section in sections:
+        for name, hint in get_type_hints(_SECTIONS[section]).items():
+            if f"{section}.{name}" in skip:
+                continue
+            flag, help_text = _FLAGS.get(name, (None, None))
+            if hint is bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": {Union: _number_or_word, tuple: _float_list}
+                        .get(get_origin(hint), hint)}
+            parser.add_argument(flag or "--" + name.replace("_", "-"),
+                                dest=name, help=help_text, **kind)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrinksel",
@@ -392,64 +418,41 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory "
                         "(default: $SHRINKSEL_OUTDIR or .)")
-    sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("-n", type=int)
-    sim.add_argument("-p", type=int)
-    sim.add_argument("-r", type=int)
-    sim.add_argument("--strengths", type=_float_list,
-                     help="comma list (single value broadcasts)")
-    sim.add_argument("--correlated", action="store_true", default=None)
-    sim.add_argument("--uncorrelated", dest="correlated", action="store_false")
-    sim.add_argument("--cor-pairs", type=int)
-    sim.add_argument("--cor-target", type=float)
-    sim.add_argument("--noise-sd", type=float)
-    sim.add_argument("--intercept", action="store_true", default=None)
-    sim.add_argument("--no-intercept", dest="intercept", action="store_false")
-    sim.add_argument("--seed", type=int)
-    chain = argparse.ArgumentParser(add_help=False)
-    chain.add_argument("--prior", dest="family", choices=PRIOR_FAMILIES)
-    chain.add_argument("--tau-upper", type=_number_or_word,
-                       help="global-scale bound (number or 'none')")
-    chain.add_argument("--iterations", type=int)
-    chain.add_argument("--burn-in", type=int)
-    chain.add_argument("--thin", type=int)
-    selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument("--methods",
-                           help=f"comma list from {', '.join(METHODS)}")
-    selection.add_argument("--b", type=_number_or_word, help="s2m gap "
-                           f"threshold (number or {TWO_SIGMA_HAT!r})")
-    selection.add_argument("--level", dest="credible_level", type=float,
-                           help="credible level for cs")
-    selection.add_argument("--threshold", dest="kappa_threshold", type=float,
-                           help="shrinkage-weight threshold for ht")
+    methods = argparse.ArgumentParser(add_help=False)
+    methods.add_argument("--methods",
+                         help=f"comma list from {', '.join(METHODS)}")
 
     sp = sub.add_parser("simulate", help="generate a synthetic dataset",
-                        parents=[common, sim])
+                        parents=[common])
+    _add_config_flags(sp, "sim")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="run a Gibbs chain on a dataset",
-                        parents=[common, chain])
-    sp.add_argument("--design", help="design CSV (headerless numeric)")
-    sp.add_argument("--response", help="response CSV (single column)")
-    sp.add_argument("--seed", type=int)
-    for name in ("--ig-shape", "--ig-scale", "--ss-beta-a", "--ss-beta-b"):
-        sp.add_argument(name, type=float)
+                        parents=[common])
+    _add_config_flags(sp, "prior", "mcmc")
+    sp.add_argument("--design", required=True,
+                    help="design CSV (headerless numeric)")
+    sp.add_argument("--response", required=True,
+                    help="response CSV (single column)")
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("select", help="apply selectors to a draw file",
-                        parents=[common, selection])
-    sp.add_argument("--draws", help="draw CSV")
+                        parents=[common, methods])
+    _add_config_flags(sp, "selection")
+    sp.add_argument("--draws", required=True, help="draw CSV")
     sp.set_defaults(func=cmd_select)
 
     sp = sub.add_parser("evaluate", help="score a selection against truth",
                         parents=[common])
-    sp.add_argument("--selection", help="selection.csv from the select command")
-    sp.add_argument("--truth", help="truth file (one 1-based index per line)")
+    sp.add_argument("--selection", required=True,
+                    help="selection.csv from the select command")
+    sp.add_argument("--truth", required=True,
+                    help="truth file (one 1-based index per line)")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("bench", help="seeded replicate benchmark",
-                        parents=[common, sim, chain, selection])
-    sp.add_argument("--replicates", type=int)
+                        parents=[common, methods])
+    _add_config_flags(sp, *_SECTIONS, skip=("mcmc.seed",))
     sp.add_argument("--jobs", type=int)
     sp.set_defaults(func=cmd_bench)
 
@@ -462,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=_float_list, default=DEFAULT_TAU_GRID,
                     help="comma list of prior scales")
     sp.add_argument("--a", type=_float_list, default=DEFAULT_A_GRID,
-                    help="comma list of MLE ratios (> 1)")
+                    help="comma list of MLE ratios (>= 1)")
     sp.add_argument("--tol", type=float, default=1e-6,
                     help="quadrature relative error target")
     sp.set_defaults(func=cmd_shrinkmap)

@@ -62,23 +62,19 @@ class TwoVarProblem:
     ``rho`` is the Gram-matrix off-diagonal in [0, 1); ``tau`` the prior
     scale (standard-deviation scale, so the shrinkage weight under the
     normal prior is 1/(1+tau^2)); ``mle`` the MLE pair with
-    ``|mle[0]| >= |mle[1]| > 0``. The error variance is fixed at 1 for the
-    ratio analysis (ratios are free of a common scale) but kept as a field
-    for the integrand.
+    ``|mle[0]| >= |mle[1]| > 0``. The error variance is fixed at 1: the
+    ratios are free of a common scale.
     """
 
     rho: float
     tau: float
     mle: tuple[float, float]
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and 0.0 <= self.rho < 1.0):
             raise InvariantError("rho must lie in [0, 1)")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise InvariantError("tau must be strictly positive")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise InvariantError("sigma2 must be strictly positive")
         x1, x2 = float(self.mle[0]), float(self.mle[1])
         if not (np.isfinite(x1) and np.isfinite(x2)):
             raise InvariantError("mle entries must be finite")
@@ -168,7 +164,7 @@ def _point_part(f1, f2, f3, problem: TwoVarProblem):
     multiplies E by its own prior weight.
     """
     x1, x2 = problem.mle
-    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * problem.sigma2)
+    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
     return log_e, f1 * x1 + f3 * x2, f2 * x2 + f3 * x1
 
 
@@ -286,7 +282,7 @@ def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
 
     The rho part of the integrand comes from the cached
     :func:`_rho_tables` (sizes in the module docstring); only the terms in
-    the MLE pair, sigma2 and tau are evaluated here. The exponential factor
+    the MLE pair and tau are evaluated here. The exponential factor
     is evaluated in log space and normalized by its maximum over the node
     grid; the shift cancels between numerator and denominator.
     """

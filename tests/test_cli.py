@@ -287,6 +287,21 @@ class TestEvaluate:
         assert f"{truth}: line {lineno}" in err and cell in err
         assert not (tmp_path / "eval" / "evaluate.csv").exists()
 
+    def test_selected_indices_must_be_positive_integers(self, tmp_path,
+                                                         capsys):
+        # 0 and -3 used to be scored as two swamped variables, with exit 0.
+        sel = tmp_path / "selection.csv"
+        sel.write_text("method,h,selected,b,level,threshold,error\n"
+                       "2m,1,0 -3 7,,,,\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("7\n")
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel), "--truth", str(truth))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sel}: line 2" in err and "'0'" in err
+        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+
     def test_blank_lines_are_skipped(self, sim_dir, tmp_path):
         sel = tmp_path / "selection.csv"
         sel.write_text("method,h,selected,b,level,threshold,error\n"
@@ -383,6 +398,16 @@ class TestBench:
         monkeypatch.setenv("SHRINKSEL_JOBS", "many")
         assert run("bench", "--out", str(out), *TINY_BENCH) == 2
 
+    def test_every_prior_field_is_a_flag(self, tmp_path):
+        # bench used to refuse --ig-shape and the other prior fields that
+        # fit took.
+        out = tmp_path / "b"
+        assert run("bench", "--out", str(out), *TINY_BENCH,
+                   "--ig-shape", "2", "--ss-beta-b", "9") == 0
+        resolved = json.loads((out / "bench_resolved.json").read_text())
+        assert resolved["prior"]["ig_shape"] == 2.0
+        assert resolved["prior"]["ss_beta_b"] == 9.0
+
     @pytest.mark.parametrize("flag,env,named", [
         (["--jobs", "0"], None, "--jobs"),
         (["--jobs", "-1"], "3", "--jobs"),
@@ -463,6 +488,21 @@ class TestShrinkmap:
         assert code == 2
         err = capsys.readouterr().err
         assert "1.0000001" in err and "shrink_grid_x2_1.csv" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--a", "0.5", "--x2", "1"], "--a 0.5"),
+        (["--tau", "0.5,-1"], "--tau -1"),
+        (["--rho", "1"], "--rho 1"),
+    ], ids=["a-below-one", "negative-tau", "rho-one"])
+    def test_grid_value_outside_its_domain_writes_nothing(self, tmp_path,
+                                                          capsys, flags,
+                                                          named):
+        # Each used to fail inside the grid, after the output directory was
+        # made, with a message that did not name the flag.
+        out = tmp_path / "g"
+        assert run("shrinkmap", "--out", str(out), *flags) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_resolved_file_lists_each_grid_once(self, tmp_path):

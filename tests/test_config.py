@@ -1,10 +1,13 @@
 """The CLI config layer: strict JSON values and the resolved-config record."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from shrinksel.cli import main
+from shrinksel import McmcConfig, PriorSpec, S2mConfig, SimConfig
+from shrinksel.cli import _build_parser, main
 
 SIM_FLAGS = ("-n", "10", "-p", "4", "-r", "1", "--strengths", "3")
 
@@ -143,3 +146,33 @@ def test_bench_record_ignores_the_unused_chain_seed(tmp_path):
         outs.append(out)
     for name in ("bench_resolved.json", "replicates.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+#: The config dataclasses each command builds.
+COMMAND_CONFIGS = {
+    "simulate": [SimConfig], "fit": [PriorSpec, McmcConfig],
+    "select": [S2mConfig], "evaluate": [], "shrinkmap": [],
+    "bench": [SimConfig, PriorSpec, McmcConfig, S2mConfig],
+}
+
+
+def test_every_field_has_exactly_one_flag():
+    # simulate used to lack --replicates and bench --ig-shape and three more
+    # prior fields; --correlated and --uncorrelated were two flags for one
+    # field. bench's one --seed is sim.seed: it leaves mcmc.seed out.
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMAND_CONFIGS)
+    for command, classes in COMMAND_CONFIGS.items():
+        dests = [a.dest for a in subparsers.choices[command]._actions
+                 if a.option_strings]
+        for name in {f.name for cls in classes for f in fields(cls)}:
+            assert dests.count(name) == 1, (command, name)
+
+
+def test_no_flag_overrides_a_true_bool(tmp_path):
+    config = {"sim": {"correlated": True, "cor_pairs": 1}}
+    assert run_simulate(tmp_path, config, *SIM_FLAGS, "--no-correlated") == 0
+    resolved = json.loads(
+        (tmp_path / "out" / "simulate_resolved.json").read_text())
+    assert resolved["sim"]["correlated"] is False

@@ -284,7 +284,7 @@ class TestCachedQuadratureRules:
         f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
         f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
         f3 = -rho * k1 * k2 / d
-        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * pr.sigma2)
+        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
         rest = (d ** -0.5
                 / (1.0 - (1.0 - tau2) * k1)
                 / (1.0 - (1.0 - tau2) * k2))
@@ -402,7 +402,7 @@ def whole_chunk_mc(pr, n_samples, seed, chunk):
         f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
         f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
         f3 = -rho * k1 * k2 / d
-        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / (2.0 * pr.sigma2)
+        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
         phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
         block = np.stack([(f1 * x1 + f3 * x2) * phi, (f2 * x2 + f3 * x1) * phi, phi])
         sums += block.sum(axis=1)
