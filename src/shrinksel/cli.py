@@ -34,7 +34,7 @@ from .samplers import McmcConfig, fit, write_run_manifest
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
     write_selection_report
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
-                        reverse_shrinkage_grid, write_grid_csv)
+                        _check_tol, reverse_shrinkage_grid, write_grid_csv)
 from .simulate import (SimConfig, format_benchmark_table, gen_design,
                        gen_response, replicate_streams, run_benchmark, score,
                        write_benchmark_csv, write_replicate_csv)
@@ -367,6 +367,7 @@ def cmd_shrinkmap(args) -> int:
         for v in values:
             if not (np.isfinite(v) and ok(v)):
                 raise UsageError(f"{flag} {v:g}: must be finite and {rule}")
+    _check_tol(args.tol)
     out = _out_dir(args)
     written = []
     for name, x2 in names.items():

@@ -329,6 +329,9 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     integrated out of the inclusion odds, then the slab variances, the
     inclusion weight and the error variance. Excluded coordinates have
     beta_j exactly 0, and their slab variance is refreshed from its prior.
+    The sweep carries X'r and moves it by the Gram column X'x_j only when
+    beta_j changes (the covariance updates of Friedman, Hastie & Tibshirani
+    2010); at most n columns of length p are cached, the design's size.
     Deterministic per seed.
 
     ``init_state`` overrides the default start (beta = 0, sigma2 = 1,
@@ -346,16 +349,15 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
 
 
 def _spike_slab_sweeps(rng, x, y, state, prior):
-    x = np.asfortranarray(x)  # contiguous columns for the coordinate loop
+    x = np.asfortranarray(x)  # contiguous columns for the Gram columns
     n, p = x.shape
     col_norm2 = np.sum(x * x, axis=0)
     a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b
     beta = state.beta
     z = state.z
     resid = y - x @ beta
-    rdot = resid.dot  # resid is only updated in place from here on
-    cols = [x[:, j] for j in range(p)]
     norm2 = col_norm2.tolist()
+    gram_cols = {}  # X'x_j by j, computed on first use
     while True:
         sigma2 = state.sigma2
         sj2 = state.sigma_j2
@@ -372,10 +374,11 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
         q = q.tolist()
         b = beta.tolist()
         zs = z.tolist()
+        g = x.T @ resid  # X'r, moved along with beta below
         for j in range(p):
-            xj, old = cols[j], b[j]
+            old = b[j]
             # Partial residual statistic with coordinate j removed.
-            tj = float(rdot(xj)) + norm2[j] * old
+            tj = g.item(j) + norm2[j] * old
             if logit_u[j] < log_odds0[j] + tj * tj * half_prec[j]:
                 zs[j] = 1
                 new = tj / q[j] + slab_noise[j]
@@ -383,7 +386,12 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
                 zs[j] = 0
                 new = 0.0
             if new != old:
-                resid += xj * (old - new)
+                col = gram_cols.get(j)
+                if col is None:
+                    col = x.T @ x[:, j]
+                    if len(gram_cols) < n:
+                        gram_cols[j] = col
+                g -= (new - old) * col
                 b[j] = new
         beta[:] = b
         z[:] = zs
@@ -398,7 +406,7 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
         include_w = rng.beta(a_beta + k, b_beta + p - k)
         state.pi = min(max(1.0 - include_w, 1e-12), 1.0 - 1e-12)
 
-        resid[:] = y - x @ beta
+        resid = y - x @ beta
         slab_term = float(np.sum(beta ** 2 / state.sigma_j2))
         state.sigma2 = float(_inv_gamma(
             rng, prior.ig_shape + 0.5 * (n + k),

@@ -494,7 +494,8 @@ class TestShrinkmap:
         (["--a", "0.5", "--x2", "1"], "--a 0.5"),
         (["--tau", "0.5,-1"], "--tau -1"),
         (["--rho", "1"], "--rho 1"),
-    ], ids=["a-below-one", "negative-tau", "rho-one"])
+        (["--tol", "0"], "tol must be finite and > 0"),
+    ], ids=["a-below-one", "negative-tau", "rho-one", "tol-zero"])
     def test_grid_value_outside_its_domain_writes_nothing(self, tmp_path,
                                                           capsys, flags,
                                                           named):

@@ -522,11 +522,17 @@ class TestBlasPin:
         assert np.array_equal(pinned.tau, plain.tau)
 
 
-def _reference_spike_slab(data, prior, mcmc, init):
+def _reference_spike_slab(data, prior, mcmc, init, direct_dot=False):
     """The spike-and-slab sweep as a plain loop, one update at a time.
 
+    Each sweep starts from g = X'r and reads the partial residual statistic
+    of coordinate j as g_j + ||x_j||^2 beta_j; when beta_j changes, g moves
+    by the Gram column X'x_j, computed afresh every time. With
+    ``direct_dot`` the loop carries the residual instead and takes one
+    length-n dot per coordinate: the same chain up to rounding.
+
     The design is copied to column-major order, as the sampler does, so
-    the column dots and the residual product run the same BLAS kernels.
+    the products run the same BLAS kernels.
     """
     x, y = np.asfortranarray(data.x), data.y
     n, p = x.shape
@@ -550,9 +556,11 @@ def _reference_spike_slab(data, prior, mcmc, init):
                      - 0.5 * np.log1p(sj2 * col_norm2))
         half_prec = 0.5 / (sigma2 * q)
         slab_noise = np.sqrt(sigma2 / q) * rng.standard_normal(p)
+        g = x.T @ resid
         for j in range(p):
             old = float(beta[j])
-            tj = float(resid @ x[:, j]) + float(col_norm2[j]) * old
+            xtr = float(resid @ x[:, j]) if direct_dot else float(g[j])
+            tj = xtr + float(col_norm2[j]) * old
             if logit_u[j] < log_odds0[j] + tj * tj * half_prec[j]:
                 z[j] = 1
                 new = tj / float(q[j]) + float(slab_noise[j])
@@ -560,7 +568,10 @@ def _reference_spike_slab(data, prior, mcmc, init):
                 z[j] = 0
                 new = 0.0
             if new != old:
-                resid += x[:, j] * (old - new)
+                if direct_dot:
+                    resid += x[:, j] * (old - new)
+                else:
+                    g -= (new - old) * (x.T @ x[:, j])
                 beta[j] = new
         sj2 = _plain_inv_gamma(rng, prior.ig_shape + 0.5 * z,
                                prior.ig_scale + 0.5 * beta ** 2 / sigma2)
@@ -580,17 +591,19 @@ def _reference_spike_slab(data, prior, mcmc, init):
 
 
 class TestSpikeSlabAgainstReferenceLoop:
-    """fit_spike_slab reproduces the plain Gibbs loop bit for bit."""
+    """fit_spike_slab reproduces the plain Gibbs loop bit for bit, and the
+    direct-dot loop up to the rounding of X'r."""
 
-    @pytest.mark.parametrize("with_init", [False, True])
-    @pytest.mark.parametrize("n,p", [(60, 12), (30, 70)])
-    def test_bit_identical(self, n, p, with_init):
+    CASES = pytest.mark.parametrize("n,p,with_init", [
+        (n, p, with_init) for n, p in ((60, 12), (30, 70))
+        for with_init in (False, True)])
+
+    def _case(self, n, p, with_init):
         gen = np.random.default_rng(n * p)
         x = gen.standard_normal((n, p))
         beta_t = np.zeros(p)
         beta_t[:3] = (5.0, -4.0, 3.0)
         data = Dataset(y=x @ beta_t + gen.standard_normal(n), x=x)
-        prior = PriorSpec.spike_slab()
         # A short burn-in: chains on one stream can coalesce, so late draws
         # need not show the start.
         mcmc = McmcConfig(iterations=200, burn_in=1, thin=2, seed=23)
@@ -599,10 +612,29 @@ class TestSpikeSlabAgainstReferenceLoop:
             init = ChainState(beta=beta_t, sigma2=2.0,
                               z=(beta_t != 0).astype(np.int64), pi=0.8,
                               sigma_j2=gen.uniform(0.5, 2.0, p))
+        return data, PriorSpec.spike_slab(), mcmc, init
+
+    @CASES
+    def test_bit_identical(self, n, p, with_init):
+        data, prior, mcmc, init = self._case(n, p, with_init)
         got = fit_spike_slab(data, prior, mcmc, init_state=init)
         ref = _reference_spike_slab(data, prior, mcmc, init)
         for name in ("beta", "sigma2", "z", "pi"):
             assert np.array_equal(getattr(got, name), ref[name]), name
+
+    @CASES
+    def test_matches_direct_dot_loop(self, n, p, with_init):
+        data, prior, mcmc, init = self._case(n, p, with_init)
+        got = fit_spike_slab(data, prior, mcmc, init_state=init)
+        ref = _reference_spike_slab(data, prior, mcmc, init, direct_dot=True)
+        assert np.array_equal(got.z, ref["z"])
+        assert np.array_equal(got.pi, ref["pi"])
+        assert got.beta == pytest.approx(ref["beta"], rel=1e-12)
+        assert got.sigma2 == pytest.approx(ref["sigma2"], rel=1e-12)
+        if p > n:
+            # More coordinates enter than the n Gram columns the sampler
+            # keeps, so the columns past that bound are computed per use.
+            assert np.count_nonzero(got.z.any(axis=0)) > n
 
 
 class TestPartialInitState:
