@@ -329,9 +329,9 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     integrated out of the inclusion odds, then the slab variances, the
     inclusion weight and the error variance. Excluded coordinates have
     beta_j exactly 0, and their slab variance is refreshed from its prior.
-    The sweep carries X'r and moves it by the Gram column X'x_j only when
-    beta_j changes (the covariance updates of Friedman, Hastie & Tibshirani
-    2010); at most n columns of length p are cached, the design's size.
+    At p <= n the sweep carries X'r, moved by the cached Gram column X'x_j
+    (at most p <= n, of length p) when beta_j changes: the covariance updates
+    of Friedman, Hastie & Tibshirani (2010). At p > n it carries the residual.
     Deterministic per seed.
 
     ``init_state`` overrides the default start (beta = 0, sigma2 = 1,
@@ -349,15 +349,17 @@ def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
 
 
 def _spike_slab_sweeps(rng, x, y, state, prior):
-    x = np.asfortranarray(x)  # contiguous columns for the Gram columns
+    x = np.asfortranarray(x)  # contiguous columns for the coordinate loop
     n, p = x.shape
     col_norm2 = np.sum(x * x, axis=0)
     a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b
     beta = state.beta
     z = state.z
     resid = y - x @ beta
+    rdot = resid.dot  # resid is only updated in place from here on
+    cols = [x[:, j] for j in range(p)]
     norm2 = col_norm2.tolist()
-    gram_cols = {}  # X'x_j by j, computed on first use
+    gram = {} if p <= n else None  # X'x_j by j, filled on first use
     while True:
         sigma2 = state.sigma2
         sj2 = state.sigma_j2
@@ -374,11 +376,11 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
         q = q.tolist()
         b = beta.tolist()
         zs = z.tolist()
-        g = x.T @ resid  # X'r, moved along with beta below
+        g = None if gram is None else x.T @ resid
         for j in range(p):
-            old = b[j]
+            xj, old = cols[j], b[j]
             # Partial residual statistic with coordinate j removed.
-            tj = g.item(j) + norm2[j] * old
+            tj = (float(rdot(xj)) if g is None else g.item(j)) + norm2[j] * old
             if logit_u[j] < log_odds0[j] + tj * tj * half_prec[j]:
                 zs[j] = 1
                 new = tj / q[j] + slab_noise[j]
@@ -386,12 +388,12 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
                 zs[j] = 0
                 new = 0.0
             if new != old:
-                col = gram_cols.get(j)
-                if col is None:
-                    col = x.T @ x[:, j]
-                    if len(gram_cols) < n:
-                        gram_cols[j] = col
-                g -= (new - old) * col
+                if g is None:
+                    resid += xj * (old - new)
+                else:
+                    if j not in gram:
+                        gram[j] = x.T @ xj
+                    g -= (new - old) * gram[j]
                 b[j] = new
         beta[:] = b
         z[:] = zs
@@ -406,7 +408,7 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
         include_w = rng.beta(a_beta + k, b_beta + p - k)
         state.pi = min(max(1.0 - include_w, 1e-12), 1.0 - 1e-12)
 
-        resid = y - x @ beta
+        resid[:] = y - x @ beta
         slab_term = float(np.sum(beta ** 2 / state.sigma_j2))
         state.sigma2 = float(_inv_gamma(
             rng, prior.ig_shape + 0.5 * (n + k),
