@@ -99,35 +99,41 @@ def _inv_gamma(rng: Generator, shape, scale):
     return np.maximum(scale / np.maximum(g, _TINY), _TINY)
 
 
-def _draw_beta_woodbury(rng, x, y, d, sigma):
+def _draw_beta_woodbury(rng, x, y, d, sigma, xs=None, m=None):
     """Exact draw of beta ~ N(A^-1 X'y, sigma2 A^-1), A = X'X + diag(d)^-1.
 
-    Reduces the p x p solve to one n x n solve, which wins when p > n.
+    Reduces the p x p solve to one n x n Cholesky solve, which wins when
+    p > n. ``xs`` (n x p) and ``m`` (n x n) are optional work arrays.
     """
     n, p = x.shape
     sd = np.sqrt(d)
     u = sd * rng.standard_normal(p)
     v = x @ u + rng.standard_normal(n)
     # xs @ xs.T is a BLAS syrk: half the flops of a general product.
-    xs = x * sd
-    m = xs @ xs.T
+    xs = np.multiply(x, sd, out=xs)
+    m = np.matmul(xs, xs.T, out=m)
     m.flat[::n + 1] += 1.0
-    w = np.linalg.solve(m, y / sigma - v)
-    return sigma * (u + d * (x.T @ w))
+    beta = x.T @ _spd_solve(m, y / sigma - v)
+    beta *= d
+    beta += u
+    beta *= sigma
+    return beta
 
 
-def _draw_beta_dense(rng, x, gram, xty, d, sigma):
-    """Exact draw with one p x p solve (p <= n path).
+def _draw_beta_dense(rng, x, gram, xty, d, sigma, a=None):
+    """Exact draw with one p x p Cholesky solve (p <= n path).
 
     w = X'e1 + d^-1/2 e2 has covariance A, so A^-1 (X'y + sigma w) has
-    mean A^-1 X'y and covariance sigma2 A^-1 without a Cholesky factor.
+    mean A^-1 X'y and covariance sigma2 A^-1: the noise needs no factor of
+    its own. ``a`` (p x p) is an optional work array.
     """
     n, p = x.shape
     e = rng.standard_normal(n + p)
-    a = gram.copy()
+    a = np.empty_like(gram) if a is None else a
+    np.copyto(a, gram)
     a.flat[::p + 1] += 1.0 / d
     w = x.T @ e[:n] + e[n:] / np.sqrt(d)
-    return np.linalg.solve(a, xty + sigma * w)
+    return _spd_solve(a, xty + sigma * w)
 
 
 def _draw_truncated_inv_gamma(rng, shape, scale, upper):
@@ -143,21 +149,64 @@ def _draw_truncated_inv_gamma(rng, shape, scale, upper):
 
 
 @functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded once, or None for another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(path)
+    return None
+
+
+def _openblas_call(name, argtypes, restype):
+    """Function ``name`` of :func:`_openblas` with its C signature, or None."""
+    fn = getattr(_openblas(), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+@functools.cache
 def _blas_thread_calls():
     """The thread-count getter and setter of numpy's bundled OpenBLAS, or
     None when numpy ships another BLAS or the symbols are missing."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    calls = (_openblas_call("scipy_openblas_get_num_threads64_", [],
+                            ctypes.c_int),
+             _openblas_call("scipy_openblas_set_num_threads64_",
+                            [ctypes.c_int], None))
+    return calls if all(calls) else None
+
+
+@functools.cache
+def _dposv():
+    """LAPACK ``dposv`` (64-bit integers) of numpy's OpenBLAS, or None."""
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    # uplo, n, nrhs, a, lda, b, ldb, info, then uplo's hidden Fortran length.
+    return _openblas_call("scipy_dposv_64_",
+                          [ctypes.c_char_p, i64, i64, ctypes.c_void_p, i64,
+                           ctypes.c_void_p, i64, i64, ctypes.c_size_t], None)
+
+
+def _spd_solve(a, b):
+    """Solve a x = b, ``a`` symmetric positive definite, by LAPACK ``dposv``
+    in place: a Cholesky factor overwrites ``a``, and x (NaN where ``a`` is
+    not positive definite) overwrites ``b``. Without numpy's bundled
+    OpenBLAS it is ``np.linalg.solve``, which rounds differently."""
+    dposv = _dposv()
+    if dposv is None:
+        return np.linalg.solve(a, b)
+    k = len(b)
+    if not (a.shape == (k, k) and b.shape == (k,) and a.flags.c_contiguous
+            and b.flags.c_contiguous and a.dtype == b.dtype == np.float64):
+        raise ValueError("dposv needs C-contiguous float64 a (k x k), b (k)")
+    k, one, info = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64()
+    # a is symmetric: its row-major buffer is its column-major one too.
+    dposv(b"L", k, one, a.ctypes.data, k, b.ctypes.data, k, info, 1)
+    if info.value < 0:
+        raise RuntimeError(f"dposv refused its argument {-info.value}")
+    if info.value:  # not positive definite, e.g. a non-finite entry
+        b.fill(np.nan)
+    return b
 
 
 _pin_lock = threading.Lock()
@@ -261,11 +310,12 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
     """Run the horseshoe Gibbs chain and return the retained draws.
 
     ``beta`` is drawn from its exact multivariate-normal conditional,
-    through an n x n solve when p > n and a p x p solve otherwise
+    through an n x n Cholesky solve when p > n and a p x p one otherwise
     (``beta_update`` in {"auto", "dense", "woodbury"} forces a path, used
-    for cross-validation of the two). The global variance scale is kept
-    at or below ``prior.tau_upper`` when that bound is set. Identical
-    inputs (including the seed) reproduce the output bit for bit.
+    for cross-validation of the two); see :func:`_spd_solve`. The global
+    variance scale is kept at or below ``prior.tau_upper`` when that bound
+    is set. Identical inputs (including the seed) reproduce the output bit
+    for bit on one numpy build.
 
     ``init_state`` overrides the default deterministic initialization
     (beta = 0, sigma2 = 1, lam = nu = xi = 1, tau = min(1, tau_upper));
@@ -288,14 +338,17 @@ def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
 def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
     n, p = x.shape
     gram, xty = (None, None) if use_woodbury else (x.T @ x, x.T @ y)
+    # The beta draw's work arrays, refilled every sweep.
+    work = ((np.empty((n, p)), np.empty((n, n))) if use_woodbury
+            else (np.empty((p, p)),))
     tau_upper = prior.tau_upper
     sigma2_shape, tau_shape = prior.ig_shape + 0.5 * (n + p), 0.5 * (p + 1)
     while True:
         d = state.tau * state.lam
         sigma = math.sqrt(state.sigma2)
         beta = state.beta = (
-            _draw_beta_woodbury(rng, x, y, d, sigma) if use_woodbury
-            else _draw_beta_dense(rng, x, gram, xty, d, sigma))
+            _draw_beta_woodbury(rng, x, y, d, sigma, *work) if use_woodbury
+            else _draw_beta_dense(rng, x, gram, xty, d, sigma, *work))
         b2 = beta * beta
 
         resid = y - x @ beta
@@ -306,9 +359,11 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
 
         # The Gamma(1) draws of lam, then of nu: the stream of two calls.
         g = np.maximum(rng.standard_gamma(1.0, size=2 * p), _TINY)
-        lam_scale = 1.0 / state.nu + b2 / (2.0 * state.sigma2 * state.tau)
-        state.lam = np.maximum(lam_scale / g[:p], _TINY)
-        state.nu = np.maximum((1.0 + 1.0 / state.lam) / g[p:], _TINY)
+        lam, nu = state.lam, state.nu  # updated in place
+        np.add(1.0 / nu, b2 / (2.0 * state.sigma2 * state.tau), out=lam)
+        np.maximum(np.divide(lam, g[:p], out=lam), _TINY, out=lam)
+        np.add(1.0, 1.0 / lam, out=nu)
+        np.maximum(np.divide(nu, g[p:], out=nu), _TINY, out=nu)
 
         tau_scale = 1.0 / state.xi + \
             0.5 * float((b2 / state.lam).sum()) / state.sigma2

@@ -182,6 +182,83 @@ class TestBetaDrawOneStep:
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
 
 
+class TestSpdSolve:
+    """The Cholesky solve of both beta draws against ``np.linalg.solve``."""
+
+    @staticmethod
+    def _matches_lu(a, b):
+        want = np.linalg.solve(a, b)
+        got = samplers._spd_solve(a.copy(), b.copy())
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_woodbury_matrix(self):
+        """I + X D X' at n=50, p=301."""
+        gen = np.random.default_rng(11)
+        d = gen.uniform(0.2, 3.0, 301)
+        xs = gen.standard_normal((50, 301)) * np.sqrt(d)
+        m = xs @ xs.T
+        m.flat[::51] += 1.0
+        self._matches_lu(m, gen.standard_normal(50))
+
+    @pytest.mark.parametrize("low,high", [(0.2, 3.0), (1e-6, 1e3)])
+    def test_dense_matrix(self, low, high):
+        """X'X + D^-1 at n=200, p=101, d log-uniform on [low, high]."""
+        gen = np.random.default_rng(12)
+        x = gen.standard_normal((200, 101))
+        d = np.exp(gen.uniform(math.log(low), math.log(high), 101))
+        a = x.T @ x
+        a.flat[::102] += 1.0 / d
+        self._matches_lu(a, gen.standard_normal(101))
+
+    @pytest.fixture
+    def lapack(self):
+        if samplers._dposv() is None:
+            pytest.skip("numpy's bundled OpenBLAS lacks dposv")
+
+    def test_not_positive_definite_is_non_finite(self, lapack):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert not np.any(np.isfinite(samplers._spd_solve(a, np.ones(2))))
+
+    @pytest.mark.parametrize("a,b", [
+        (np.eye(3, dtype=np.float32), np.ones(3)),   # not float64
+        (np.eye(4)[::2, ::2], np.ones(2)),           # not contiguous
+        (np.eye(3), np.ones((3, 1))),                # b not a vector
+        (np.eye(3), np.ones(2)),                     # sizes differ
+    ])
+    def test_unfit_buffers_refused(self, lapack, a, b):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            samplers._spd_solve(a, b)
+
+    def test_refused_argument_raises(self, lapack):
+        # An empty system has lda = 0, below LAPACK's minimum of 1.
+        with pytest.raises(RuntimeError, match="argument 5"):
+            samplers._spd_solve(np.empty((0, 0)), np.empty(0))
+
+    @pytest.mark.parametrize("path", ["dense", "woodbury"])
+    def test_without_openblas_draws_by_lu_solve(self, path, monkeypatch):
+        monkeypatch.setattr(samplers, "_dposv", lambda: None)
+        gen = np.random.default_rng(13)
+        n, p = (40, 10) if path == "dense" else (10, 40)
+        x, y = gen.standard_normal((n, p)), gen.standard_normal(n)
+        d, sigma = gen.uniform(0.2, 3.0, p), 0.7
+        rng = _rng(5)
+        if path == "dense":
+            got = _draw_beta_dense(rng, x, x.T @ x, x.T @ y, d, sigma)
+            e = _rng(5).standard_normal(n + p)
+            w = x.T @ e[:n] + e[n:] / np.sqrt(d)
+            want = np.linalg.solve(x.T @ x + np.diag(1.0 / d),
+                                   x.T @ y + sigma * w)
+        else:
+            got = _draw_beta_woodbury(rng, x, y, d, sigma)
+            ref = _rng(5)
+            u = np.sqrt(d) * ref.standard_normal(p)
+            v = x @ u + ref.standard_normal(n)
+            xs = x * np.sqrt(d)
+            w = np.linalg.solve(xs @ xs.T + np.eye(n), y / sigma - v)
+            want = sigma * (u + d * (x.T @ w))
+        assert np.array_equal(got, want)
+
+
 class TestSpikeSlab:
     def test_inclusion_matches_exact_enumeration(self, signal_data):
         prior = PriorSpec.spike_slab()
@@ -286,8 +363,10 @@ def _plain_truncated_inv_gamma(rng, shape, scale, upper):
 def _reference_horseshoe(data, prior, mcmc, init, path):
     """The horseshoe loop as first written, one Gibbs update at a time.
 
-    Its only change is the Woodbury matrix, formed as xs @ xs.T with
-    xs = x * sqrt(d) instead of (x * d) @ x.T; the dense path is verbatim.
+    Its changes: the Woodbury matrix is formed as xs @ xs.T with
+    xs = x * sqrt(d) instead of (x * d) @ x.T, and both beta draws solve
+    with the Cholesky helper ``_spd_solve`` (checked against
+    ``np.linalg.solve`` in ``TestSpdSolve``) instead of an LU solve.
     """
     x, y = data.x, data.y
     n, p = x.shape
@@ -307,14 +386,14 @@ def _reference_horseshoe(data, prior, mcmc, init, path):
             xs = x * np.sqrt(d)
             m = xs @ xs.T
             m[np.diag_indices_from(m)] += 1.0
-            w = np.linalg.solve(m, y / sigma - v)
+            w = samplers._spd_solve(m, y / sigma - v)
             beta = sigma * (u + d * (x.T @ w))
         else:
             e = rng.standard_normal(n + p)
             a = gram.copy()
             a[np.diag_indices_from(a)] += 1.0 / d
             w = x.T @ e[:n] + e[n:] / np.sqrt(d)
-            beta = np.linalg.solve(a, xty + sigma * w)
+            beta = samplers._spd_solve(a, xty + sigma * w)
         resid = y - x @ beta
         scaled_b2 = beta ** 2 / lam
         sigma2 = float(_plain_inv_gamma(
