@@ -1,18 +1,16 @@
 """Command-line entry point for reproducible batch runs.
 
-Subcommands: simulate, fit, select, evaluate, bench, shrinkmap. Every
-command is config-file-first (JSON) with flag overrides, writes its fully
-resolved configuration beside its outputs, and derives all randomness from
-one master seed. Output files are written atomically. Exit codes: 0 on
-success, 1 on internal failure, 2 on user/config errors.
+Subcommands: simulate, fit, select, evaluate, bench, shrinkmap. simulate,
+fit, select and bench read an optional JSON config file (``--config``)
+with flag overrides. Every command writes its fully resolved configuration
+beside its outputs and derives all randomness from one master seed. Output
+files are written atomically. Exit codes: 0 on success, 1 on internal
+failure, 2 on user/config errors.
 
 A config file holds one section per config dataclass (``sim``, ``prior``,
 ``mcmc``, ``selection``) whose keys are exactly that dataclass's fields,
 plus a top-level ``methods`` list. Each field has one flag, ``--field-name``
 unless ``_FLAGS`` names another, whose argparse ``dest`` is the field.
-
-Environment overrides exist for exactly two things: ``SHRINKSEL_OUTDIR``
-(default output directory) and ``SHRINKSEL_JOBS`` (``bench`` worker count).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .samplers import McmcConfig, fit, write_run_manifest
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
     write_selection_report
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
-                        _check_tol, reverse_shrinkage_grid, write_grid_csv)
+                        reverse_shrinkage_grid, write_grid_csv)
 from .simulate import (SimConfig, format_benchmark_table, gen_design,
                        gen_response, replicate_streams, run_benchmark, score,
                        write_benchmark_csv, write_replicate_csv)
@@ -138,8 +136,6 @@ def _build(section: str, config: dict, args):
             values[name] = getattr(args, name)
     kwargs = {k: _coerce(v, hints[k], f"{section}.{k}")
               for k, v in values.items()}
-    if cls is SimConfig and len(kwargs.get("strengths", ())) == 1:
-        kwargs["strengths"] *= kwargs["r"]  # one strength broadcasts to all r
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING:
             raise UsageError(f"{section}.{f.name} is required "
@@ -148,7 +144,7 @@ def _build(section: str, config: dict, args):
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("SHRINKSEL_OUTDIR") or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -165,10 +161,7 @@ def _positive_int(value, where: str) -> int:
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return _positive_int(args.jobs, "--jobs")
-    env = os.environ.get("SHRINKSEL_JOBS")
-    return _positive_int(env, "SHRINKSEL_JOBS") if env else 1
+    return 1 if args.jobs is None else _positive_int(args.jobs, "--jobs")
 
 
 def _float_list(text: str) -> list[float]:
@@ -367,12 +360,10 @@ def cmd_shrinkmap(args) -> int:
         for v in values:
             if not (np.isfinite(v) and ok(v)):
                 raise UsageError(f"{flag} {v:g}: must be finite and {rule}")
-    _check_tol(args.tol)
     out = _out_dir(args)
     written = []
     for name, x2 in names.items():
-        points = reverse_shrinkage_grid(args.rho, args.tau, args.a, x2=x2,
-                                        tol=args.tol)
+        points = reverse_shrinkage_grid(args.rho, args.tau, args.a, x2=x2)
         path = os.path.join(out, name)
         write_grid_csv(points, path)
         n_blue = sum(p.reverse for p in points)
@@ -382,8 +373,7 @@ def cmd_shrinkmap(args) -> int:
               f"{n_fail} quadrature failures -> {path}")
     _write_resolved(out, "shrinkmap", {
         "rho": list(args.rho), "tau": list(args.tau), "a": list(args.a),
-        "x2": list(x2_values), "tol": args.tol,
-        "files": written,
+        "x2": list(x2_values), "files": written,
     })
     return EXIT_OK
 
@@ -415,21 +405,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flag groups shared by several subcommands, attached as parents.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output directory "
-                        "(default: $SHRINKSEL_OUTDIR or .)")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", help="output directory (default: .)")
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", help="JSON config file")
     methods = argparse.ArgumentParser(add_help=False)
     methods.add_argument("--methods",
                          help=f"comma list from {', '.join(METHODS)}")
 
     sp = sub.add_parser("simulate", help="generate a synthetic dataset",
-                        parents=[common])
+                        parents=[out_flag, config_flag])
     _add_config_flags(sp, "sim")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="run a Gibbs chain on a dataset",
-                        parents=[common])
+                        parents=[out_flag, config_flag])
     _add_config_flags(sp, "prior", "mcmc")
     sp.add_argument("--design", required=True,
                     help="design CSV (headerless numeric)")
@@ -438,13 +428,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("select", help="apply selectors to a draw file",
-                        parents=[common, methods])
+                        parents=[out_flag, config_flag, methods])
     _add_config_flags(sp, "selection")
     sp.add_argument("--draws", required=True, help="draw CSV")
     sp.set_defaults(func=cmd_select)
 
     sp = sub.add_parser("evaluate", help="score a selection against truth",
-                        parents=[common])
+                        parents=[out_flag])
     sp.add_argument("--selection", required=True,
                     help="selection.csv from the select command")
     sp.add_argument("--truth", required=True,
@@ -452,13 +442,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("bench", help="seeded replicate benchmark",
-                        parents=[common, methods])
+                        parents=[out_flag, config_flag, methods])
     _add_config_flags(sp, *_SECTIONS, skip=("mcmc.seed",))
     sp.add_argument("--jobs", type=int)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("shrinkmap", help="reverse-shrinkage classification grid",
-                        parents=[common])
+                        parents=[out_flag])
     sp.add_argument("--x2", type=float, action="append",
                     help="smaller MLE value; repeat for several grids")
     sp.add_argument("--rho", type=_float_list, default=DEFAULT_RHO_GRID,
@@ -467,8 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma list of prior scales")
     sp.add_argument("--a", type=_float_list, default=DEFAULT_A_GRID,
                     help="comma list of MLE ratios (>= 1)")
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="quadrature relative error target")
     sp.set_defaults(func=cmd_shrinkmap)
     return parser
 

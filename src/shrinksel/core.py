@@ -17,9 +17,10 @@ import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 HORSESHOE = "horseshoe"
 SPIKE_SLAB = "spike-slab"
@@ -34,6 +35,16 @@ _FLOAT_FMT = "%.17g"
 
 class InvariantError(ValueError):
     """A domain object or file violates one of its documented invariants."""
+
+
+def _rng(seed: Union[int, SeedSequence]) -> Generator:
+    """The package's one RNG: counter-based Philox seeded through SeedSequence.
+
+    Distinct seeds (or spawned sequences) give independent streams, and a
+    repeated seed reproduces the stream bit for bit.
+    """
+    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    return Generator(Philox(seq))
 
 
 def _readonly(a, dtype=float) -> np.ndarray:

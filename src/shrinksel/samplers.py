@@ -33,10 +33,10 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator
 
 from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, SPIKE_SLAB, _LATENTS, atomic_write_lines)
+                   PriorSpec, SPIKE_SLAB, _LATENTS, _rng, atomic_write_lines)
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
@@ -85,10 +85,6 @@ class ChainState:
     z: Optional[np.ndarray] = None
     pi: Optional[float] = None
     sigma_j2: Optional[np.ndarray] = None
-
-
-def _rng(seed: int) -> Generator:
-    return Generator(Philox(SeedSequence(seed)))
 
 
 def _inv_gamma(rng: Generator, shape, scale):

@@ -32,9 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, Philox, SeedSequence
 
-from .core import InvariantError, atomic_write_lines
+from .core import InvariantError, _rng, atomic_write_lines
 
 #: Default classification grids (two MLE levels mirror the two panels).
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.94, 0.9951, 0.01), 2))
@@ -43,12 +42,13 @@ DEFAULT_A_GRID = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_X2_VALUES = (1.0, 1.5)
 
 _QUAD_ORDERS = (16, 32, 64, 128, 256, 512)
+_TOL = 1e-6  # relative change between orders at which quadrature stops
 _MC_CHUNK = 1_000_000  # uniforms drawn per RNG call (16 MB for the pair)
 _MC_BLOCK = 1 << 15  # samples per cache-sized slice of the MC pipeline
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested relative error."""
+    """Quadrature failed to reach its relative error target."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
@@ -303,14 +303,13 @@ def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     return -num1 / (x1 * den), -num2 / (x2 * den)
 
 
-def hs_shrinkage(problem: TwoVarProblem, tol: float = 1e-6) -> HsEstimate:
+def hs_shrinkage(problem: TwoVarProblem) -> HsEstimate:
     """Horseshoe posterior mean with adaptive quadrature-order refinement.
 
     The order doubles until the intermediate factors change by less than
-    ``tol`` relative; on failure a :class:`QuadratureError` carries the
+    ``_TOL`` relative; on failure a :class:`QuadratureError` carries the
     achieved estimate.
     """
-    _check_tol(tol)
     prev = None
     err = math.inf
     for order in _QUAD_ORDERS:
@@ -318,24 +317,19 @@ def hs_shrinkage(problem: TwoVarProblem, tol: float = 1e-6) -> HsEstimate:
         if prev is not None:
             scale = max(abs(r1), abs(r2), 1e-300)
             err = max(abs(r1 - prev[0]), abs(r2 - prev[1])) / scale
-            if err < tol:
+            if err < _TOL:
                 s1, s2, est = _compose_estimate(problem, r1, r2)
                 return HsEstimate(estimate=est, r1=r1, r2=r2, s1=s1, s2=s2,
                                   quad_error=err, order=order)
         prev = (r1, r2)
     raise QuadratureError(
-        f"quadrature did not converge to relative {tol:g} by order "
+        f"quadrature did not converge to relative {_TOL:g} by order "
         f"{_QUAD_ORDERS[-1]} (achieved {err:g})", achieved=err)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvariantError(f"tol must be finite and > 0, got {tol!r}")
-
-
-def hs_estimator(problem: TwoVarProblem, tol: float = 1e-6) -> tuple[float, float]:
+def hs_estimator(problem: TwoVarProblem) -> tuple[float, float]:
     """Horseshoe posterior mean of the coefficient pair."""
-    return hs_shrinkage(problem, tol=tol).estimate
+    return hs_shrinkage(problem).estimate
 
 
 def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
@@ -353,7 +347,7 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
         raise InvariantError("n_samples must be at least 1")
     tau = problem.tau
     x1, x2 = problem.mle
-    rng = Generator(Philox(SeedSequence(seed)))
+    rng = _rng(seed)
 
     sums = np.zeros(3)
     prods = np.zeros((3, 3))
@@ -393,10 +387,10 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     return McEstimate(estimate=est, se=se, r1=r1, r2=r2, n_samples=n_samples)
 
 
-def _grid_point(rho, tau, a, x2, tol) -> ShrinkGridPoint:
+def _grid_point(rho, tau, a, x2) -> ShrinkGridPoint:
     problem = TwoVarProblem(rho=rho, tau=tau, mle=(a * x2, x2))
     try:
-        res = hs_shrinkage(problem, tol=tol)
+        res = hs_shrinkage(problem)
     except QuadratureError as exc:
         return ShrinkGridPoint(problem=problem, ratio_mle=problem.a,
                                ratio_shrunk=math.nan, reverse=False,
@@ -412,8 +406,7 @@ def _grid_point(rho, tau, a, x2, tol) -> ShrinkGridPoint:
 def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
                            tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
                            a_grid: Sequence[float] = DEFAULT_A_GRID,
-                           x2: float = 1.0,
-                           tol: float = 1e-6) -> list[ShrinkGridPoint]:
+                           x2: float = 1.0) -> list[ShrinkGridPoint]:
     """Classify every (rho, tau, A) combination at a fixed smaller MLE.
 
     Points are evaluated independently and returned in grid order (rho
@@ -421,8 +414,7 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     built once. Quadrature failures are recorded on the point rather than
     raised.
     """
-    _check_tol(tol)
-    return [_grid_point(float(r), float(t), float(a), float(x2), tol)
+    return [_grid_point(float(r), float(t), float(a), float(x2))
             for r in rho_grid for t in tau_grid for a in a_grid]
 
 

@@ -21,10 +21,10 @@ from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, SeedSequence
 
 from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
-                   PriorSpec, _map_jobs, _present, atomic_write_lines)
+                   PriorSpec, _map_jobs, _present, _rng, atomic_write_lines)
 from .samplers import McmcConfig, fit
 from .selection import S2mConfig, run_selector
 
@@ -35,13 +35,14 @@ _COR_RETRIES = 20
 class SimConfig:
     """One synthetic-benchmark setting.
 
-    ``strengths`` lists the nonzero coefficients (length ``r``); signal
-    positions are drawn uniformly among the covariate columns under the
-    master ``seed``. With ``correlated``, ``cor_pairs`` noise columns are
-    rebuilt as near-copies of distinct signal columns with empirical
-    correlation above ``cor_target``. ``intercept`` appends an all-ones
-    column after the ``p`` covariates; it is fitted but excluded from
-    selection, truth and scoring.
+    ``strengths`` lists the nonzero coefficients (length ``r``; a single
+    strength broadcasts to all ``r`` signals); signal positions are drawn
+    uniformly among the covariate columns under the master ``seed``. With
+    ``correlated``, ``cor_pairs`` noise columns are rebuilt as near-copies
+    of distinct signal columns with empirical correlation above
+    ``cor_target``. ``intercept`` appends an all-ones column after the
+    ``p`` covariates; it is fitted but excluded from selection, truth and
+    scoring.
     """
 
     n: int
@@ -62,6 +63,8 @@ class SimConfig:
         if self.r > self.p:
             raise InvariantError(f"r={self.r} exceeds p={self.p}")
         strengths = tuple(float(s) for s in self.strengths)
+        if len(strengths) == 1:
+            strengths *= self.r
         if len(strengths) != self.r:
             raise InvariantError(
                 f"{len(strengths)} strengths given for r={self.r} signals")
@@ -85,7 +88,7 @@ class SimConfig:
 
     @classmethod
     def constant_strength(cls, n, p, r, strength, **kwargs) -> "SimConfig":
-        return cls(n=n, p=p, r=r, strengths=(float(strength),) * r, **kwargs)
+        return cls(n=n, p=p, r=r, strengths=(strength,), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def _correlated_copy(rng: Generator, base: np.ndarray, target: float) -> np.ndar
 
 def _gen_design_arrays(cfg: SimConfig,
                        seq: SeedSequence) -> tuple[np.ndarray, frozenset[int]]:
-    rng = Generator(Philox(seq))
+    rng = _rng(seq)
     x = rng.standard_normal((cfg.n, cfg.p))
     signals = np.sort(rng.choice(cfg.p, size=cfg.r, replace=False))
     if cfg.correlated:
@@ -200,9 +203,7 @@ def gen_response(x: np.ndarray, truth, strengths,
     beta = np.zeros(x.shape[1])
     for j, s in zip(truth_sorted, strengths):
         beta[j - 1] = s
-    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    rng = Generator(Philox(seq))
-    return x @ beta + noise_sd * rng.standard_normal(x.shape[0])
+    return x @ beta + noise_sd * _rng(seed).standard_normal(x.shape[0])
 
 
 def score(selected, truth) -> tuple[int, int]:

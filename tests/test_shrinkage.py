@@ -456,14 +456,6 @@ class TestMcStandardError:
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
-        with pytest.raises(InvariantError, match="tol"):
-            hs_shrinkage(pr, tol=tol)
-        with pytest.raises(InvariantError, match="tol"):
-            reverse_shrinkage_grid([0.95], [0.5], [2.0], tol=tol)
-
     @pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5}])
     def test_mc_sample_counts_must_be_positive(self, kwargs):
         pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))

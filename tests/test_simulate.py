@@ -19,7 +19,7 @@ class TestSimConfig:
         with pytest.raises(InvariantError):
             SimConfig(n=10, p=5, r=6, strengths=(1.0,) * 6)
         with pytest.raises(InvariantError):
-            SimConfig(n=10, p=5, r=2, strengths=(1.0,))
+            SimConfig(n=10, p=5, r=3, strengths=(1.0, 2.0))
         with pytest.raises(InvariantError):
             SimConfig(n=10, p=5, r=4, strengths=(1.0,) * 4,
                       correlated=True, cor_pairs=2)  # only one noise column
@@ -29,6 +29,8 @@ class TestSimConfig:
     def test_constant_strength(self):
         cfg = SimConfig.constant_strength(n=5, p=8, r=3, strength=6)
         assert cfg.strengths == (6.0, 6.0, 6.0)
+        # A single strength broadcasts to all r signals.
+        assert SimConfig(n=5, p=8, r=3, strengths=(6,)) == cfg
 
 
 class TestGenDesign:
