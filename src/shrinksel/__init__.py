@@ -12,7 +12,7 @@ while a global-only prior provably cannot.
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS,
                    PosteriorDraws, PriorSpec, SPIKE_SLAB, SelectionResult,
                    load_draws, save_draws)
-from .samplers import ChainState, McmcConfig, fit, fit_horseshoe, fit_spike_slab
+from .samplers import McmcConfig, fit
 from .selection import (S2mConfig, TWO_SIGMA_HAT, TwoMeansSplit,
                         aggregate_mode, count_signals_2m, count_signals_s2m,
                         kmeans2_1d, run_selector, select_2m, select_credible,
@@ -32,7 +32,7 @@ __all__ = [
     "Dataset", "PriorSpec", "PosteriorDraws", "SelectionResult",
     "HORSESHOE", "SPIKE_SLAB", "METHODS", "InvariantError",
     "save_draws", "load_draws",
-    "McmcConfig", "ChainState", "fit", "fit_horseshoe", "fit_spike_slab",
+    "McmcConfig", "fit",
     "S2mConfig", "TWO_SIGMA_HAT", "TwoMeansSplit", "kmeans2_1d",
     "count_signals_2m", "count_signals_s2m", "aggregate_mode",
     "select_top_h", "select_s2m", "select_2m", "select_hppm", "select_mpm",

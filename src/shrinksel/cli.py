@@ -28,7 +28,7 @@ import numpy as np
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
                    atomic_write_lines, load_draws, load_matrix_csv, save_draws,
                    save_matrix_csv)
-from .samplers import McmcConfig, fit, write_run_manifest
+from .samplers import McmcConfig, fit
 from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
     write_selection_report
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
@@ -234,10 +234,10 @@ def cmd_fit(args) -> int:
     wall = time.perf_counter() - start
     draws_path = os.path.join(out, "draws.csv")
     save_draws(draws, draws_path)
-    write_run_manifest(os.path.join(out, "manifest.txt"), data, prior, mcmc, wall)
     _write_resolved(out, "fit", {"prior": asdict(prior), "mcmc": asdict(mcmc),
                                  "design": args.design,
-                                 "response": args.response})
+                                 "response": args.response,
+                                 "wall_time_s": round(wall, 3)})
     print(f"wrote {draws.t} retained draws to {draws_path} "
           f"({wall:.1f}s)")
     return EXIT_OK

@@ -323,14 +323,22 @@ def save_draws(draws: PosteriorDraws, path: str) -> None:
 
 def _indexed_block(names: dict[str, int], stem: str,
                    path: str) -> Optional[list[int]]:
-    """Column positions of ``stem_1..stem_k``, or None if absent entirely."""
+    """Column positions of ``stem_1..stem_k``, or None if absent entirely.
+
+    Two columns for one index (``beta_1`` and ``beta_01``) are refused.
+    """
     found = {}
-    for name, pos in names.items():
+    for name in names:
         if name.startswith(stem + "_"):
             suffix = name[len(stem) + 1:]
-            if not suffix.isdigit() or int(suffix) < 1:
+            if not (suffix.isascii() and suffix.isdigit()
+                    and int(suffix) >= 1):
                 raise InvariantError(f"{path}: malformed column name {name!r}")
-            found[int(suffix)] = pos
+            k = int(suffix)
+            if k in found:
+                raise InvariantError(f"{path}: columns {found[k]!r} and "
+                                     f"{name!r} both name {stem}_{k}")
+            found[k] = name
     if not found:
         return None
     k = max(found)
@@ -339,7 +347,7 @@ def _indexed_block(names: dict[str, int], stem: str,
         raise InvariantError(
             f"{path}: columns {stem}_{missing[0]}.. missing (have "
             f"{stem}_1..{stem}_{k} with gaps)")
-    return [found[i] for i in range(1, k + 1)]
+    return [names[found[i]] for i in range(1, k + 1)]
 
 
 def _read_rows(fh, path: str, first_line: int,

@@ -1,14 +1,26 @@
 """Gibbs samplers for the horseshoe and point-mass spike-and-slab priors.
 
-Both samplers target the Gaussian linear model y = X beta + eps with
-eps ~ N(0, sigma2 I). The horseshoe places beta_j ~ N(0, lam_j tau sigma2)
-where sqrt(lam_j) and sqrt(tau) are standard half-Cauchy; writing each
-half-Cauchy scale as a scale mixture with one auxiliary inverse-gamma
-variable makes every full conditional a standard distribution, so the
-chain needs no tuning. The spike-and-slab mixes a point mass at zero with
-a N(0, sigma2 sigma_j2) slab; the inclusion indicator z_j is updated
-one at a time with beta_j integrated out, which avoids trans-dimensional
-moves.
+:func:`fit` runs either chain. Both target the Gaussian linear model
+y = X beta + eps with eps ~ N(0, sigma2 I).
+
+The horseshoe places beta_j ~ N(0, lam_j tau sigma2) where sqrt(lam_j) and
+sqrt(tau) are standard half-Cauchy; writing each half-Cauchy scale as a
+scale mixture with one auxiliary inverse-gamma variable (nu_j, xi) makes
+every full conditional a standard distribution, so the chain needs no
+tuning. A sweep draws beta from its exact multivariate-normal conditional,
+through an n x n Cholesky solve when p > n and a p x p one otherwise (see
+:func:`_spd_solve`), then sigma2, lam, nu, tau (kept at or below
+``tau_upper`` when that bound is set) and xi.
+
+The spike-and-slab mixes a point mass at zero with a N(0, sigma2 sigma_j2)
+slab. A sweep updates (z_j, beta_j) jointly per coordinate with beta_j
+integrated out of the inclusion odds, which avoids trans-dimensional
+moves, then the slab variances, the inclusion weight and the error
+variance. Excluded coordinates have beta_j exactly 0, and their slab
+variance is refreshed from its prior. At p <= n the sweep carries X'r,
+moved by the cached Gram column X'x_j (at most p <= n, of length p) when
+beta_j changes: the covariance updates of Friedman, Hastie & Tibshirani
+(2010). At p > n it carries the residual.
 
 Randomness: each chain owns a ``numpy.random.Generator`` backed by the
 counter-based Philox bit generator seeded through ``SeedSequence(seed)``,
@@ -29,14 +41,14 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.random import Generator
 
 from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, SPIKE_SLAB, _LATENTS, _rng, atomic_write_lines)
+                   PriorSpec, _LATENTS, _rng)
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
@@ -241,25 +253,6 @@ def _one_blas_thread():
                 set_(_pin_saved)
 
 
-def _start(default: ChainState,
-           init_state: Optional[ChainState]) -> ChainState:
-    """``default`` with each of its fields that ``init_state`` sets, in the
-    default's shape and type (float or array dtype); other fields are
-    ignored."""
-    if init_state is not None:
-        for f in fields(ChainState):
-            value, given = getattr(default, f.name), getattr(init_state, f.name)
-            if value is not None and given is not None:
-                if np.shape(given) != np.shape(value):
-                    raise InvariantError(
-                        f"init_state.{f.name} has shape {np.shape(given)}, "
-                        f"expected {np.shape(value)}")
-                setattr(default, f.name,
-                        np.array(given, dtype=value.dtype)
-                        if isinstance(value, np.ndarray) else float(given))
-    return default
-
-
 def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
                sweeps, *args) -> PosteriorDraws:
     """Run the schedule of ``mcmc`` and return the retained draws.
@@ -276,7 +269,7 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
         warnings.warn(
             f"design has all-zero column(s) {[int(j) + 1 for j in zero]}; "
             f"their coefficients are determined by the prior alone",
-            stacklevel=3)
+            stacklevel=3)  # past fit, at fit's caller
     x = np.ascontiguousarray(data.x)
     y = np.ascontiguousarray(data.y)
     t, p = mcmc.retained, data.p
@@ -298,37 +291,6 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
                     arr[kept] = getattr(state, name)
                 kept += 1
     return PosteriorDraws(**out)
-
-
-def fit_horseshoe(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
-                  init_state: Optional[ChainState] = None,
-                  beta_update: str = "auto") -> PosteriorDraws:
-    """Run the horseshoe Gibbs chain and return the retained draws.
-
-    ``beta`` is drawn from its exact multivariate-normal conditional,
-    through an n x n Cholesky solve when p > n and a p x p one otherwise
-    (``beta_update`` in {"auto", "dense", "woodbury"} forces a path, used
-    for cross-validation of the two); see :func:`_spd_solve`. The global
-    variance scale is kept at or below ``prior.tau_upper`` when that bound
-    is set. Identical inputs (including the seed) reproduce the output bit
-    for bit on one numpy build.
-
-    ``init_state`` overrides the default deterministic initialization
-    (beta = 0, sigma2 = 1, lam = nu = xi = 1, tau = min(1, tau_upper));
-    it exists for dispersed-start diagnostics. Its fields left as None
-    keep their default start; a field of the wrong shape is refused.
-    """
-    if prior.family != HORSESHOE:
-        raise InvariantError(f"fit_horseshoe needs family={HORSESHOE!r}")
-    if beta_update not in ("auto", "dense", "woodbury"):
-        raise InvariantError("beta_update must be auto, dense or woodbury")
-    n, p = data.n, data.p
-    use_woodbury = p > n if beta_update == "auto" else beta_update == "woodbury"
-    tau0 = 1.0 if prior.tau_upper is None else min(1.0, prior.tau_upper)
-    state = _start(ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p),
-                              tau=tau0, nu=np.ones(p), xi=1.0), init_state)
-    return _run_chain(data, mcmc, state, _horseshoe_sweeps, prior,
-                      use_woodbury)
 
 
 def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
@@ -370,33 +332,6 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
                 rng, tau_shape, tau_scale, tau_upper)
         state.xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / state.tau)
         yield
-
-
-def fit_spike_slab(data: Dataset, prior: PriorSpec, mcmc: McmcConfig,
-                   init_state: Optional[ChainState] = None) -> PosteriorDraws:
-    """Run the point-mass spike-and-slab Gibbs chain.
-
-    Each sweep updates (z_j, beta_j) jointly per coordinate with beta_j
-    integrated out of the inclusion odds, then the slab variances, the
-    inclusion weight and the error variance. Excluded coordinates have
-    beta_j exactly 0, and their slab variance is refreshed from its prior.
-    At p <= n the sweep carries X'r, moved by the cached Gram column X'x_j
-    (at most p <= n, of length p) when beta_j changes: the covariance updates
-    of Friedman, Hastie & Tibshirani (2010). At p > n it carries the residual.
-    Deterministic per seed.
-
-    ``init_state`` overrides the default start (beta = 0, sigma2 = 1,
-    z = 0, pi = b/(a+b), sigma_j2 = 1); its fields left as None keep
-    their default start, and a field of the wrong shape is refused.
-    """
-    if prior.family != SPIKE_SLAB:
-        raise InvariantError(f"fit_spike_slab needs family={SPIKE_SLAB!r}")
-    p, a_beta, b_beta = data.p, prior.ss_beta_a, prior.ss_beta_b
-    state = _start(ChainState(beta=np.zeros(p), sigma2=1.0,
-                              z=np.zeros(p, dtype=np.int64),
-                              pi=b_beta / (a_beta + b_beta),
-                              sigma_j2=np.ones(p)), init_state)
-    return _run_chain(data, mcmc, state, _spike_slab_sweeps, prior)
 
 
 def _spike_slab_sweeps(rng, x, y, state, prior):
@@ -468,30 +403,24 @@ def _spike_slab_sweeps(rng, x, y, state, prior):
 
 
 def fit(data: Dataset, prior: PriorSpec, mcmc: McmcConfig) -> PosteriorDraws:
-    """Dispatch on the prior family."""
+    """Run the Gibbs chain of ``prior.family`` and return the retained draws.
+
+    Every chain starts from the same deterministic state: beta = 0 and
+    sigma2 = 1; for the horseshoe lam = nu = xi = 1 and
+    tau = min(1, tau_upper); for the spike-and-slab z = 0, pi = b/(a+b)
+    and sigma_j2 = 1. The sweeps are those of the module docstring. Identical
+    inputs (including the seed) reproduce the output bit for bit on one
+    numpy build.
+    """
+    p = data.p
     if prior.family == HORSESHOE:
-        return fit_horseshoe(data, prior, mcmc)
-    return fit_spike_slab(data, prior, mcmc)
-
-
-def write_run_manifest(path: str, data: Dataset, prior: PriorSpec,
-                       mcmc: McmcConfig, wall_time_s: float) -> None:
-    """Record what produced a draw file: prior, schedule, seed, wall time."""
-    lines = [
-        f"family: {prior.family}",
-        f"n: {data.n}",
-        f"p: {data.p}",
-        f"tau_upper: {prior.tau_upper}",
-        f"ig_shape: {prior.ig_shape:g}",
-        f"ig_scale: {prior.ig_scale:g}",
-        f"ss_beta_a: {prior.ss_beta_a:g}",
-        f"ss_beta_b: {prior.ss_beta_b:g}",
-        f"iterations: {mcmc.iterations}",
-        f"burn_in: {mcmc.burn_in}",
-        f"thin: {mcmc.thin}",
-        f"retained: {mcmc.retained}",
-        f"seed: {mcmc.seed}",
-        f"rng: philox (counter-based), seeded via SeedSequence(seed)",
-        f"wall_time_s: {wall_time_s:.3f}",
-    ]
-    atomic_write_lines(path, lines)
+        tau0 = 1.0 if prior.tau_upper is None else min(1.0, prior.tau_upper)
+        state = ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p),
+                           tau=tau0, nu=np.ones(p), xi=1.0)
+        return _run_chain(data, mcmc, state, _horseshoe_sweeps, prior,
+                          p > data.n)
+    a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b
+    state = ChainState(beta=np.zeros(p), sigma2=1.0,
+                       z=np.zeros(p, dtype=np.int64),
+                       pi=b_beta / (a_beta + b_beta), sigma_j2=np.ones(p))
+    return _run_chain(data, mcmc, state, _spike_slab_sweeps, prior)

@@ -86,10 +86,6 @@ class SimConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise InvariantError("seed must be a 64-bit unsigned integer")
 
-    @classmethod
-    def constant_strength(cls, n, p, r, strength, **kwargs) -> "SimConfig":
-        return cls(n=n, p=p, r=r, strengths=(strength,), **kwargs)
-
 
 @dataclass(frozen=True)
 class ErrorReport:

@@ -108,8 +108,8 @@ def test_sequential_peeling_hand_trace():
 def test_benchmark_single_strength_uncorrelated():
     """n=50, p=300, r=10, B=6, horseshoe + s2m, 5 replicates."""
     start = time.perf_counter()
-    cfg = SimConfig.constant_strength(n=50, p=300, r=10, strength=6.0,
-                                      seed=101, replicates=5)
+    cfg = SimConfig(n=50, p=300, r=10, strengths=(6.0,),
+                    seed=101, replicates=5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reports = run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m"],
@@ -146,8 +146,8 @@ def test_benchmark_mixed_strength_uncorrelated():
 def test_benchmark_correlated_qualitative():
     """Correlated pairs: s2m total error small, credible sets mask more."""
     start = time.perf_counter()
-    cfg = SimConfig.constant_strength(n=50, p=300, r=10, strength=6.0,
-                                      seed=404, replicates=5, correlated=True)
+    cfg = SimConfig(n=50, p=300, r=10, strengths=(6.0,),
+                    seed=404, replicates=5, correlated=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reports = run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m", "cs"],

@@ -81,8 +81,11 @@ class TestFit:
         draws = load_draws(str(out / "draws.csv"))
         assert draws.t == 250 and draws.p == 13
         assert draws.lam is not None and draws.tau is not None
-        manifest = (out / "manifest.txt").read_text()
-        assert "family: horseshoe" in manifest and "seed: 2" in manifest
+        resolved = json.loads((out / "fit_resolved.json").read_text())
+        assert resolved["prior"]["family"] == "horseshoe"
+        assert resolved["mcmc"]["seed"] == 2
+        assert resolved["wall_time_s"] >= 0.0
+        assert not (out / "manifest.txt").exists()
 
     def test_spike_slab_fit_has_z_columns(self, sim_dir, tmp_path):
         out = tmp_path / "fit_ss"

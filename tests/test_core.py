@@ -200,11 +200,22 @@ class TestDrawFileErrorsNameFile:
         ("beta_1,sigma2,beta_1\n1.0,1.0,1.0\n", "duplicate column 'beta_1'"),
         ("beta_1,beta_x,sigma2\n1.0,1.0,1.0\n",
          "malformed column name 'beta_x'"),
+        ("beta_1,beta_\u00b2,sigma2\n1.0,1.0,1.0\n",
+         "malformed column name 'beta_\u00b2'"),
+        ("beta_1,beta_01,sigma2\n1.0,2.0,1.0\n",
+         "columns 'beta_1' and 'beta_01' both name beta_1"),
+        ("beta_1,sigma2,lambda_2,lambda_1,lambda_002,tau\n"
+         "1.0,1.0,1.0,1.0,1.0,0.5\n",
+         "columns 'lambda_2' and 'lambda_002' both name lambda_2"),
+        ("beta_1,sigma2,z_01,z_1,pi\n1.0,1.0,1.0,0.0,0.5\n",
+         "columns 'z_01' and 'z_1' both name z_1"),
     ], ids=["z-half", "lambda-zero", "lambda-negative", "tau-zero", "pi-one",
-            "lambda-short", "duplicate", "beta_x"])
+            "lambda-short", "duplicate", "beta_x", "beta-superscript",
+            "beta-same-index",
+            "lambda-same-index", "z-same-index"])
     def test_message_names_file(self, tmp_path, text, match):
         path = tmp_path / "draws.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InvariantError) as info:
             load_draws(str(path))
         assert str(info.value).startswith(f"{path}: ")

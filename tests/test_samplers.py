@@ -1,5 +1,6 @@
 """Sampler contracts: determinism, invariants, and posterior correctness."""
 
+import copy
 import math
 import os
 import subprocess
@@ -13,8 +14,26 @@ from conftest import batch_means_se, exact_two_var_inclusion, orthonormal_design
 from shrinksel import samplers
 from shrinksel.core import Dataset, InvariantError, PriorSpec, load_draws, save_draws
 from shrinksel.samplers import (ChainState, McmcConfig, _draw_beta_dense,
-                                _draw_beta_woodbury, _rng, fit_horseshoe,
-                                fit_spike_slab, write_run_manifest)
+                                _draw_beta_woodbury, _rng, fit)
+
+
+def _horseshoe_from(data, prior, mcmc, init, use_woodbury):
+    """The horseshoe chain from a copy of ``init`` on a forced beta path;
+    the chain updates the state's arrays in place."""
+    return samplers._run_chain(data, mcmc, copy.deepcopy(init),
+                               samplers._horseshoe_sweeps, prior, use_woodbury)
+
+
+def _spike_slab_from(data, prior, mcmc, init):
+    """The spike-and-slab chain from a copy of ``init``."""
+    return samplers._run_chain(data, mcmc, copy.deepcopy(init),
+                               samplers._spike_slab_sweeps, prior)
+
+
+def _horseshoe_start(p):
+    """The horseshoe chain's default start at ``tau_upper >= 1``."""
+    return ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p), tau=1.0,
+                      nu=np.ones(p), xi=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +62,7 @@ class TestMcmcConfig:
 class TestHorseshoe:
     def test_recovers_strong_signal(self, signal_data):
         mc = McmcConfig(iterations=4000, burn_in=1000, seed=11)
-        draws = fit_horseshoe(signal_data, PriorSpec.horseshoe(), mc)
+        draws = fit(signal_data, PriorSpec.horseshoe(), mc)
         mean = draws.beta.mean(axis=0)
         ols = signal_data.x.T @ signal_data.y
         assert abs(mean[0] - 6.0) < 0.5
@@ -56,24 +75,24 @@ class TestHorseshoe:
         x = orthonormal_design(100, 2, seed=5)
         data = Dataset(y=np.zeros(100), x=x)
         mc = McmcConfig(iterations=3000, burn_in=500, seed=2)
-        draws = fit_horseshoe(data, PriorSpec.horseshoe(), mc)
+        draws = fit(data, PriorSpec.horseshoe(), mc)
         assert np.all(np.abs(draws.beta.mean(axis=0)) < 0.2)
 
     def test_deterministic_per_seed_including_files(self, signal_data, tmp_path):
         mc = McmcConfig(iterations=300, burn_in=100, seed=99)
-        d1 = fit_horseshoe(signal_data, PriorSpec.horseshoe(), mc)
-        d2 = fit_horseshoe(signal_data, PriorSpec.horseshoe(), mc)
+        d1 = fit(signal_data, PriorSpec.horseshoe(), mc)
+        d2 = fit(signal_data, PriorSpec.horseshoe(), mc)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_draws(d1, str(p1))
         save_draws(d2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-        d3 = fit_horseshoe(signal_data, PriorSpec.horseshoe(),
-                           McmcConfig(iterations=300, burn_in=100, seed=100))
+        d3 = fit(signal_data, PriorSpec.horseshoe(),
+                 McmcConfig(iterations=300, burn_in=100, seed=100))
         assert not np.array_equal(d1.beta, d3.beta)
 
     def test_retained_latents_positive_and_bounded(self, signal_data):
         mc = McmcConfig(iterations=800, burn_in=200, seed=4)
-        draws = fit_horseshoe(signal_data, PriorSpec.horseshoe(tau_upper=0.5), mc)
+        draws = fit(signal_data, PriorSpec.horseshoe(tau_upper=0.5), mc)
         assert np.all(draws.lam > 0)
         assert np.all(draws.sigma2 > 0)
         assert np.all(draws.tau > 0)
@@ -81,7 +100,7 @@ class TestHorseshoe:
 
     def test_unbounded_tau_allowed(self, signal_data):
         mc = McmcConfig(iterations=400, burn_in=100, seed=4)
-        draws = fit_horseshoe(signal_data, PriorSpec.horseshoe(tau_upper=None), mc)
+        draws = fit(signal_data, PriorSpec.horseshoe(tau_upper=None), mc)
         assert np.all(draws.tau > 0)
 
     def test_dense_and_woodbury_paths_agree(self):
@@ -93,8 +112,8 @@ class TestHorseshoe:
         data = Dataset(y=y, x=x)
         prior = PriorSpec.horseshoe()
         mc = McmcConfig(iterations=6000, burn_in=1000, seed=13)
-        dense = fit_horseshoe(data, prior, mc, beta_update="dense")
-        wood = fit_horseshoe(data, prior, mc, beta_update="woodbury")
+        dense = _horseshoe_from(data, prior, mc, _horseshoe_start(10), False)
+        wood = _horseshoe_from(data, prior, mc, _horseshoe_start(10), True)
         for j in range(10):
             se = np.hypot(batch_means_se(dense.beta[:, j]),
                           batch_means_se(wood.beta[:, j]))
@@ -108,13 +127,13 @@ class TestHorseshoe:
         y = x @ beta_t + rng.standard_normal(60)
         data = Dataset(y=y, x=x)
         prior = PriorSpec.horseshoe()
-        cold = fit_horseshoe(data, prior,
-                             McmcConfig(iterations=6000, burn_in=1000, seed=5))
-        init = ChainState(beta=beta_t.copy(), sigma2=1.0,
-                          lam=np.ones(6), tau=1.0, nu=np.ones(6), xi=1.0)
-        warm = fit_horseshoe(data, prior,
-                             McmcConfig(iterations=6000, burn_in=1000, seed=6),
-                             init_state=init)
+        cold = fit(data, prior,
+                   McmcConfig(iterations=6000, burn_in=1000, seed=5))
+        init = _horseshoe_start(6)
+        init.beta = beta_t
+        warm = _horseshoe_from(
+            data, prior, McmcConfig(iterations=6000, burn_in=1000, seed=6),
+            init, False)
         for j in range(6):
             se = np.hypot(batch_means_se(cold.beta[:, j]),
                           batch_means_se(warm.beta[:, j]))
@@ -125,18 +144,17 @@ class TestHorseshoe:
         x = np.ones((10, 2))
         x[:, 1] = 0.0
         data = Dataset(y=np.ones(10), x=x)
-        with pytest.warns(UserWarning, match="all-zero"):
-            fit_horseshoe(data, PriorSpec.horseshoe(),
-                          McmcConfig(iterations=50, burn_in=10, seed=1))
+        with pytest.warns(UserWarning, match="all-zero") as record:
+            fit(data, PriorSpec.horseshoe(),
+                McmcConfig(iterations=50, burn_in=10, seed=1))
+        # The warning points at the caller of fit, not into the package.
+        assert record[0].filename == __file__
 
-    def test_family_and_size_preconditions(self, signal_data):
-        with pytest.raises(InvariantError):
-            fit_horseshoe(signal_data, PriorSpec.spike_slab(),
-                          McmcConfig(iterations=10, burn_in=1, seed=0))
+    def test_size_precondition(self):
         tiny = Dataset(y=np.ones(1), x=np.ones((1, 1)))
-        with pytest.raises(InvariantError):
-            fit_horseshoe(tiny, PriorSpec.horseshoe(),
-                          McmcConfig(iterations=10, burn_in=1, seed=0))
+        with pytest.raises(InvariantError, match="two observations"):
+            fit(tiny, PriorSpec.horseshoe(),
+                McmcConfig(iterations=10, burn_in=1, seed=0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_degenerate_likelihood_aborts_with_iteration(self):
@@ -146,8 +164,8 @@ class TestHorseshoe:
         rng = np.random.default_rng(1)
         data = Dataset(y=np.full(5, 1e200), x=rng.standard_normal((5, 2)))
         with pytest.raises(RuntimeError, match="iteration"):
-            fit_horseshoe(data, PriorSpec.horseshoe(),
-                          McmcConfig(iterations=20, burn_in=5, seed=0))
+            fit(data, PriorSpec.horseshoe(),
+                McmcConfig(iterations=20, burn_in=5, seed=0))
 
 
 class TestBetaDrawOneStep:
@@ -263,7 +281,7 @@ class TestSpikeSlab:
     def test_inclusion_matches_exact_enumeration(self, signal_data):
         prior = PriorSpec.spike_slab()
         mc = McmcConfig(iterations=12000, burn_in=2000, seed=11)
-        draws = fit_spike_slab(signal_data, prior, mc)
+        draws = fit(signal_data, prior, mc)
         freq = draws.z.mean(axis=0)
         p1, p2 = exact_two_var_inclusion(signal_data.y, signal_data.x, prior)
         assert freq[0] > 0.9 and p1 > 0.9
@@ -273,7 +291,7 @@ class TestSpikeSlab:
 
     def test_support_consistency(self, signal_data):
         mc = McmcConfig(iterations=1500, burn_in=300, seed=9)
-        draws = fit_spike_slab(signal_data, PriorSpec.spike_slab(), mc)
+        draws = fit(signal_data, PriorSpec.spike_slab(), mc)
         assert np.all(draws.beta[draws.z == 0] == 0.0)
         assert np.all(draws.beta[draws.z == 1] != 0.0)
 
@@ -283,14 +301,14 @@ class TestSpikeSlab:
         y = rng.standard_normal(120)
         data = Dataset(y=y, x=x)
         mc = McmcConfig(iterations=4000, burn_in=1000, seed=21)
-        draws = fit_spike_slab(data, PriorSpec.spike_slab(), mc)
+        draws = fit(data, PriorSpec.spike_slab(), mc)
         # prior mean of the inclusion weight is 1/16
         assert (1.0 - draws.pi).mean() < 1.0 / 16.0 + 0.05
 
     def test_deterministic_per_seed(self, signal_data):
         mc = McmcConfig(iterations=400, burn_in=100, seed=123)
-        d1 = fit_spike_slab(signal_data, PriorSpec.spike_slab(), mc)
-        d2 = fit_spike_slab(signal_data, PriorSpec.spike_slab(), mc)
+        d1 = fit(signal_data, PriorSpec.spike_slab(), mc)
+        d2 = fit(signal_data, PriorSpec.spike_slab(), mc)
         assert np.array_equal(d1.beta, d2.beta)
         assert np.array_equal(d1.z, d2.z)
         assert np.array_equal(d1.pi, d2.pi)
@@ -302,42 +320,25 @@ class TestSpikeSlab:
         y = x @ beta_t + rng.standard_normal(80)
         data = Dataset(y=y, x=x)
         prior = PriorSpec.spike_slab()
-        cold = fit_spike_slab(data, prior,
-                              McmcConfig(iterations=8000, burn_in=2000, seed=1))
-        init = ChainState(beta=beta_t.copy(), sigma2=1.0,
+        cold = fit(data, prior,
+                   McmcConfig(iterations=8000, burn_in=2000, seed=1))
+        init = ChainState(beta=beta_t, sigma2=1.0,
                           z=(beta_t != 0).astype(np.int64), pi=15.0 / 16.0,
                           sigma_j2=np.ones(5))
-        warm = fit_spike_slab(data, prior,
-                              McmcConfig(iterations=8000, burn_in=2000, seed=2),
-                              init_state=init)
+        warm = _spike_slab_from(
+            data, prior, McmcConfig(iterations=8000, burn_in=2000, seed=2),
+            init)
         for j in range(5):
             se = np.hypot(batch_means_se(cold.beta[:, j]),
                           batch_means_se(warm.beta[:, j]))
             diff = abs(cold.beta[:, j].mean() - warm.beta[:, j].mean())
             assert diff < 3 * max(se, 1e-3), f"coordinate {j}"
 
-    def test_family_precondition(self, signal_data):
-        with pytest.raises(InvariantError):
-            fit_spike_slab(signal_data, PriorSpec.horseshoe(),
-                           McmcConfig(iterations=10, burn_in=1, seed=0))
-
-
-class TestManifest:
-    def test_contents(self, signal_data, tmp_path):
-        path = tmp_path / "manifest.txt"
-        prior = PriorSpec.horseshoe()
-        mc = McmcConfig(iterations=100, burn_in=20, seed=7)
-        write_run_manifest(str(path), signal_data, prior, mc, 1.234)
-        text = path.read_text()
-        for needle in ("family: horseshoe", "seed: 7", "iterations: 100",
-                       "wall_time_s: 1.234", "n: 200", "p: 2"):
-            assert needle in text
-
 
 class TestRoundTripThroughSampler:
     def test_draw_file_loads_back(self, signal_data, tmp_path):
         mc = McmcConfig(iterations=200, burn_in=50, seed=3)
-        draws = fit_horseshoe(signal_data, PriorSpec.horseshoe(), mc)
+        draws = fit(signal_data, PriorSpec.horseshoe(), mc)
         path = tmp_path / "draws.csv"
         save_draws(draws, str(path))
         back = load_draws(str(path))
@@ -418,7 +419,7 @@ def _reference_horseshoe(data, prior, mcmc, init, path):
 
 
 class TestHorseshoeAgainstReferenceLoop:
-    """fit_horseshoe reproduces the plain Gibbs loop bit for bit."""
+    """The horseshoe chain reproduces the plain Gibbs loop bit for bit."""
 
     @pytest.mark.parametrize("tau_upper", [1.0, None])
     @pytest.mark.parametrize("path,n,p", [("woodbury", 30, 70),
@@ -434,8 +435,7 @@ class TestHorseshoeAgainstReferenceLoop:
         init = ChainState(beta=beta_t, sigma2=2.0,
                           lam=gen.uniform(0.5, 2.0, p), tau=0.3,
                           nu=gen.uniform(0.5, 2.0, p), xi=1.5)
-        got = fit_horseshoe(data, prior, mcmc, init_state=init,
-                            beta_update=path)
+        got = _horseshoe_from(data, prior, mcmc, init, path == "woodbury")
         ref = _reference_horseshoe(data, prior, mcmc, init, path)
         for name in ("beta", "sigma2", "lam", "tau"):
             assert np.array_equal(getattr(got, name), ref[name]), name
@@ -445,14 +445,14 @@ _THREAD_CHILD = """
 import hashlib
 import numpy as np
 from shrinksel.core import Dataset, PriorSpec
-from shrinksel.samplers import McmcConfig, fit_horseshoe
+from shrinksel.samplers import McmcConfig, fit
 gen = np.random.default_rng(5)
 x = gen.standard_normal((50, 300))
 beta = np.zeros(300)
 beta[:5] = 4.0
 data = Dataset(y=x @ beta + gen.standard_normal(50), x=x)
-draws = fit_horseshoe(data, PriorSpec.horseshoe(),
-                      McmcConfig(iterations=400, burn_in=100, seed=9))
+draws = fit(data, PriorSpec.horseshoe(),
+            McmcConfig(iterations=400, burn_in=100, seed=9))
 print(hashlib.sha256(draws.beta.tobytes() + draws.tau.tobytes()).hexdigest())
 """
 
@@ -477,14 +477,14 @@ _DENSE_THREAD_CHILD = """
 import hashlib
 import numpy as np
 from shrinksel.core import Dataset, PriorSpec
-from shrinksel.samplers import McmcConfig, fit_horseshoe
+from shrinksel.samplers import McmcConfig, fit
 gen = np.random.default_rng(5)
 x = gen.standard_normal((200, 101))
 beta = np.zeros(101)
 beta[:5] = 4.0
 data = Dataset(y=x @ beta + gen.standard_normal(200), x=x)
-draws = fit_horseshoe(data, PriorSpec.horseshoe(),
-                      McmcConfig(iterations=400, burn_in=100, seed=9))
+draws = fit(data, PriorSpec.horseshoe(),
+            McmcConfig(iterations=400, burn_in=100, seed=9))
 print(hashlib.sha256(draws.beta.tobytes() + draws.tau.tobytes()).hexdigest())
 """
 
@@ -594,9 +594,9 @@ class TestBlasPin:
         x = gen.standard_normal((15, 30))
         data = Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(15), x=x)
         mcmc = McmcConfig(iterations=60, burn_in=20, seed=3)
-        pinned = fit_horseshoe(data, PriorSpec.horseshoe(), mcmc)
+        pinned = fit(data, PriorSpec.horseshoe(), mcmc)
         monkeypatch.setattr(samplers, "_blas_thread_calls", lambda: None)
-        plain = fit_horseshoe(data, PriorSpec.horseshoe(), mcmc)
+        plain = fit(data, PriorSpec.horseshoe(), mcmc)
         assert np.array_equal(pinned.beta, plain.beta)
         assert np.array_equal(pinned.tau, plain.tau)
 
@@ -673,8 +673,10 @@ def _reference_spike_slab(data, prior, mcmc, init, direct_dot=None):
 
 
 class TestSpikeSlabAgainstReferenceLoop:
-    """fit_spike_slab reproduces the plain Gibbs loop bit for bit, and at
-    p <= n the direct-dot loop up to the rounding of X'r."""
+    """The spike-and-slab chain reproduces the plain Gibbs loop bit for bit,
+    and at p <= n the direct-dot loop up to the rounding of X'r. Without a
+    chosen start it runs through ``fit``, so its default start is checked
+    too."""
 
     def _case(self, n, p, with_init):
         gen = np.random.default_rng(n * p)
@@ -692,11 +694,16 @@ class TestSpikeSlabAgainstReferenceLoop:
                               sigma_j2=gen.uniform(0.5, 2.0, p))
         return data, PriorSpec.spike_slab(), mcmc, init
 
+    @staticmethod
+    def _chain(data, prior, mcmc, init):
+        return (fit(data, prior, mcmc) if init is None
+                else _spike_slab_from(data, prior, mcmc, init))
+
     @pytest.mark.parametrize("with_init", [False, True])
     @pytest.mark.parametrize("n,p", [(60, 12), (30, 70)])
     def test_bit_identical(self, n, p, with_init):
         data, prior, mcmc, init = self._case(n, p, with_init)
-        got = fit_spike_slab(data, prior, mcmc, init_state=init)
+        got = self._chain(data, prior, mcmc, init)
         ref = _reference_spike_slab(data, prior, mcmc, init)
         for name in ("beta", "sigma2", "z", "pi"):
             assert np.array_equal(getattr(got, name), ref[name]), name
@@ -704,55 +711,9 @@ class TestSpikeSlabAgainstReferenceLoop:
     @pytest.mark.parametrize("with_init", [False, True])
     def test_matches_direct_dot_loop(self, with_init):
         data, prior, mcmc, init = self._case(60, 12, with_init)
-        got = fit_spike_slab(data, prior, mcmc, init_state=init)
+        got = self._chain(data, prior, mcmc, init)
         ref = _reference_spike_slab(data, prior, mcmc, init, direct_dot=True)
         assert np.array_equal(got.z, ref["z"])
         assert np.array_equal(got.pi, ref["pi"])
         assert got.beta == pytest.approx(ref["beta"], rel=1e-12)
         assert got.sigma2 == pytest.approx(ref["sigma2"], rel=1e-12)
-
-
-class TestPartialInitState:
-    """Fields an init_state leaves as None start from the default."""
-
-    def _data(self):
-        gen = np.random.default_rng(31)
-        x = gen.standard_normal((40, 5))
-        return Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(40), x=x)
-
-    def test_horseshoe(self):
-        data, prior = self._data(), PriorSpec.horseshoe(tau_upper=0.5)
-        mcmc = McmcConfig(iterations=60, burn_in=10, seed=3)
-        beta0 = np.linspace(-1.0, 1.0, 5)
-        got = fit_horseshoe(data, prior, mcmc,
-                            init_state=ChainState(beta=beta0, sigma2=2.0))
-        full = ChainState(beta=beta0, sigma2=2.0, lam=np.ones(5), tau=0.5,
-                          nu=np.ones(5), xi=1.0)
-        want = fit_horseshoe(data, prior, mcmc, init_state=full)
-        for name in ("beta", "sigma2", "lam", "tau"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    def test_spike_slab(self):
-        data, prior = self._data(), PriorSpec.spike_slab()
-        mcmc = McmcConfig(iterations=60, burn_in=10, seed=3)
-        beta0 = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
-        got = fit_spike_slab(
-            data, prior, mcmc,
-            init_state=ChainState(beta=beta0, sigma2=2.0, pi=0.5))
-        full = ChainState(beta=beta0, sigma2=2.0,
-                          z=np.zeros(5, dtype=np.int64), pi=0.5,
-                          sigma_j2=np.ones(5))
-        want = fit_spike_slab(data, prior, mcmc, init_state=full)
-        for name in ("beta", "sigma2", "z", "pi"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-
-    @pytest.mark.parametrize("field,value", [("beta", np.zeros(2)),
-                                             ("lam", np.ones(1)),
-                                             ("sigma2", np.ones(5))])
-    def test_wrong_shape_refused(self, field, value):
-        init = ChainState(beta=np.zeros(5), sigma2=1.0)
-        setattr(init, field, value)
-        with pytest.raises(InvariantError, match=f"init_state.{field}"):
-            fit_horseshoe(self._data(), PriorSpec.horseshoe(),
-                          McmcConfig(iterations=20, burn_in=5, seed=1),
-                          init_state=init)

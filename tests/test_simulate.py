@@ -27,26 +27,25 @@ class TestSimConfig:
             SimConfig(n=10, p=5, r=2, strengths=(1.0, 0.0))
 
     def test_constant_strength(self):
-        cfg = SimConfig.constant_strength(n=5, p=8, r=3, strength=6)
-        assert cfg.strengths == (6.0, 6.0, 6.0)
         # A single strength broadcasts to all r signals.
-        assert SimConfig(n=5, p=8, r=3, strengths=(6,)) == cfg
+        cfg = SimConfig(n=5, p=8, r=3, strengths=(6,))
+        assert cfg.strengths == (6.0, 6.0, 6.0)
 
 
 class TestGenDesign:
     def test_shapes_truth_and_intercept(self):
-        cfg = SimConfig.constant_strength(n=40, p=30, r=4, strength=2.0, seed=5)
+        cfg = SimConfig(n=40, p=30, r=4, strengths=(2.0,), seed=5)
         x, truth = gen_design(cfg)
         assert x.shape == (40, 31)
         assert np.all(x[:, 30] == 1.0)
         assert len(truth) == 4 and all(1 <= j <= 30 for j in truth)
-        cfg2 = SimConfig.constant_strength(n=40, p=30, r=4, strength=2.0,
-                                           seed=5, intercept=False)
+        cfg2 = SimConfig(n=40, p=30, r=4, strengths=(2.0,),
+                         seed=5, intercept=False)
         x2, _ = gen_design(cfg2)
         assert x2.shape == (40, 30)
 
     def test_deterministic(self):
-        cfg = SimConfig.constant_strength(n=20, p=10, r=2, strength=3.0, seed=9)
+        cfg = SimConfig(n=20, p=10, r=2, strengths=(3.0,), seed=9)
         x1, t1 = gen_design(cfg)
         x2, t2 = gen_design(cfg)
         assert np.array_equal(x1, x2) and t1 == t2
@@ -56,24 +55,24 @@ class TestGenDesign:
         # columns stays well below 0.5; at the paper-scale 50 x 300 design
         # extremes of ~0.6 are expected under independence, so only the
         # absence of constructed near-copies is asserted there.
-        cfg = SimConfig.constant_strength(n=200, p=50, r=5, strength=2.0,
-                                          seed=3, intercept=False)
+        cfg = SimConfig(n=200, p=50, r=5, strengths=(2.0,),
+                        seed=3, intercept=False)
         x, _ = gen_design(cfg)
         corr = np.corrcoef(x.T)
         np.fill_diagonal(corr, 0.0)
         assert np.abs(corr).max() < 0.5
-        big = SimConfig.constant_strength(n=50, p=300, r=10, strength=2.0,
-                                          seed=3, intercept=False)
+        big = SimConfig(n=50, p=300, r=10, strengths=(2.0,),
+                        seed=3, intercept=False)
         xb, _ = gen_design(big)
         corr_b = np.corrcoef(xb.T)
         np.fill_diagonal(corr_b, 0.0)
         assert np.abs(corr_b).max() < 0.9
 
     def test_correlated_pairs(self):
-        cfg = SimConfig.constant_strength(n=50, p=60, r=6, strength=4.0,
-                                          seed=13, correlated=True,
-                                          cor_pairs=2, cor_target=0.99,
-                                          intercept=False)
+        cfg = SimConfig(n=50, p=60, r=6, strengths=(4.0,),
+                        seed=13, correlated=True,
+                        cor_pairs=2, cor_target=0.99,
+                        intercept=False)
         x, truth = gen_design(cfg)
         corr = np.corrcoef(x.T)
         np.fill_diagonal(corr, 0.0)
@@ -104,8 +103,8 @@ class TestGenResponse:
         assert abs(y.var() - 4.0) < 3 * 4.0 * np.sqrt(2.0 / 4000)
 
     def test_large_standardized_configuration(self):
-        cfg = SimConfig.constant_strength(n=60, p=2000, r=30, strength=4.0,
-                                          seed=2, intercept=False)
+        cfg = SimConfig(n=60, p=2000, r=30, strengths=(4.0,),
+                        seed=2, intercept=False)
         x, truth = gen_design(cfg)
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = gen_response(x, truth, cfg.strengths, 1.0, seed=3)
@@ -148,8 +147,8 @@ SMALL_MCMC = McmcConfig(iterations=600, burn_in=200, seed=0)
 
 class TestRunBenchmark:
     def test_separable_limit_every_method_perfect(self):
-        cfg = SimConfig.constant_strength(n=40, p=20, r=3, strength=50.0,
-                                          seed=17, replicates=1, noise_sd=0.0)
+        cfg = SimConfig(n=40, p=20, r=3, strengths=(50.0,),
+                        seed=17, replicates=1, noise_sd=0.0)
         reports = run_benchmark(cfg, PriorSpec.horseshoe(),
                                 ["s2m", "2m", "cs", "ht"], SMALL_MCMC)
         reports.update(run_benchmark(cfg, PriorSpec.spike_slab(),
@@ -158,8 +157,8 @@ class TestRunBenchmark:
             assert (rep.masking, rep.swamping) == (0.0, 0.0), method
 
     def test_spike_slab_methods_and_selected_range(self):
-        cfg = SimConfig.constant_strength(n=50, p=15, r=2, strength=8.0,
-                                          seed=23, replicates=2)
+        cfg = SimConfig(n=50, p=15, r=2, strengths=(8.0,),
+                        seed=23, replicates=2)
         reports = run_benchmark(cfg, PriorSpec.spike_slab(),
                                 ["s2m", "hppm", "mpm"], SMALL_MCMC)
         for rep in reports.values():
@@ -167,16 +166,16 @@ class TestRunBenchmark:
             assert all(m <= 2 for m, _ in rep.per_replicate)
 
     def test_reproducible_end_to_end(self):
-        cfg = SimConfig.constant_strength(n=30, p=12, r=2, strength=6.0,
-                                          seed=31, replicates=2)
+        cfg = SimConfig(n=30, p=12, r=2, strengths=(6.0,),
+                        seed=31, replicates=2)
         prior = PriorSpec.horseshoe()
         r1 = run_benchmark(cfg, prior, ["s2m", "cs"], SMALL_MCMC)
         r2 = run_benchmark(cfg, prior, ["s2m", "cs"], SMALL_MCMC)
         assert r1 == r2
 
     def test_parallel_matches_serial(self):
-        cfg = SimConfig.constant_strength(n=30, p=12, r=2, strength=6.0,
-                                          seed=37, replicates=2)
+        cfg = SimConfig(n=30, p=12, r=2, strengths=(6.0,),
+                        seed=37, replicates=2)
         prior = PriorSpec.horseshoe()
         serial = run_benchmark(cfg, prior, ["s2m"], SMALL_MCMC, jobs=1)
         parallel = run_benchmark(cfg, prior, ["s2m"], SMALL_MCMC, jobs=2)
@@ -184,8 +183,8 @@ class TestRunBenchmark:
 
     def test_fold_through_pool_matches_serial(self, tmp_path):
         # hppm fails on every horseshoe replicate; s2m succeeds on each.
-        cfg = SimConfig.constant_strength(n=30, p=12, r=2, strength=6.0,
-                                          seed=47, replicates=3)
+        cfg = SimConfig(n=30, p=12, r=2, strengths=(6.0,),
+                        seed=47, replicates=3)
         runs = []
         for jobs in (1, 2):
             with pytest.warns(UserWarning, match="hppm: 3 of 3"):
@@ -201,14 +200,14 @@ class TestRunBenchmark:
         assert not hppm_pairs and [i for i, _ in hppm_failures] == [0, 1, 2]
 
     def test_one_replicate_starts_no_pool(self, pool_sizes):
-        cfg = SimConfig.constant_strength(n=20, p=5, r=1, strength=5.0,
-                                          seed=3, replicates=1)
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(5.0,),
+                        seed=3, replicates=1)
         run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m"], SMALL_MCMC, jobs=64)
         assert pool_sizes == []
 
     def test_method_prior_mismatch_recorded_not_fatal(self):
-        cfg = SimConfig.constant_strength(n=30, p=10, r=2, strength=6.0,
-                                          seed=41, replicates=2)
+        cfg = SimConfig(n=30, p=10, r=2, strengths=(6.0,),
+                        seed=41, replicates=2)
         with pytest.warns(UserWarning, match="excluded"):
             reports = run_benchmark(cfg, PriorSpec.spike_slab(),
                                     ["mpm", "ht"], SMALL_MCMC)
@@ -217,22 +216,22 @@ class TestRunBenchmark:
         assert len(reports["mpm"].per_replicate) == 2
 
     def test_unknown_method_rejected(self):
-        cfg = SimConfig.constant_strength(n=20, p=5, r=1, strength=3.0,
-                                          seed=1, replicates=1)
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(3.0,),
+                        seed=1, replicates=1)
         with pytest.raises(InvariantError):
             run_benchmark(cfg, PriorSpec.horseshoe(), ["lasso"], SMALL_MCMC)
 
     def test_intercept_never_selected(self):
         # Signals live in columns 1..p; the all-ones intercept column is
         # fitted but removed from the draws before selection.
-        cfg = SimConfig.constant_strength(n=40, p=10, r=2, strength=7.0,
-                                          seed=43, replicates=1, intercept=True)
+        cfg = SimConfig(n=40, p=10, r=2, strengths=(7.0,),
+                        seed=43, replicates=1, intercept=True)
         reports = run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m"], SMALL_MCMC)
         assert reports["s2m"].per_replicate[0] == (0, 0)
 
     def test_replicate_streams_are_distinct(self):
-        cfg = SimConfig.constant_strength(n=20, p=5, r=1, strength=3.0,
-                                          seed=7, replicates=4)
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(3.0,),
+                        seed=7, replicates=4)
         streams = replicate_streams(cfg)
         seeds = [s for _, s in streams]
         assert len(set(seeds)) == 4
