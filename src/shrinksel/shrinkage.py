@@ -15,10 +15,11 @@ integrator over half-Cauchy scale draws provides an independent
 cross-check of the quadrature path.
 
 Everything here is a pure function and runs in the calling process: a
-grid point costs about 0.2 ms, less than handing it to a worker process.
+grid point costs about 0.1 ms, less than handing it to a worker process.
 The quadrature caches what does not depend on the point: each order's
-nodes and weights, and, per (rho, order), the read-only tables of the
-integrand's rho part. The table cache keeps at most one set per order
+nodes and weights, and, per (rho, order), one read-only set of four
+node-grid tables: the integrand's rho part (f1, f2, f3) and the tensor
+weights times d^-1/2. The table cache keeps at most one set per order
 (six sets; the worst case, six rho values at order 512, is about 50 MB),
 and the default grid, which converges by order 64, keeps about 0.3 MB.
 """
@@ -134,9 +135,14 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class ShrinkGridPoint:
-    """One classified grid point: reverse iff shrunk ratio >= MLE ratio."""
+    """One classified grid point: reverse iff shrunk ratio >= MLE ratio.
+
+    ``a`` is the requested grid value; ``ratio_mle`` is ``problem.a``,
+    recomputed from the MLE pair, so it can differ in the last digit.
+    """
 
     problem: TwoVarProblem
+    a: float
     ratio_mle: float
     ratio_shrunk: float
     reverse: bool
@@ -145,33 +151,30 @@ class ShrinkGridPoint:
 
 
 def _f_coeffs(k1, k2, rho):
-    """``d`` and the quadratic-form coefficients for weights (k1, k2).
+    """The quadratic-form coefficients (f1, f2, f3) as rows, and ``1/d``.
 
-    Accepts scalars or broadcastable arrays.
+    Takes weights (k1, k2) as scalars or as arrays of one shape.
     """
-    d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
-    f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
-    f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
-    f3 = -rho * k1 * k2 / d
-    return d, f1, f2, f3
+    r2 = rho * rho
+    inv_d = 1.0 / (1.0 - (1.0 - k1) * (1.0 - k2) * r2)
+    f = np.array([(r2 - 1.0 - r2 * k2) * k1, (r2 - 1.0 - r2 * k1) * k2,
+                  -rho * k1 * k2])
+    f *= inv_d
+    return f, inv_d
 
 
-def _point_part(f1, f2, f3, problem: TwoVarProblem):
-    """Point part of the horseshoe integrand, from the f-coefficients.
+def _point_part(problem: TwoVarProblem) -> np.ndarray:
+    """Point part of the horseshoe integrand as a matrix on (f1, f2, f3).
 
-    Returns the exponent of the data factor E and the two numerator linear
-    forms, for scalars or broadcastable arrays. Every evaluation path
-    multiplies E by its own prior weight.
+    Its rows are the two numerator linear forms ``lin1 = x1 f1 + x2 f3``
+    and ``lin2 = x2 f2 + x1 f3`` and the exponent of the data factor E,
+    ``log E = (x1 lin1 + x2 lin2) / 2``. Every evaluation path applies it
+    to the f-coefficients and multiplies E by its own prior weight.
     """
     x1, x2 = problem.mle
-    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
-    return log_e, f1 * x1 + f3 * x2, f2 * x2 + f3 * x1
-
-
-def _data_part(k1, k2, problem: TwoVarProblem):
-    """``d``, the exponent of E and the two linear forms at weights (k1, k2)."""
-    d, f1, f2, f3 = _f_coeffs(k1, k2, problem.rho)
-    return (d, *_point_part(f1, f2, f3, problem))
+    lin1, lin2 = (x1, 0.0, x2), (0.0, x2, x1)
+    return np.array([lin1, lin2, [(x1 * a + x2 * b) / 2.0
+                                  for a, b in zip(lin1, lin2)]])
 
 
 def _compose_estimate(problem: TwoVarProblem, r1: float, r2: float):
@@ -188,12 +191,13 @@ def _compose_estimate(problem: TwoVarProblem, r1: float, r2: float):
 def normal_shrink_factors(problem: TwoVarProblem) -> ShrinkFactors:
     """Closed-form shrinkage factors under the global-only normal prior."""
     kappa = 1.0 / (1.0 + problem.tau ** 2)
-    _, f1, f2, f3 = _f_coeffs(kappa, kappa, problem.rho)
+    f, _ = _f_coeffs(kappa, kappa, problem.rho)
+    f1, f2, f3 = f.tolist()
     a = problem.a
     r1 = -(a * f1 + f3) / a
     r2 = -(f2 + a * f3)
     s1, s2, _ = _compose_estimate(problem, r1, r2)
-    return ShrinkFactors(f1=float(f1), f2=float(f2), f3=float(f3),
+    return ShrinkFactors(f1=f1, f2=f2, f3=f3,
                          r1=r1, r2=r2, s1=s1, s2=s2, kappa=kappa)
 
 
@@ -231,8 +235,9 @@ def hs_integrand(k1: float, k2: float, problem: TwoVarProblem,
     if not (0.0 < k1 < 1.0 and 0.0 < k2 < 1.0):
         raise InvariantError("k1, k2 must lie strictly inside (0, 1)")
     tau2 = problem.tau ** 2
-    d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
-    f_factor = (d ** -0.5
+    f, inv_d = _f_coeffs(k1, k2, problem.rho)
+    lin1, lin2, log_e = (_point_part(problem) @ f).tolist()
+    f_factor = (math.sqrt(inv_d)
                 / (1.0 - (1.0 - tau2) * k1)
                 / (1.0 - (1.0 - tau2) * k2)
                 * (1.0 - k1) ** -0.5 * (1.0 - k2) ** -0.5)
@@ -262,44 +267,47 @@ def _quad_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=len(_QUAD_ORDERS))
-def _rho_tables(rho: float, order: int) -> tuple[np.ndarray, ...]:
-    """Read-only ``(f1, f2, f3, d**-0.5)`` on the node grid of one order.
+def _rho_tables(rho: float, order: int) -> np.ndarray:
+    """Read-only rows ``(f1, f2, f3, w2 * d**-0.5)`` on one order's node grid.
 
     These depend on rho and the order only, so a grid, which visits rho
     outermost, builds them once per (rho, order) rather than once per
     point. The cache holds every order one rho can need.
     """
-    k, _ = _quad_rule(order)
-    d, f1, f2, f3 = _f_coeffs(k[:, None], k[None, :], rho)
-    tables = (f1, f2, f3, d ** -0.5)
-    for arr in tables:
-        arr.flags.writeable = False
+    k, w2 = _quad_rule(order)
+    f, inv_d = _f_coeffs(*np.meshgrid(k, k, indexing="ij"), rho)
+    tables = np.concatenate([f, [w2 * np.sqrt(inv_d)]])
+    tables.flags.writeable = False
     return tables
 
 
 def _quad_r_values(problem: TwoVarProblem, order: int) -> tuple[float, float]:
     """(r1, r2) by tensor Gauss-Legendre at a fixed order.
 
-    The rho part of the integrand comes from the cached
+    The rho part of the integrand and the weights come from the cached
     :func:`_rho_tables` (sizes in the module docstring); only the terms in
-    the MLE pair and tau are evaluated here. The exponential factor
-    is evaluated in log space and normalized by its maximum over the node
-    grid; the shift cancels between numerator and denominator.
+    the MLE pair and tau, the latter as one vector per axis, are evaluated
+    here. The exponential factor is evaluated in log space and normalized
+    by its maximum over the node grid; the shift cancels between numerator
+    and denominator. The exponent and the sums are matrix-vector products:
+    OpenBLAS splits those by output element, so the result does not
+    depend on its thread count.
     """
-    k, w2 = _quad_rule(order)
-    tau2 = problem.tau ** 2
-    x1, x2 = problem.mle
-    k1 = k[:, None]
-    k2 = k[None, :]
-    f1, f2, f3, d_inv_sqrt = _rho_tables(problem.rho, order)
-    log_e, lin1, lin2 = _point_part(f1, f2, f3, problem)
-    rest = (d_inv_sqrt
-            / (1.0 - (1.0 - tau2) * k1)
-            / (1.0 - (1.0 - tau2) * k2))
-    base = w2 * rest * np.exp(log_e - log_e.max())
+    k, _ = _quad_rule(order)
+    tables = _rho_tables(problem.rho, order)
+    f = tables[:3].reshape(3, -1)
+    point = _point_part(problem)
+    base = point[2] @ f
+    base -= base.max()
+    np.exp(base, out=base)
+    base *= tables[3].reshape(-1)
+    g = 1.0 / (1.0 - (1.0 - problem.tau ** 2) * k)
+    grid = base.reshape(order, order)
+    grid *= g[:, None]
+    grid *= g
+    num1, num2 = (point[:2] @ (f @ base)).tolist()
     den = float(base.sum())
-    num1 = float((lin1 * base).sum())
-    num2 = float((lin2 * base).sum())
+    x1, x2 = problem.mle
     return -num1 / (x1 * den), -num2 / (x2 * den)
 
 
@@ -341,29 +349,46 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     sampling covariance of the three means through the estimator by the
     delta method. The returned standard errors are for the two estimate
     components. Uniforms are drawn ``_MC_CHUNK`` at a time, then used in
-    cache-sized slices, so the stream depends only on the seed.
+    cache-sized blocks, so the stream depends only on the seed. A block
+    reuses buffers allocated once per call: one matrix product writes its
+    rows (lin1, lin2, log E), which become (lin1 phi, lin2 phi, phi).
     """
     if n_samples < 1:
         raise InvariantError("n_samples must be at least 1")
     tau = problem.tau
     x1, x2 = problem.mle
+    point = _point_part(problem)
     rng = _rng(seed)
 
-    sums = np.zeros(3)
-    prods = np.zeros((3, 3))
+    rows = np.empty((3, _MC_BLOCK))
+    sums, prods = np.zeros(3), np.zeros((3, 3))
     for start in range(0, n_samples, _MC_CHUNK):
         m = min(_MC_CHUNK, n_samples - start)
         u1, u2 = rng.random(m), rng.random(m)
         for lo in range(0, m, _MC_BLOCK):
-            s = slice(lo, lo + _MC_BLOCK)
-            k1 = 1.0 / (1.0 + (tau * np.tan(u1[s] * (math.pi / 2.0))) ** 2)
-            k2 = 1.0 / (1.0 + (tau * np.tan(u2[s] * (math.pi / 2.0))) ** 2)
-            d, log_e, lin1, lin2 = _data_part(k1, k2, problem)
-            # The quadratic form is negative definite, so exp(log_e) <= 1.
-            phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
-            block = np.stack([lin1 * phi, lin2 * phi, phi])
+            b = min(_MC_BLOCK, m - lo)
+            block = rows[:, :b]
+            k = block[:2]  # the weights (k1, k2), until the matmul below
+            np.multiply(u1[lo:lo + b], math.pi / 2.0, out=k[0])
+            np.multiply(u2[lo:lo + b], math.pi / 2.0, out=k[1])
+            np.tan(k, out=k)  # k = 1 / (1 + (tau tan(u pi / 2))^2)
+            k *= tau
+            np.square(k, out=k)
+            k += 1.0
+            np.reciprocal(k, out=k)
+            f, weight = _f_coeffs(k[0], k[1], problem.rho)
+            weight *= k[0]
+            weight *= k[1]
+            np.sqrt(weight, out=weight)  # sqrt(k1 k2 / d): the prior weight
+            np.matmul(point, f, out=block)
+            # The quadratic form is negative definite, so E <= 1.
+            phi = np.exp(block[2], out=block[2])
+            phi *= weight
+            block[:2] *= phi
             sums += block.sum(axis=1)
-            prods += block @ block.T
+            # Row by row: OpenBLAS takes block @ block.T three times as long.
+            for j in range(3):
+                prods[j] += block @ block[j]
 
     means = sums / n_samples
     cov_samples = prods / n_samples - np.outer(means, means)
@@ -392,12 +417,12 @@ def _grid_point(rho, tau, a, x2) -> ShrinkGridPoint:
     try:
         res = hs_shrinkage(problem)
     except QuadratureError as exc:
-        return ShrinkGridPoint(problem=problem, ratio_mle=problem.a,
+        return ShrinkGridPoint(problem=problem, a=a, ratio_mle=problem.a,
                                ratio_shrunk=math.nan, reverse=False,
                                quad_error=exc.achieved, error=str(exc))
     b1, b2 = res.estimate
     ratio = math.inf if b2 == 0 else abs(b1 / b2)
-    return ShrinkGridPoint(problem=problem, ratio_mle=problem.a,
+    return ShrinkGridPoint(problem=problem, a=a, ratio_mle=problem.a,
                            ratio_shrunk=ratio,
                            reverse=ratio >= problem.a,
                            quad_error=res.quad_error)
@@ -424,7 +449,7 @@ def write_grid_csv(points: Sequence[ShrinkGridPoint], path: str) -> None:
     for pt in points:
         pr = pt.problem
         lines.append(
-            f"{pr.rho:.17g},{pr.tau:.17g},{pt.ratio_mle:.17g},"
+            f"{pr.rho:.17g},{pr.tau:.17g},{pt.a:.17g},"
             f"{pr.mle[1]:.17g},{pt.ratio_mle:.17g},{pt.ratio_shrunk:.17g},"
             f"{int(pt.reverse)},{pt.quad_error:.6g}")
     atomic_write_lines(path, lines)

@@ -444,6 +444,19 @@ class TestShrinkmap:
         row = (out / "shrink_grid_x2_1.csv").read_text().splitlines()[1]
         assert row.split(",")[6] == "1"
 
+    def test_a_column_holds_the_requested_value(self, tmp_path):
+        # The a column used to hold |a x2 / x2|, which printed
+        # 1.3500000000000003 here.
+        out = tmp_path / "ga"
+        assert run("shrinkmap", "--out", str(out), "--rho", "0.95",
+                   "--tau", "0.5", "--a", "1.35", "--x2", "1.5") == 0
+        lines = (out / "shrink_grid_x2_1.5.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["a"]) == 1.35
+        assert float(row["ratio_mle"]) == abs(1.35 * 1.5 / 1.5) != 1.35
+        assert row["reverse"] == str(int(float(row["ratio_shrunk"])
+                                         >= float(row["ratio_mle"])))
+
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
         code = run("shrinkmap", "--out", str(tmp_path), "--rho", "0.9;0.95")
         assert code == 2

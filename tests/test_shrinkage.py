@@ -1,6 +1,9 @@
 """Closed-form factors, the quadrature estimator, and the classification grid."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -262,12 +265,50 @@ class TestIntegrandPathsAgree:
             assert got == pytest.approx(want, rel=1e-10)
 
 
+def plain_formula_r_values(pr, order):
+    """The r-values by the integrand's plain formula on a fresh rule.
+
+    Every factor is a full node-grid array and each sum a plain ``sum``;
+    the kernel rearranges this arithmetic, so the two agree to rounding.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
+    theta = (nodes + 1.0) * (math.pi / 4.0)
+    w = weights * (math.pi / 4.0)
+    sin_t = np.sin(theta)
+    k = sin_t * sin_t
+    axis_w = w * 2.0 * sin_t
+    tau2 = pr.tau ** 2
+    x1, x2 = pr.mle
+    k1, k2 = k[:, None], k[None, :]
+    rho = pr.rho
+    d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+    f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
+    f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
+    f3 = -rho * k1 * k2 / d
+    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
+    rest = (d ** -0.5
+            / (1.0 - (1.0 - tau2) * k1)
+            / (1.0 - (1.0 - tau2) * k2))
+    base = (axis_w[:, None] * axis_w[None, :]) * rest * np.exp(log_e - log_e.max())
+    den = float(base.sum())
+    num1 = float(((f1 * x1 + f3 * x2) * base).sum())
+    num2 = float(((f2 * x2 + f3 * x1) * base).sum())
+    return -num1 / (x1 * den), -num2 / (x2 * den)
+
+
 class TestCachedQuadratureRules:
     """Each Gauss-Legendre rule is built once and reused read-only."""
 
     @staticmethod
     def fresh_rule_r_values(pr, order):
-        """The r-values with the rule rebuilt from ``leggauss`` in place."""
+        """The r-values with the rule and the rho tables rebuilt here.
+
+        Repeats the kernel's operations one by one, the matrix-vector
+        products included, so a cached rule or table must give the same
+        bits.
+        """
         from numpy.polynomial.legendre import leggauss
 
         nodes, weights = leggauss(order)
@@ -276,23 +317,24 @@ class TestCachedQuadratureRules:
         sin_t = np.sin(theta)
         k = sin_t * sin_t
         axis_w = w * 2.0 * sin_t
-        tau2 = pr.tau ** 2
         x1, x2 = pr.mle
         k1, k2 = k[:, None], k[None, :]
-        rho = pr.rho
-        d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
-        f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
-        f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
-        f3 = -rho * k1 * k2 / d
-        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
-        rest = (d ** -0.5
-                / (1.0 - (1.0 - tau2) * k1)
-                / (1.0 - (1.0 - tau2) * k2))
-        base = (axis_w[:, None] * axis_w[None, :]) * rest * np.exp(log_e - log_e.max())
-        den = float(base.sum())
-        num1 = float(((f1 * x1 + f3 * x2) * base).sum())
-        num2 = float(((f2 * x2 + f3 * x1) * base).sum())
-        return -num1 / (x1 * den), -num2 / (x2 * den)
+        rho, r2 = pr.rho, pr.rho * pr.rho
+        inv_d = 1.0 / (1.0 - (1.0 - k1) * (1.0 - k2) * r2)
+        f = np.stack([(r2 - 1.0 - r2 * k2) * k1, (r2 - 1.0 - r2 * k1) * k2,
+                      -rho * k1 * k2]) * inv_d
+        f = f.reshape(3, -1)
+        wd = (axis_w[:, None] * axis_w[None, :]) * np.sqrt(inv_d)
+        # The rows lin1, lin2 and log E on (f1, f2, f3).
+        point = np.array([[x1, 0.0, x2], [0.0, x2, x1],
+                          [x1 * x1 / 2.0, x2 * x2 / 2.0, x1 * x2]])
+        log_e = point[2] @ f
+        base = np.exp(log_e - log_e.max()) * wd.ravel()
+        g = 1.0 / (1.0 - (1.0 - pr.tau ** 2) * k)
+        base = (base.reshape(order, order) * g[:, None] * g).ravel()
+        num1, num2 = point[:2] @ (f @ base)
+        den = base.sum()
+        return float(-num1 / (x1 * den)), float(-num2 / (x2 * den))
 
     @pytest.mark.parametrize("order", [16, 32, 64])
     def test_bit_identical_to_a_fresh_rule(self, order):
@@ -318,15 +360,17 @@ class TestCachedQuadratureRules:
                 arr[0] = 0.5
 
     @staticmethod
-    def fresh_rule_point(pr, tol=1e-6):
-        """(ratio_shrunk, reverse, quad_error) by doubling fresh rules.
+    def fresh_rule_point(pr, tol=1e-6, r_values=None):
+        """(ratio_shrunk, reverse, quad_error, order) by doubling fresh rules.
 
-        Doubles the order from 16 until the r-values change by less than
-        ``tol`` relative, then maps them to the estimate and its ratio.
+        Doubles the order from 16 until the r-values (``r_values``, by
+        default the fresh-rule ones) change by less than ``tol`` relative,
+        then maps them to the estimate and its ratio.
         """
+        r_values = r_values or TestCachedQuadratureRules.fresh_rule_r_values
         prev = None
         for order in (16, 32, 64, 128, 256, 512):
-            r1, r2 = TestCachedQuadratureRules.fresh_rule_r_values(pr, order)
+            r1, r2 = r_values(pr, order)
             if prev is not None:
                 err = (max(abs(r1 - prev[0]), abs(r2 - prev[1]))
                        / max(abs(r1), abs(r2), 1e-300))
@@ -335,7 +379,7 @@ class TestCachedQuadratureRules:
                     s1 = (r1 - rho * r2 / a) / (1.0 - rho * rho)
                     s2 = (r2 - rho * r1 * a) / (1.0 - rho * rho)
                     ratio = abs((1.0 - s1) * pr.mle[0] / ((1.0 - s2) * pr.mle[1]))
-                    return ratio, ratio >= a, err
+                    return ratio, ratio >= a, err, order
             prev = (r1, r2)
         raise AssertionError(f"no convergence at {pr}")
 
@@ -346,7 +390,30 @@ class TestCachedQuadratureRules:
                                * len(DEFAULT_A_GRID))
         for pt in points:
             got = (pt.ratio_shrunk, pt.reverse, pt.quad_error)
-            assert got == self.fresh_rule_point(pt.problem), pt.problem
+            assert got == self.fresh_rule_point(pt.problem)[:3], pt.problem
+
+    @pytest.mark.parametrize("order", [16, 32, 64, 128])
+    def test_r_values_match_the_plain_formula(self, order):
+        from shrinksel.shrinkage import _quad_r_values
+
+        for pr in (TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)),
+                   TwoVarProblem(rho=0.94, tau=0.5, mle=(3.0, 1.5)),
+                   TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0)),
+                   TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
+            want = plain_formula_r_values(pr, order)
+            assert _quad_r_values(pr, order) == pytest.approx(want, rel=1e-13,
+                                                              abs=0.0)
+
+    @pytest.mark.parametrize("x2", [1.0, 1.5])
+    def test_default_grid_matches_the_plain_formula(self, x2):
+        # The rearranged arithmetic moves the last digits only: no point
+        # changes its classification or the order it converges at.
+        for pt in reverse_shrinkage_grid(x2=x2):
+            ratio, reverse, _, order = self.fresh_rule_point(
+                pt.problem, r_values=plain_formula_r_values)
+            assert pt.reverse == reverse, pt.problem
+            assert hs_shrinkage(pt.problem).order == order, pt.problem
+            assert pt.ratio_shrunk == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
     def test_rho_tables_are_read_only_and_bounded(self):
         from shrinksel.shrinkage import _QUAD_ORDERS, _rho_tables
@@ -461,3 +528,34 @@ class TestArgumentChecks:
         pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
         with pytest.raises(InvariantError, match="at least 1"):
             hs_estimator_mc(pr, **kwargs)
+
+
+_THREAD_CHILD = """
+import hashlib
+from shrinksel.shrinkage import TwoVarProblem, _quad_r_values, hs_estimator_mc
+pr = TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0))
+r = [_quad_r_values(pr, order) for order in (64, 128, 256, 512)]
+mc = hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
+                     n_samples=100_003, seed=7)
+print(hashlib.sha256(repr((r, mc)).encode()).hexdigest())
+"""
+
+
+def test_shrinkage_independent_of_blas_threads():
+    """Quadrature at up to 512^2 nodes and an MC estimate give the same
+    bits on one and two BLAS threads: the engine runs without the chains'
+    one-thread pin, and OpenBLAS splits a long dot product across threads."""
+    pr = TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0))
+    assert hs_shrinkage(pr).order == 128  # 16384 nodes
+    import shrinksel
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinksel.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
