@@ -1,10 +1,11 @@
 """Synthetic designs, masking/swamping scoring, and the benchmark harness.
 
-Designs are i.i.d. standard normal; the correlated variant rewrites a few
-noise columns as near-copies of signal columns so that each constructed
-pair couples one signal with one noise predictor at an empirical
-correlation above the configured target. Benchmarks hold the design fixed
-and regenerate only the response noise across replicates.
+Designs are i.i.d. standard normal; the correlated variant (n >= 3)
+rewrites a few noise columns as near-copies of signal columns, so that
+each constructed pair couples one signal with one noise predictor at
+empirical correlation exactly (1 + target)/2, placed in closed form.
+Benchmarks hold the design fixed and regenerate only the response noise
+across replicates.
 
 All randomness derives from one master seed through a documented
 SeedSequence tree: root -> (design, replicates); replicate i ->
@@ -28,9 +29,6 @@ from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
 from .samplers import McmcConfig, fit
 from .selection import S2mConfig, run_selector
 
-_COR_RETRIES = 20
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One synthetic-benchmark setting.
@@ -38,11 +36,11 @@ class SimConfig:
     ``strengths`` lists the nonzero coefficients (length ``r``; a single
     strength broadcasts to all ``r`` signals); signal positions are drawn
     uniformly among the covariate columns under the master ``seed``. With
-    ``correlated``, ``cor_pairs`` noise columns are rebuilt as near-copies
-    of distinct signal columns with empirical correlation above
-    ``cor_target``. ``intercept`` appends an all-ones column after the
-    ``p`` covariates; it is fitted but excluded from selection, truth and
-    scoring.
+    ``correlated`` (which needs ``n >= 3``), ``cor_pairs`` noise columns are
+    rebuilt as near-copies of distinct signal columns, each at empirical
+    correlation exactly (1 + ``cor_target``)/2. ``intercept`` appends an
+    all-ones column after the ``p`` covariates; it is fitted but excluded
+    from selection, truth and scoring.
     """
 
     n: int
@@ -79,6 +77,8 @@ class SimConfig:
                     "not enough noise columns for the requested pairs")
             if not 0 < self.cor_target < 1:
                 raise InvariantError("cor_target must lie in (0, 1)")
+            if self.n < 3:
+                raise InvariantError("a correlated design needs n >= 3")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvariantError("noise_sd must be nonnegative")
         if self.replicates < 1:
@@ -119,43 +119,34 @@ def replicate_streams(cfg: SimConfig) -> list[tuple[SeedSequence, int]]:
 
 
 def _correlated_copy(rng: Generator, base: np.ndarray, target: float) -> np.ndarray:
-    """A noisy copy of ``base`` whose empirical correlation exceeds target.
+    """``base + delta * e`` at empirical correlation (1 + target)/2 with base.
 
-    The perturbation size is found by bisection toward the midpoint of
-    (target, 1); fresh perturbation directions are retried a bounded
-    number of times before giving up.
+    For centred b and e, with B = b'b, C = b'e and P = |e - (C/B) b|^2 (the
+    square of the part of e off b), the correlation is m at
+    delta = sqrt(B(1 - m^2)) / (m sqrt(P) - C sqrt((1 - m^2)/B)). When that
+    denominator is not positive, e lies within the target angle of b, and
+    -e takes its place. Needs n >= 3, so that P > 0.
     """
-    mid = 0.5 * (1.0 + target)
-    for _ in range(_COR_RETRIES):
-        e = rng.standard_normal(base.shape[0])
-
-        def corr(delta: float) -> float:
-            return float(np.corrcoef(base, base + delta * e)[0, 1])
-
-        hi = 1.0
-        for _ in range(200):
-            if corr(hi) < mid:
-                break
-            hi *= 2.0
-        else:
-            continue
-        lo = 0.0
-        for _ in range(80):
-            cut = 0.5 * (lo + hi)
-            if corr(cut) > mid:
-                lo = cut
-            else:
-                hi = cut
-        candidate = base + lo * e
-        if float(np.corrcoef(base, candidate)[0, 1]) > target:
-            return candidate
-    raise RuntimeError(
-        f"could not construct a pair with correlation above {target}")
+    m = 0.5 * (1.0 + target)
+    e = rng.standard_normal(base.shape[0])
+    b, ec = base - base.mean(), e - e.mean()
+    big_b, c = b @ b, b @ ec
+    off = ec - c / big_b * b  # not e'e - C^2/B, which cancels when e ~ b
+    k = np.sqrt((1.0 - m) * (1.0 + m) / big_b)
+    m_root_p = m * np.sqrt(off @ off)
+    if m_root_p <= c * k:
+        e, c = -e, -c
+    return base + big_b * k / (m_root_p - c * k) * e
 
 
-def _gen_design_arrays(cfg: SimConfig,
-                       seq: SeedSequence) -> tuple[np.ndarray, frozenset[int]]:
-    rng = _rng(seq)
+def gen_design(cfg: SimConfig) -> tuple[np.ndarray, frozenset[int]]:
+    """Design matrix and 1-based truth set for one benchmark setting.
+
+    Deterministic in ``cfg.seed``. The intercept column, when configured,
+    is the last column and never belongs to the truth set.
+    """
+    design_seq, _ = _seed_root(cfg)
+    rng = _rng(design_seq)
     x = rng.standard_normal((cfg.n, cfg.p))
     signals = np.sort(rng.choice(cfg.p, size=cfg.r, replace=False))
     if cfg.correlated:
@@ -167,16 +158,6 @@ def _gen_design_arrays(cfg: SimConfig,
     if cfg.intercept:
         x = np.hstack([x, np.ones((cfg.n, 1))])
     return x, frozenset(int(j) + 1 for j in signals)
-
-
-def gen_design(cfg: SimConfig) -> tuple[np.ndarray, frozenset[int]]:
-    """Design matrix and 1-based truth set for one benchmark setting.
-
-    Deterministic in ``cfg.seed``. The intercept column, when configured,
-    is the last column and never belongs to the truth set.
-    """
-    design_seq, _ = _seed_root(cfg)
-    return _gen_design_arrays(cfg, design_seq)
 
 
 def gen_response(x: np.ndarray, truth, strengths,
@@ -194,8 +175,10 @@ def gen_response(x: np.ndarray, truth, strengths,
         raise InvariantError("one strength per truth index required")
     if truth_sorted and not 1 <= truth_sorted[0] <= truth_sorted[-1] <= x.shape[1]:
         raise InvariantError("truth indices outside design columns")
-    if noise_sd < 0:
-        raise InvariantError("noise_sd must be nonnegative")
+    if not all(np.isfinite(strengths)):
+        raise InvariantError("strengths must be finite")
+    if not (np.isfinite(noise_sd) and noise_sd >= 0):
+        raise InvariantError("noise_sd must be finite and nonnegative")
     beta = np.zeros(x.shape[1])
     for j, s in zip(truth_sorted, strengths):
         beta[j - 1] = s

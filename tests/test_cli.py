@@ -58,6 +58,17 @@ class TestSimulate:
         assert code == 2
         assert not (out / "design.csv").exists()
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_correlated_design_below_three_rows_writes_nothing(
+            self, tmp_path, capsys, n):
+        out = tmp_path / "bad"
+        code = run("simulate", "--out", str(out), "-n", n, "-p", "4",
+                   "-r", "1", "--strengths", "3", "--correlated",
+                   "--cor-pairs", "1")
+        assert code == 2
+        assert "n >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_directory_environment_variable_is_ignored(
             self, tmp_path, monkeypatch):
         # SHRINKSEL_OUTDIR used to stand in for --out.

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from shrinksel.core import InvariantError, PriorSpec
+from shrinksel.core import InvariantError, PriorSpec, _rng
 from shrinksel.samplers import McmcConfig
 from shrinksel.selection import S2mConfig
-from shrinksel.simulate import (ErrorReport, SimConfig, format_benchmark_table,
+from shrinksel.simulate import (ErrorReport, SimConfig, _correlated_copy,
+                                format_benchmark_table,
                                 gen_design, gen_response, replicate_streams,
                                 run_benchmark, score, write_benchmark_csv,
                                 write_replicate_csv)
@@ -25,6 +26,15 @@ class TestSimConfig:
                       correlated=True, cor_pairs=2)  # only one noise column
         with pytest.raises(InvariantError):
             SimConfig(n=10, p=5, r=2, strengths=(1.0, 0.0))
+        # At n <= 2 centred columns all lie on one line: no copy can sit
+        # strictly between the target and 1.
+        for n in (1, 2):
+            with pytest.raises(InvariantError, match="n >= 3"):
+                SimConfig(n=n, p=4, r=1, strengths=(3.0,), correlated=True,
+                          cor_pairs=1)
+            SimConfig(n=n, p=4, r=1, strengths=(3.0,))
+        SimConfig(n=3, p=4, r=1, strengths=(3.0,), correlated=True,
+                  cor_pairs=1)
 
     def test_constant_strength(self):
         # A single strength broadcasts to all r signals.
@@ -86,6 +96,24 @@ class TestGenDesign:
                 seen.add((i, j))
         assert len(seen) == 2
 
+    @pytest.mark.parametrize("n", [3, 5, 50, 200])
+    @pytest.mark.parametrize("target", [0.5, 0.9, 0.99, 1 - 1e-6])
+    def test_copy_hits_the_midpoint_correlation(self, n, target):
+        # np.corrcoef is an oracle independent of the closed form. Each
+        # copy draws its direction e from a stream seeded by its index, so
+        # the sign of (copy - base)'e shows whether -e replaced e.
+        bases = _rng(11).standard_normal((200 if n == 3 else 20, n))
+        flipped = 0
+        for i, base in enumerate(bases):
+            copy = _correlated_copy(_rng(i), base, target)
+            assert abs(np.corrcoef(base, copy)[0, 1]
+                       - (1 + target) / 2) < 1e-12
+            flipped += (copy - base) @ _rng(i).standard_normal(n) < 0
+        if n == 3 and target == 0.5:
+            # e lies within the target angle of b in about a quarter of
+            # the draws here, so the -e branch must have run.
+            assert 20 < flipped < 100
+
 
 class TestGenResponse:
     def test_noise_free(self):
@@ -113,6 +141,21 @@ class TestGenResponse:
     def test_strength_count_mismatch(self):
         with pytest.raises(InvariantError):
             gen_response(np.ones((4, 3)), {1, 2}, (1.0,), 1.0, seed=0)
+
+    @pytest.mark.parametrize("noise_sd", [np.nan, np.inf, -np.inf, -1.0])
+    def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
+        with pytest.raises(InvariantError, match="noise_sd"):
+            gen_response(np.ones((4, 3)), {1}, (1.0,), noise_sd, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_strengths_must_be_finite(self, bad):
+        with pytest.raises(InvariantError, match="strengths"):
+            gen_response(np.ones((4, 3)), {1, 2}, (1.0, bad), 1.0, seed=0)
+
+    def test_zero_strength_is_allowed(self):
+        x = np.arange(12.0).reshape(4, 3)
+        y = gen_response(x, {1, 3}, (0.0, 2.0), 0.0, seed=0)
+        assert np.array_equal(y, 2.0 * x[:, 2])
 
 
 class TestScore:
