@@ -12,7 +12,8 @@ Gauss-Legendre quadrature (after a sin^2 substitution that removes the
 endpoint singularity) and classifies each parameter combination as
 reverse-shrinkage (shrunk ratio >= MLE ratio) or not. A plain Monte Carlo
 integrator over half-Cauchy scale draws provides an independent
-cross-check of the quadrature path.
+cross-check of the quadrature path; each block of 2^15 samples draws one
+(2, b) array of uniforms, so its memory does not depend on the sample count.
 
 Everything here is a pure function and runs in the calling process: a
 grid point costs about 0.1 ms, less than handing it to a worker process.
@@ -44,7 +45,6 @@ DEFAULT_X2_VALUES = (1.0, 1.5)
 
 _QUAD_ORDERS = (16, 32, 64, 128, 256, 512)
 _TOL = 1e-6  # relative change between orders at which quadrature stops
-_MC_CHUNK = 1_000_000  # uniforms drawn per RNG call (16 MB for the pair)
 _MC_BLOCK = 1 << 15  # samples per cache-sized slice of the MC pipeline
 
 
@@ -348,13 +348,15 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     the standard half-Cauchy, averages the integrands, and propagates the
     sampling covariance of the three means through the estimator by the
     delta method. The returned standard errors are for the two estimate
-    components. Uniforms are drawn ``_MC_CHUNK`` at a time, then used in
-    cache-sized blocks, so the stream depends only on the seed. A block
-    reuses buffers allocated once per call: one matrix product writes its
-    rows (lin1, lin2, log E), which become (lin1 phi, lin2 phi, phi).
+    components. Each block of ``_MC_BLOCK`` samples draws one ``(2, b)``
+    array of uniforms (row 0 for k1, row 1 for k2), so the stream depends
+    only on the seed, and no array grows with ``n_samples``. A block reuses
+    buffers allocated once per call: one matrix product writes its rows
+    (lin1, lin2, log E), which become (lin1 phi, lin2 phi, phi).
     """
-    if n_samples < 1:
-        raise InvariantError("n_samples must be at least 1")
+    if isinstance(n_samples, bool) or not (
+            isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise InvariantError("n_samples must be an integer at least 1")
     tau = problem.tau
     x1, x2 = problem.mle
     point = _point_part(problem)
@@ -362,33 +364,29 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
 
     rows = np.empty((3, _MC_BLOCK))
     sums, prods = np.zeros(3), np.zeros((3, 3))
-    for start in range(0, n_samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, n_samples - start)
-        u1, u2 = rng.random(m), rng.random(m)
-        for lo in range(0, m, _MC_BLOCK):
-            b = min(_MC_BLOCK, m - lo)
-            block = rows[:, :b]
-            k = block[:2]  # the weights (k1, k2), until the matmul below
-            np.multiply(u1[lo:lo + b], math.pi / 2.0, out=k[0])
-            np.multiply(u2[lo:lo + b], math.pi / 2.0, out=k[1])
-            np.tan(k, out=k)  # k = 1 / (1 + (tau tan(u pi / 2))^2)
-            k *= tau
-            np.square(k, out=k)
-            k += 1.0
-            np.reciprocal(k, out=k)
-            f, weight = _f_coeffs(k[0], k[1], problem.rho)
-            weight *= k[0]
-            weight *= k[1]
-            np.sqrt(weight, out=weight)  # sqrt(k1 k2 / d): the prior weight
-            np.matmul(point, f, out=block)
-            # The quadratic form is negative definite, so E <= 1.
-            phi = np.exp(block[2], out=block[2])
-            phi *= weight
-            block[:2] *= phi
-            sums += block.sum(axis=1)
-            # Row by row: OpenBLAS takes block @ block.T three times as long.
-            for j in range(3):
-                prods[j] += block @ block[j]
+    for lo in range(0, n_samples, _MC_BLOCK):
+        b = min(_MC_BLOCK, n_samples - lo)
+        block = rows[:, :b]
+        k = block[:2]  # the weights (k1, k2), until the matmul below
+        np.multiply(rng.random((2, b)), math.pi / 2.0, out=k)
+        np.tan(k, out=k)  # k = 1 / (1 + (tau tan(u pi / 2))^2)
+        k *= tau
+        np.square(k, out=k)
+        k += 1.0
+        np.reciprocal(k, out=k)
+        f, weight = _f_coeffs(k[0], k[1], problem.rho)
+        weight *= k[0]
+        weight *= k[1]
+        np.sqrt(weight, out=weight)  # sqrt(k1 k2 / d): the prior weight
+        np.matmul(point, f, out=block)
+        # The quadratic form is negative definite, so E <= 1.
+        phi = np.exp(block[2], out=block[2])
+        phi *= weight
+        block[:2] *= phi
+        sums += block.sum(axis=1)
+        # Row by row: OpenBLAS takes block @ block.T three times as long.
+        for j in range(3):
+            prods[j] += block @ block[j]
 
     means = sums / n_samples
     cov_samples = prods / n_samples - np.outer(means, means)

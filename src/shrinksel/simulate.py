@@ -39,8 +39,9 @@ class SimConfig:
     ``correlated`` (which needs ``n >= 3``), ``cor_pairs`` noise columns are
     rebuilt as near-copies of distinct signal columns, each at empirical
     correlation exactly (1 + ``cor_target``)/2. ``intercept`` appends an
-    all-ones column after the ``p`` covariates; it is fitted but excluded
-    from selection, truth and scoring.
+    all-ones column after the ``p`` covariates; it is never in the truth.
+    :func:`run_benchmark` fits it but leaves it out of selection and
+    scoring; the draw-file workflow keeps it as variable p+1.
     """
 
     n: int

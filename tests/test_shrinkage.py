@@ -11,7 +11,7 @@ import pytest
 
 from shrinksel.core import InvariantError
 from shrinksel.shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID,
-                                 DEFAULT_TAU_GRID, ShrinkGridPoint,
+                                 DEFAULT_TAU_GRID, _MC_BLOCK, ShrinkGridPoint,
                                  TwoVarProblem, hs_estimator, hs_estimator_mc,
                                  hs_integrand, hs_shrinkage, normal_estimator,
                                  normal_ratio_contracts, normal_shrink_factors,
@@ -447,36 +447,33 @@ class TestCachedQuadratureRules:
             assert [_quad_r_values(pr, o) for o in orders] == want
 
 
-def whole_chunk_mc(pr, n_samples, seed, chunk):
-    """``hs_estimator_mc`` with every chunk processed in one piece.
+def whole_array_mc(pr, n_samples, seed):
+    """``hs_estimator_mc`` with all samples processed in one piece.
 
-    Draws the same uniforms in the same order (two vectors per chunk),
-    accumulates the sums and cross-products of (lin1 phi, lin2 phi, phi)
-    over whole chunks, and maps them to the estimate and its delta-method
-    standard errors. Returns (estimate, se).
+    Draws the same uniforms in the same order (one ``(2, b)`` array per
+    block of ``_MC_BLOCK`` samples), joins them into whole k1 and k2
+    arrays, accumulates the sums and cross-products of (lin1 phi, lin2 phi,
+    phi) over all samples at once, and maps them to the estimate and its
+    delta-method standard errors. Returns (estimate, se).
     """
     from numpy.random import Generator, Philox, SeedSequence
 
     rho, tau = pr.rho, pr.tau
     x1, x2 = pr.mle
     rng = Generator(Philox(SeedSequence(seed)))
-    sums, prods, done = np.zeros(3), np.zeros((3, 3)), 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        k1 = 1.0 / (1.0 + (tau * np.tan(rng.random(m) * (math.pi / 2.0))) ** 2)
-        k2 = 1.0 / (1.0 + (tau * np.tan(rng.random(m) * (math.pi / 2.0))) ** 2)
-        d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
-        f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
-        f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
-        f3 = -rho * k1 * k2 / d
-        log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
-        phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
-        block = np.stack([(f1 * x1 + f3 * x2) * phi, (f2 * x2 + f3 * x1) * phi, phi])
-        sums += block.sum(axis=1)
-        prods += block @ block.T
-        done += m
-    means = sums / n_samples
-    cov_means = (prods / n_samples - np.outer(means, means)) / n_samples
+    u = np.concatenate([rng.random((2, min(_MC_BLOCK, n_samples - lo)))
+                        for lo in range(0, n_samples, _MC_BLOCK)], axis=1)
+    k1, k2 = 1.0 / (1.0 + (tau * np.tan(u * (math.pi / 2.0))) ** 2)
+    d = 1.0 - (1.0 - k1) * (1.0 - k2) * rho * rho
+    f1 = (rho * rho - 1.0 - rho * rho * k2) * k1 / d
+    f2 = (rho * rho - 1.0 - rho * rho * k1) * k2 / d
+    f3 = -rho * k1 * k2 / d
+    log_e = (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f3 * x1 * x2) / 2.0
+    phi = np.sqrt(k1 * k2 / d) * np.exp(log_e)
+    block = np.stack([(f1 * x1 + f3 * x2) * phi, (f2 * x2 + f3 * x1) * phi, phi])
+    means = block.sum(axis=1) / n_samples
+    cov_means = ((block @ block.T) / n_samples
+                 - np.outer(means, means)) / n_samples
     m1, m2, mb = means
     r1, r2 = -m1 / (x1 * mb), -m2 / (x2 * mb)
     a, denom = pr.a, 1.0 - rho * rho
@@ -491,19 +488,15 @@ def whole_chunk_mc(pr, n_samples, seed, chunk):
     return ((1.0 - s1) * x1, (1.0 - s2) * x2), tuple(se)
 
 
-class TestMcSlices:
-    """The sliced Monte Carlo pipeline against whole-chunk accumulation."""
+class TestMcBlocks:
+    """The blocked Monte Carlo pipeline against whole-array accumulation."""
 
-    @pytest.mark.parametrize("chunk", [40_000, 1_000_000])
-    def test_matches_whole_chunk_reference(self, chunk, monkeypatch):
-        from shrinksel import shrinkage
-
-        n = 100_003
-        assert n % shrinkage._MC_BLOCK and chunk % shrinkage._MC_BLOCK
-        monkeypatch.setattr(shrinkage, "_MC_CHUNK", chunk)
+    @pytest.mark.parametrize(
+        "n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 100_003])
+    def test_matches_whole_array_reference(self, n):
         pr = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5))
         mc = hs_estimator_mc(pr, n_samples=n, seed=7)
-        est, se = whole_chunk_mc(pr, n, seed=7, chunk=chunk)
+        est, se = whole_array_mc(pr, n, seed=7)
         assert mc.n_samples == n
         for got, want in zip(mc.estimate + mc.se, est + se):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -523,7 +516,9 @@ class TestMcStandardError:
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5}])
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 1e5},
+        {"n_samples": 2.0}, {"n_samples": True}, {"n_samples": "10"}])
     def test_mc_sample_counts_must_be_positive(self, kwargs):
         pr = TwoVarProblem(rho=0.95, tau=0.5, mle=(2.0, 1.0))
         with pytest.raises(InvariantError, match="at least 1"):
@@ -559,3 +554,37 @@ def test_shrinkage_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_RSS_CHILD = """
+import sys
+from shrinksel.shrinkage import TwoVarProblem, hs_estimator_mc
+hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
+                n_samples=int(sys.argv[1]), seed=7)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs the VmHWM line of /proc/self/status")
+def test_mc_memory_does_not_grow_with_samples():
+    """Peak RSS of a fresh process at 4e6 samples stays within 8 MB of its
+    peak at 1e5: the MC keeps no array whose size follows ``n_samples``.
+
+    The peak is VmHWM, not ``ru_maxrss``: a child's ``ru_maxrss`` starts at
+    the peak of the process that spawned it, here pytest's.
+    """
+    import shrinksel
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shrinksel.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    peaks_kib = []
+    for n in (100_000, 4_000_000):
+        proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(n)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks_kib.append(int(proc.stdout))
+    assert peaks_kib[1] - peaks_kib[0] < 8 * 1024, peaks_kib
