@@ -29,8 +29,8 @@ from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
                    atomic_write_lines, load_draws, load_matrix_csv, save_draws,
                    save_matrix_csv)
 from .samplers import McmcConfig, fit
-from .selection import S2mConfig, TWO_SIGMA_HAT, resolve_b, run_selector, \
-    write_selection_report
+from .selection import (S2mConfig, TWO_SIGMA_HAT, check_methods, resolve_b,
+                        run_selectors, write_selection_report)
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
                         reverse_shrinkage_grid, write_grid_csv)
 from .simulate import (SimConfig, format_benchmark_table, gen_design,
@@ -191,10 +191,7 @@ def _methods_list(args, config, default) -> list[str]:
     if not (isinstance(raw, list) and all(isinstance(m, str) for m in raw)):
         raise UsageError(f"methods: {raw!r} is not a list of method names")
     methods = [m.strip() for m in raw if m.strip()]
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown or not methods:
-        raise UsageError(
-            f"unknown method(s) {unknown}; valid methods: {', '.join(METHODS)}")
+    check_methods(methods)
     return methods
 
 
@@ -249,25 +246,19 @@ def cmd_select(args) -> int:
     cfg = _build("selection", config, args)
     out = _out_dir(args)
     draws = load_draws(args.draws)
-    results = []
-    errors = {}
-    for method in methods:
-        try:
-            results.append(run_selector(draws, method, cfg))
-        except InvariantError as exc:
-            errors[method] = str(exc)
-            print(f"select: method {method} failed: {exc}", file=sys.stderr)
+    outcomes = run_selectors(draws, methods, cfg)
     resolved = resolve_b(draws, cfg)
-    write_selection_report(results, os.path.join(out, "selection.csv"),
-                           os.path.join(out, "selection.txt"),
-                           cfg=cfg, resolved_b=resolved, errors=errors)
+    write_selection_report(outcomes, os.path.join(out, "selection.csv"),
+                           os.path.join(out, "selection.txt"), cfg, resolved)
     _write_resolved(out, "select", {"selection": asdict(cfg),
                                     "methods": methods,
                                     "resolved_b": resolved,
                                     "draws": args.draws})
-    for r in results:
-        print(f"{r.method}: H={r.h_mode} "
-              f"selected={sorted(r.selected)}")
+    for method, r in outcomes.items():
+        if isinstance(r, str):
+            print(f"select: method {method} failed: {r}", file=sys.stderr)
+        else:
+            print(f"{method}: H={r.h_mode} selected={sorted(r.selected)}")
     return EXIT_OK
 
 

@@ -145,7 +145,7 @@ def _draw_beta_dense(rng, x, gram, xty, d, sigma, a=None):
 
 
 def _draw_truncated_inv_gamma(rng, shape, scale, upper):
-    """Rejection draw of InvGamma(shape, scale) on (0, upper].
+    """Rejection draw of InvGamma(shape, scale) on (0, upper], upper <= inf.
 
     Bounded retries, then the draw is clamped to the bound.
     """
@@ -299,7 +299,7 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
     # The beta draw's work arrays, refilled every sweep.
     work = ((np.empty((n, p)), np.empty((n, n))) if use_woodbury
             else (np.empty((p, p)),))
-    tau_upper = prior.tau_upper
+    tau_upper = prior.tau_upper or math.inf  # unset: the first draw is kept
     sigma2_shape, tau_shape = prior.ig_shape + 0.5 * (n + p), 0.5 * (p + 1)
     while True:
         d = state.tau * state.lam
@@ -325,11 +325,8 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
 
         tau_scale = 1.0 / state.xi + \
             0.5 * float((b2 / state.lam).sum()) / state.sigma2
-        if tau_upper is None:
-            state.tau = _inv_gamma(rng, tau_shape, tau_scale)
-        else:
-            state.tau = _draw_truncated_inv_gamma(
-                rng, tau_shape, tau_scale, tau_upper)
+        state.tau = _draw_truncated_inv_gamma(
+            rng, tau_shape, tau_scale, tau_upper)
         state.xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / state.tau)
         yield
 
@@ -414,9 +411,9 @@ def fit(data: Dataset, prior: PriorSpec, mcmc: McmcConfig) -> PosteriorDraws:
     """
     p = data.p
     if prior.family == HORSESHOE:
-        tau0 = 1.0 if prior.tau_upper is None else min(1.0, prior.tau_upper)
         state = ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p),
-                           tau=tau0, nu=np.ones(p), xi=1.0)
+                           tau=min(1.0, prior.tau_upper or math.inf),
+                           nu=np.ones(p), xi=1.0)
         return _run_chain(data, mcmc, state, _horseshoe_sweeps, prior,
                           p > data.n)
     a_beta, b_beta = prior.ss_beta_a, prior.ss_beta_b

@@ -312,37 +312,58 @@ _SELECTORS = {
 }
 
 
+def check_methods(methods) -> None:
+    """Refuse an empty method list, an unknown tag or a repeated tag."""
+    unknown = [m for m in methods if m not in _SELECTORS]
+    if unknown or not methods:
+        raise InvariantError(f"unknown method(s) {unknown}; valid methods: "
+                             f"{', '.join(_SELECTORS)}")
+    repeated = [m for m in _SELECTORS if methods.count(m) > 1]
+    if repeated:
+        raise InvariantError(f"method(s) {repeated} given more than once")
+
+
 def run_selector(draws: PosteriorDraws, method: str,
                  cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Dispatch one selector by its tag."""
-    if method not in _SELECTORS:
-        raise InvariantError(f"unknown method {method!r}")
+    check_methods([method])
     return _SELECTORS[method][0](draws, cfg)
 
 
-def write_selection_report(results, csv_path: str, text_path: str,
-                           cfg: S2mConfig = S2mConfig(),
-                           resolved_b: float = float("nan"),
-                           errors: dict[str, str] | None = None) -> None:
-    """Serialize selection results to a machine CSV and a text report.
+def run_selectors(draws: PosteriorDraws, methods, cfg: S2mConfig = S2mConfig()
+                  ) -> dict[str, Union[SelectionResult, str]]:
+    """Per method, in order: its result, or the message of the
+    :class:`InvariantError` by which its selector refused the draws (``hppm``
+    and ``mpm`` without ``z``, ``ht`` without ``lam``). Others propagate."""
+    check_methods(methods)
+    outcomes = {}
+    for method in methods:
+        try:
+            outcomes[method] = _SELECTORS[method][0](draws, cfg)
+        except InvariantError as exc:
+            outcomes[method] = str(exc)
+    return outcomes
 
-    ``errors`` maps method tags that failed to their diagnostic; they get a
-    row with an empty selection so every requested method appears once.
-    """
-    errors = errors or {}
+
+def write_selection_report(outcomes, csv_path: str, text_path: str,
+                           cfg: S2mConfig, resolved_b: float) -> None:
+    """Write :func:`run_selectors` outcomes to a CSV and a text report: the
+    results in call order, then the refusals, each with its message."""
     params = {"b": resolved_b, "level": cfg.credible_level,
               "threshold": cfg.kappa_threshold}
     rows = [f"method,h,selected,{','.join(params)},error"]
     lines = []
-    for r in results:
-        column = _SELECTORS[r.method][1]
+    for method, r in sorted(outcomes.items(),
+                            key=lambda o: isinstance(o[1], str)):
+        if isinstance(r, str):
+            rows.append(f"{method},,,,,,{r.replace(',', ';')}")
+            lines.append(f"method={method} ERROR: {r}")
+            continue
+        column = _SELECTORS[method][1]
         cells = ",".join("%.17g" % v if c == column else ""
                          for c, v in params.items())
         sel = " ".join(str(j) for j in sorted(r.selected))
-        rows.append(f"{r.method},{r.h_mode},{sel},{cells},")
-        lines.append(f"method={r.method} H={r.h_mode} selected=[{sel}]")
-    for method, msg in errors.items():
-        rows.append(f"{method},,,,,,{msg.replace(',', ';')}")
-        lines.append(f"method={method} ERROR: {msg}")
+        rows.append(f"{method},{r.h_mode},{sel},{cells},")
+        lines.append(f"method={method} H={r.h_mode} selected=[{sel}]")
     atomic_write_lines(csv_path, rows)
     atomic_write_lines(text_path, lines)

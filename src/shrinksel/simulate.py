@@ -24,10 +24,10 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.random import Generator, SeedSequence
 
-from .core import (Dataset, InvariantError, METHODS, PosteriorDraws,
-                   PriorSpec, _map_jobs, _present, _rng, atomic_write_lines)
+from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
+                   _map_jobs, _present, _rng, atomic_write_lines)
 from .samplers import McmcConfig, fit
-from .selection import S2mConfig, run_selector
+from .selection import S2mConfig, check_methods, run_selectors
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -209,14 +209,8 @@ def _bench_replicate(stream, *, x, truth, cfg, prior, mcmc, methods,
     if cfg.intercept:  # fitted, but never selected or scored
         draws = PosteriorDraws(**{lat.field: a[:, :cfg.p] if lat.per_coef
                                   else a for lat, a in _present(draws)})
-    out = []
-    for method in methods:
-        try:
-            out.append(score(run_selector(draws, method, s2m_cfg).selected,
-                             truth))
-        except Exception as exc:
-            out.append(str(exc))
-    return out
+    return [r if isinstance(r, str) else score(r.selected, truth)
+            for r in run_selectors(draws, methods, s2m_cfg).values()]
 
 
 def run_benchmark(cfg: SimConfig, prior: PriorSpec,
@@ -226,14 +220,14 @@ def run_benchmark(cfg: SimConfig, prior: PriorSpec,
     """One design, ``cfg.replicates`` responses, fit + select + score each.
 
     Returns one :class:`ErrorReport` per method, averaging the completed
-    replicates. Replicate failures are excluded with a warning and listed
-    on the report instead of being silently averaged over. Bit-reproducible
+    replicates. A failed chain fails its replicate for every method, and a
+    selector that refuses the prior's draws (``hppm``/``mpm`` on horseshoe,
+    ``ht`` on spike-and-slab) for its own; both are excluded with a warning
+    and listed on the report. Any other error propagates. Bit-reproducible
     for a fixed master seed regardless of ``jobs``: every chain seed derives
     from ``cfg.seed`` through the replicate tree, superseding ``mcmc.seed``.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise InvariantError(f"unknown method {m!r}")
+    check_methods(methods)
     x, truth = gen_design(cfg)
     replicate = partial(_bench_replicate, x=x, truth=truth, cfg=cfg,
                         prior=prior, mcmc=mcmc, methods=tuple(methods),

@@ -171,6 +171,16 @@ class TestSelect:
         assert code == 2
         assert "valid methods" in capsys.readouterr().err
 
+    def test_repeated_method_is_usage_error(self, hs_draws_file, tmp_path,
+                                            capsys):
+        # This used to write two identical s2m rows but one hppm row.
+        out = tmp_path / "rep"
+        code = run("select", "--out", str(out), "--draws", str(hs_draws_file),
+                   "--methods", "s2m,s2m,hppm,hppm")
+        assert code == 2
+        assert "['s2m', 'hppm']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Fixed draws, not a chain, so the report bytes do not depend on the BLAS
 # thread count. Column 4 is a borderline signal that each selector's knob
@@ -405,6 +415,16 @@ class TestBench:
                    "--burn-in", "10")
         assert code == 2
         assert "valid methods" in capsys.readouterr().err
+
+    def test_repeated_method_usage_error(self, tmp_path, capsys):
+        # This used to run s2m twice per replicate, fold it into one row
+        # and record the repeated list in bench_resolved.json.
+        out = tmp_path / "rep"
+        code = run("bench", "--out", str(out), *TINY_BENCH,
+                   "--methods", "s2m,s2m,2m")
+        assert code == 2
+        assert "['s2m']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_environment_variable_is_ignored(self, tmp_path,
                                                   monkeypatch):

@@ -10,7 +10,8 @@ from shrinksel import selection
 from shrinksel.core import METHODS, InvariantError, PosteriorDraws
 from shrinksel.selection import (S2mConfig, aggregate_mode, count_signals_2m,
                                  count_signals_s2m, kmeans2_1d, resolve_b,
-                                 run_selector, select_2m, select_credible,
+                                 run_selector, run_selectors, select_2m,
+                                 select_credible,
                                  select_hppm, select_ht, select_mpm,
                                  select_s2m, select_top_h)
 
@@ -389,6 +390,32 @@ class TestSelectorProperties:
 
     def test_table_lists_every_method_in_order(self):
         assert tuple(selection._SELECTORS) == METHODS
+
+
+class TestRunSelectors:
+    def test_outcomes_in_call_order_with_refusals(self):
+        # Draws without z or lam: hppm, mpm and ht refuse them.
+        draws = draws_from_beta([[5.0, 0.1, -4.0, 0.2], [4.5, -0.2, -3.5, 0.1]])
+        methods = ["ht", "s2m", "mpm", "cs", "hppm", "2m"]
+        outcomes = run_selectors(draws, methods, S2mConfig(b=1.0))
+        assert list(outcomes) == methods
+        assert outcomes["hppm"] == "hppm needs z draws (spike-and-slab chains)"
+        assert outcomes["mpm"] == "mpm needs z draws (spike-and-slab chains)"
+        assert outcomes["ht"] == "ht needs lambda draws (horseshoe chains)"
+        for m in ("s2m", "cs", "2m"):
+            alone = run_selector(draws, m, S2mConfig(b=1.0))
+            assert (outcomes[m].method, outcomes[m].selected,
+                    outcomes[m].h_mode) == (m, alone.selected, alone.h_mode)
+
+    @pytest.mark.parametrize("methods,message", [
+        (["s2m", "2m", "s2m"], r"\['s2m'\] given more than once"),
+        (["hppm", "cs", "hppm"], r"\['hppm'\] given more than once"),
+        ([], "valid methods: s2m, 2m"),
+        (["s2m", "lasso"], r"\['lasso'\]; valid methods"),
+    ], ids=["repeated-s2m", "repeated-hppm", "empty", "unknown"])
+    def test_bad_method_list_refused(self, methods, message):
+        with pytest.raises(InvariantError, match=message):
+            run_selectors(draws_from_beta(np.ones((2, 3))), methods)
 
 
 def _reference_split(v):

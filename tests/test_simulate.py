@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shrinksel import selection
 from shrinksel.core import InvariantError, PriorSpec, _rng
 from shrinksel.samplers import McmcConfig
 from shrinksel.selection import S2mConfig
@@ -263,6 +264,27 @@ class TestRunBenchmark:
                         seed=1, replicates=1)
         with pytest.raises(InvariantError):
             run_benchmark(cfg, PriorSpec.horseshoe(), ["lasso"], SMALL_MCMC)
+
+    def test_selector_bug_propagates(self, monkeypatch):
+        # Only a selector's refusal of the draws (InvariantError) is a
+        # recorded failure. Any other error used to be recorded too: the
+        # run warned "2m: 2 of 2 replicates failed" and returned NaN means.
+        def broken(draws):
+            raise ZeroDivisionError("integer division or modulo by zero")
+        monkeypatch.setattr(selection, "select_2m", broken)
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(5.0,),
+                        seed=3, replicates=2)
+        with pytest.raises(ZeroDivisionError):
+            run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m", "2m"],
+                          SMALL_MCMC)
+
+    def test_repeated_method_rejected(self):
+        # s2m used to run twice per replicate and fold into one row.
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(3.0,),
+                        seed=1, replicates=1)
+        with pytest.raises(InvariantError, match="'s2m'"):
+            run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m", "s2m", "2m"],
+                          SMALL_MCMC)
 
     def test_intercept_never_selected(self):
         # Signals live in columns 1..p; the all-ones intercept column is
