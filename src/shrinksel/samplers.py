@@ -8,9 +8,16 @@ sqrt(tau) are standard half-Cauchy; writing each half-Cauchy scale as a
 scale mixture with one auxiliary inverse-gamma variable (nu_j, xi) makes
 every full conditional a standard distribution, so the chain needs no
 tuning. A sweep draws beta from its exact multivariate-normal conditional,
-through an n x n Cholesky solve when p > n and a p x p one otherwise (see
-:func:`_spd_solve`), then sigma2, lam, nu, tau (kept at or below
-``tau_upper`` when that bound is set) and xi.
+through an n x n Cholesky solve when p > n (Bhattacharya, Chakraborty &
+Mallick, 2016) and a p x p one otherwise, then sigma2, lam, nu, tau (kept
+at or below ``tau_upper`` when that bound is set) and xi. Each chain owns
+its work arrays and binds its BLAS/LAPACK calls to them once: LAPACK
+``dposv`` solves the system (:func:`_spd_solver`) and, at p > n, BLAS
+``dsyrk`` fills the triangle of it that ``dposv`` reads
+(:func:`_gram_filler`), both from numpy's bundled OpenBLAS. Without
+``dsyrk`` numpy's ``xs @ xs.T`` fills the whole matrix with the same
+values; without ``dposv`` the draws fall back to ``np.linalg.solve``,
+whose rounding differs.
 
 The spike-and-slab mixes a point mass at zero with a N(0, sigma2 sigma_j2)
 slab. A sweep updates (z_j, beta_j) jointly per coordinate with beta_j
@@ -52,6 +59,11 @@ from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
+
+
+class NonFiniteStateError(RuntimeError):
+    """A chain reached a non-finite beta or sigma2: the likelihood is
+    numerically degenerate for the dataset."""
 
 
 @dataclass(frozen=True)
@@ -107,43 +119,6 @@ def _inv_gamma(rng: Generator, shape, scale):
     return np.maximum(scale / np.maximum(g, _TINY), _TINY)
 
 
-def _draw_beta_woodbury(rng, x, y, d, sigma, xs=None, m=None):
-    """Exact draw of beta ~ N(A^-1 X'y, sigma2 A^-1), A = X'X + diag(d)^-1.
-
-    Reduces the p x p solve to one n x n Cholesky solve, which wins when
-    p > n. ``xs`` (n x p) and ``m`` (n x n) are optional work arrays.
-    """
-    n, p = x.shape
-    sd = np.sqrt(d)
-    u = sd * rng.standard_normal(p)
-    v = x @ u + rng.standard_normal(n)
-    # xs @ xs.T is a BLAS syrk: half the flops of a general product.
-    xs = np.multiply(x, sd, out=xs)
-    m = np.matmul(xs, xs.T, out=m)
-    m.flat[::n + 1] += 1.0
-    beta = x.T @ _spd_solve(m, y / sigma - v)
-    beta *= d
-    beta += u
-    beta *= sigma
-    return beta
-
-
-def _draw_beta_dense(rng, x, gram, xty, d, sigma, a=None):
-    """Exact draw with one p x p Cholesky solve (p <= n path).
-
-    w = X'e1 + d^-1/2 e2 has covariance A, so A^-1 (X'y + sigma w) has
-    mean A^-1 X'y and covariance sigma2 A^-1: the noise needs no factor of
-    its own. ``a`` (p x p) is an optional work array.
-    """
-    n, p = x.shape
-    e = rng.standard_normal(n + p)
-    a = np.empty_like(gram) if a is None else a
-    np.copyto(a, gram)
-    a.flat[::p + 1] += 1.0 / d
-    w = x.T @ e[:n] + e[n:] / np.sqrt(d)
-    return _spd_solve(a, xty + sigma * w)
-
-
 def _draw_truncated_inv_gamma(rng, shape, scale, upper):
     """Rejection draw of InvGamma(shape, scale) on (0, upper], upper <= inf.
 
@@ -195,26 +170,80 @@ def _dposv():
                            ctypes.c_void_p, i64, i64, ctypes.c_size_t], None)
 
 
-def _spd_solve(a, b):
-    """Solve a x = b, ``a`` symmetric positive definite, by LAPACK ``dposv``
-    in place: a Cholesky factor overwrites ``a``, and x (NaN where ``a`` is
-    not positive definite) overwrites ``b``. Without numpy's bundled
-    OpenBLAS it is ``np.linalg.solve``, which rounds differently."""
+@functools.cache
+def _dsyrk():
+    """BLAS ``dsyrk`` (64-bit integers) of numpy's OpenBLAS, or None."""
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    # uplo, trans, n, k, alpha, a, lda, beta, c, ldc, then hidden lengths.
+    return _openblas_call("scipy_dsyrk_64_",
+                          [ctypes.c_char_p, ctypes.c_char_p, i64, i64, f64,
+                           ctypes.c_void_p, i64, f64, ctypes.c_void_p, i64,
+                           ctypes.c_size_t, ctypes.c_size_t], None)
+
+
+def _address(arr):
+    """``arr``'s data pointer, holding a reference to ``arr``."""
+    return arr.ctypes.data_as(ctypes.c_void_p)
+
+
+def _gram_filler(xs, a):
+    """``fill()``: a = xs xs' for C-contiguous float64 xs (k x p), a (k x k).
+
+    Row-major xs is column-major xs' (p x k): ``dsyrk('L', 'T')``, bound
+    once, writes a's row-major upper triangle alone, with the values
+    numpy's ``xs @ xs.T`` gets from that call before mirroring them. Only
+    ``dposv('L')`` leaves the rest unread, so without it ``fill`` is
+    ``np.matmul`` into all of a."""
+    dsyrk = _dsyrk() if _dposv() else None
+    if dsyrk is None:
+        return functools.partial(np.matmul, xs, xs.T, out=a)
+    k, p = xs.shape
+    if not (a.shape == (k, k) and xs.flags.c_contiguous
+            and a.flags.c_contiguous and xs.dtype == a.dtype == np.float64):
+        raise ValueError("dsyrk needs C-contiguous float64 xs (k x p), "
+                         "a (k x k)")
+    k, p = ctypes.c_int64(k), ctypes.c_int64(p)
+    return functools.partial(dsyrk, b"L", b"T", k, p, ctypes.c_double(1.0),
+                             _address(xs), p, ctypes.c_double(0.0),
+                             _address(a), k, 1, 1)
+
+
+def _spd_solver(a, b):
+    """``solve()``: x of a x = b, ``a`` symmetric positive definite, by
+    LAPACK ``dposv`` bound once to these buffers, in place: a Cholesky
+    factor of a's row-major upper triangle overwrites ``a``, and x (NaN
+    where ``a`` is not positive definite) overwrites ``b``. Without numpy's
+    bundled OpenBLAS it is ``np.linalg.solve`` on all of ``a``, which
+    rounds differently, and NaN where ``a`` is singular."""
     dposv = _dposv()
     if dposv is None:
-        return np.linalg.solve(a, b)
+        def solve_lu():
+            try:
+                return np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                return np.full_like(b, np.nan)
+        return solve_lu
     k = len(b)
     if not (a.shape == (k, k) and b.shape == (k,) and a.flags.c_contiguous
             and b.flags.c_contiguous and a.dtype == b.dtype == np.float64):
         raise ValueError("dposv needs C-contiguous float64 a (k x k), b (k)")
     k, one, info = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64()
     # a is symmetric: its row-major buffer is its column-major one too.
-    dposv(b"L", k, one, a.ctypes.data, k, b.ctypes.data, k, info, 1)
-    if info.value < 0:
-        raise RuntimeError(f"dposv refused its argument {-info.value}")
-    if info.value:  # not positive definite, e.g. a non-finite entry
-        b.fill(np.nan)
-    return b
+    args = (b"L", k, one, _address(a), k, _address(b), k, info, 1)
+
+    def solve():
+        dposv(*args)
+        if info.value < 0:
+            raise RuntimeError(f"dposv refused its argument {-info.value}")
+        if info.value:  # not positive definite, e.g. a non-finite entry
+            b.fill(np.nan)
+        return b
+    return solve
+
+
+def _spd_solve(a, b):
+    """One solve of :func:`_spd_solver`: x of a x = b, in place."""
+    return _spd_solver(a, b)()
 
 
 _pin_lock = threading.Lock()
@@ -280,9 +309,9 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
     with _one_blas_thread():
         for it in range(1, mcmc.iterations + 1):
             next(steps)
-            if not (np.all(np.isfinite(state.beta))
-                    and np.isfinite(state.sigma2)):
-                raise RuntimeError(
+            if not (math.isfinite(state.sigma2)
+                    and np.isfinite(state.beta).all()):
+                raise NonFiniteStateError(
                     f"sampler produced a non-finite state at iteration {it}; "
                     f"the likelihood is numerically degenerate for this "
                     f"dataset")
@@ -295,25 +324,52 @@ def _run_chain(data: Dataset, mcmc: McmcConfig, state: ChainState,
 
 def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
     n, p = x.shape
-    gram, xty = (None, None) if use_woodbury else (x.T @ x, x.T @ y)
-    # The beta draw's work arrays, refilled every sweep.
-    work = ((np.empty((n, p)), np.empty((n, n))) if use_woodbury
-            else (np.empty((p, p)),))
+    # Each beta draw solves one k x k system a z = rhs (k = n on the
+    # Woodbury path, p on the dense one) in this chain's own buffers.
+    k = n if use_woodbury else p
+    a, rhs = np.empty((k, k)), np.empty(k)
+    diag, solve = a.reshape(-1)[::k + 1], _spd_solver(a, rhs)
+    if use_woodbury:
+        xs = np.empty((n, p))
+        fill = _gram_filler(xs, a)
+    else:
+        gram, xty = x.T @ x, x.T @ y
+    b2, scaled_b2, resid = np.empty(p), np.empty(p), np.empty(n)
     tau_upper = prior.tau_upper or math.inf  # unset: the first draw is kept
     sigma2_shape, tau_shape = prior.ig_shape + 0.5 * (n + p), 0.5 * (p + 1)
     while True:
         d = state.tau * state.lam
         sigma = math.sqrt(state.sigma2)
-        beta = state.beta = (
-            _draw_beta_woodbury(rng, x, y, d, sigma, *work) if use_woodbury
-            else _draw_beta_dense(rng, x, gram, xty, d, sigma, *work))
-        b2 = beta * beta
+        # beta ~ N(A^-1 X'y, sigma2 A^-1), A = X'X + diag(d)^-1, exactly.
+        if use_woodbury:  # an n x n solve in place of the p x p one
+            sd = np.sqrt(d)
+            u = sd * rng.standard_normal(p)
+            v = x @ u + rng.standard_normal(n)
+            np.multiply(x, sd, out=xs)
+            fill()
+            diag += 1.0
+            np.subtract(np.divide(y, sigma, out=rhs), v, out=rhs)
+            beta = x.T @ solve()
+            beta *= d
+            beta += u
+            beta *= sigma
+        else:
+            # w = X'e1 + d^-1/2 e2 has covariance A, so A^-1 (X'y + sigma w)
+            # has mean A^-1 X'y and covariance sigma2 A^-1.
+            e = rng.standard_normal(n + p)
+            np.copyto(a, gram)
+            diag += 1.0 / d
+            w = x.T @ e[:n] + e[n:] / np.sqrt(d)
+            np.add(xty, np.multiply(w, sigma, out=w), out=rhs)
+            beta = solve().copy()
+        state.beta = beta
+        np.multiply(beta, beta, out=b2)
 
-        resid = y - x @ beta
+        np.subtract(y, np.matmul(x, beta, out=resid), out=resid)
         state.sigma2 = _inv_gamma(
             rng, sigma2_shape,
-            prior.ig_scale + 0.5 * float(resid @ resid)
-            + 0.5 * float((b2 / state.lam).sum()) / state.tau)
+            prior.ig_scale + 0.5 * float(resid @ resid) + 0.5 * float(
+                np.divide(b2, state.lam, out=scaled_b2).sum()) / state.tau)
 
         # The Gamma(1) draws of lam, then of nu: the stream of two calls.
         g = np.maximum(rng.standard_gamma(1.0, size=2 * p), _TINY)
@@ -323,8 +379,8 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
         np.add(1.0, 1.0 / lam, out=nu)
         np.maximum(np.divide(nu, g[p:], out=nu), _TINY, out=nu)
 
-        tau_scale = 1.0 / state.xi + \
-            0.5 * float((b2 / state.lam).sum()) / state.sigma2
+        tau_scale = 1.0 / state.xi + 0.5 * float(
+            np.divide(b2, lam, out=scaled_b2).sum()) / state.sigma2
         state.tau = _draw_truncated_inv_gamma(
             rng, tau_shape, tau_scale, tau_upper)
         state.xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / state.tau)

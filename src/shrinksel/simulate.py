@@ -26,7 +26,7 @@ from numpy.random import Generator, SeedSequence
 
 from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
                    _map_jobs, _present, _rng, atomic_write_lines)
-from .samplers import McmcConfig, fit
+from .samplers import McmcConfig, NonFiniteStateError, fit
 from .selection import S2mConfig, check_methods, run_selectors
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _bench_replicate(stream, *, x, truth, cfg, prior, mcmc, methods,
     try:
         draws = fit(Dataset(y=y, x=x, truth=truth), prior,
                     replace(mcmc, seed=chain_seed))
-    except Exception as exc:  # recorded per replicate, not fatal
+    except NonFiniteStateError as exc:  # recorded per replicate, not fatal
         return [f"chain failed: {exc}"] * len(methods)
     if cfg.intercept:  # fitted, but never selected or scored
         draws = PosteriorDraws(**{lat.field: a[:, :cfg.p] if lat.per_coef
@@ -220,12 +220,14 @@ def run_benchmark(cfg: SimConfig, prior: PriorSpec,
     """One design, ``cfg.replicates`` responses, fit + select + score each.
 
     Returns one :class:`ErrorReport` per method, averaging the completed
-    replicates. A failed chain fails its replicate for every method, and a
-    selector that refuses the prior's draws (``hppm``/``mpm`` on horseshoe,
-    ``ht`` on spike-and-slab) for its own; both are excluded with a warning
-    and listed on the report. Any other error propagates. Bit-reproducible
-    for a fixed master seed regardless of ``jobs``: every chain seed derives
-    from ``cfg.seed`` through the replicate tree, superseding ``mcmc.seed``.
+    replicates. A chain that reaches a non-finite state
+    (:class:`~shrinksel.samplers.NonFiniteStateError`) fails its replicate
+    for every method, and a selector that refuses the prior's draws
+    (``hppm``/``mpm`` on horseshoe, ``ht`` on spike-and-slab) for its own;
+    both are excluded with a warning and listed on the report. Any other
+    error propagates. Bit-reproducible for a fixed master seed regardless
+    of ``jobs``: every chain seed derives from ``cfg.seed`` through the
+    replicate tree, superseding ``mcmc.seed``.
     """
     check_methods(methods)
     x, truth = gen_design(cfg)

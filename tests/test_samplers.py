@@ -13,8 +13,8 @@ import pytest
 from conftest import batch_means_se, exact_two_var_inclusion, orthonormal_design
 from shrinksel import samplers
 from shrinksel.core import Dataset, InvariantError, PriorSpec, load_draws, save_draws
-from shrinksel.samplers import (ChainState, McmcConfig, _draw_beta_dense,
-                                _draw_beta_woodbury, _rng, fit)
+from shrinksel.samplers import (ChainState, McmcConfig, NonFiniteStateError,
+                                _rng, fit)
 
 
 def _horseshoe_from(data, prior, mcmc, init, use_woodbury):
@@ -34,6 +34,20 @@ def _horseshoe_start(p):
     """The horseshoe chain's default start at ``tau_upper >= 1``."""
     return ChainState(beta=np.zeros(p), sigma2=1.0, lam=np.ones(p), tau=1.0,
                       nu=np.ones(p), xi=1.0)
+
+
+def _beta_draws(x, y, d, sigma2, t, seed, use_woodbury):
+    """``t`` beta draws of the horseshoe sweep on a forced path, each from
+    d = tau * lam and sigma2 set to the given values before its sweep."""
+    state = _horseshoe_start(x.shape[1])
+    steps = samplers._horseshoe_sweeps(_rng(seed), x, y, state,
+                                       PriorSpec.horseshoe(), use_woodbury)
+    draws = np.empty((t, x.shape[1]))
+    for i in range(t):
+        state.lam, state.tau, state.sigma2 = d.copy(), 1.0, sigma2
+        next(steps)
+        draws[i] = state.beta
+    return draws
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +177,7 @@ class TestHorseshoe:
         # emitting NaN draws.
         rng = np.random.default_rng(1)
         data = Dataset(y=np.full(5, 1e200), x=rng.standard_normal((5, 2)))
-        with pytest.raises(RuntimeError, match="iteration"):
+        with pytest.raises(NonFiniteStateError, match="iteration"):
             fit(data, PriorSpec.horseshoe(),
                 McmcConfig(iterations=20, burn_in=5, seed=0))
 
@@ -178,19 +192,12 @@ class TestBetaDrawOneStep:
         x = gen.standard_normal((n, p))
         y = gen.standard_normal(n)
         d = gen.uniform(0.2, 3.0, p)
-        sigma = 0.7
+        sigma2 = 0.49
         a_inv = np.linalg.inv(x.T @ x + np.diag(1.0 / d))
         mean = a_inv @ (x.T @ y)
-        cov = sigma ** 2 * a_inv
-        rng = _rng(42)
+        cov = sigma2 * a_inv
         t = 20000
-        if path == "dense":
-            gram, xty = x.T @ x, x.T @ y
-            draws = np.array([_draw_beta_dense(rng, x, gram, xty, d, sigma)
-                              for _ in range(t)])
-        else:
-            draws = np.array([_draw_beta_woodbury(rng, x, y, d, sigma)
-                              for _ in range(t)])
+        draws = _beta_draws(x, y, d, sigma2, t, 42, path == "woodbury")
         mean_se = np.sqrt(np.diag(cov) / t)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * mean_se)
         # Gaussian sampling error of a covariance entry:
@@ -237,6 +244,13 @@ class TestSpdSolve:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert not np.any(np.isfinite(samplers._spd_solve(a, np.ones(2))))
 
+    def test_without_openblas_singular_is_non_finite(self, monkeypatch):
+        # As dposv's info > 0, so that the chain stops at its finite-state
+        # check instead of raising LinAlgError.
+        monkeypatch.setattr(samplers, "_dposv", lambda: None)
+        got = samplers._spd_solve(np.zeros((2, 2)), np.ones(2))
+        assert np.isnan(got).all()
+
     @pytest.mark.parametrize("a,b", [
         (np.eye(3, dtype=np.float32), np.ones(3)),   # not float64
         (np.eye(4)[::2, ::2], np.ones(2)),           # not contiguous
@@ -258,16 +272,15 @@ class TestSpdSolve:
         gen = np.random.default_rng(13)
         n, p = (40, 10) if path == "dense" else (10, 40)
         x, y = gen.standard_normal((n, p)), gen.standard_normal(n)
-        d, sigma = gen.uniform(0.2, 3.0, p), 0.7
-        rng = _rng(5)
+        d, sigma2 = gen.uniform(0.2, 3.0, p), 0.49
+        sigma = math.sqrt(sigma2)
+        got = _beta_draws(x, y, d, sigma2, 1, 5, path == "woodbury")[0]
         if path == "dense":
-            got = _draw_beta_dense(rng, x, x.T @ x, x.T @ y, d, sigma)
             e = _rng(5).standard_normal(n + p)
             w = x.T @ e[:n] + e[n:] / np.sqrt(d)
             want = np.linalg.solve(x.T @ x + np.diag(1.0 / d),
                                    x.T @ y + sigma * w)
         else:
-            got = _draw_beta_woodbury(rng, x, y, d, sigma)
             ref = _rng(5)
             u = np.sqrt(d) * ref.standard_normal(p)
             v = x @ u + ref.standard_normal(n)
@@ -275,6 +288,76 @@ class TestSpdSolve:
             w = np.linalg.solve(xs @ xs.T + np.eye(n), y / sigma - v)
             want = sigma * (u + d * (x.T @ w))
         assert np.array_equal(got, want)
+
+
+class TestBoundCalls:
+    """The Woodbury fill by the bound ``dsyrk`` against numpy's product, and
+    the chain's bound calls and buffers against sharing."""
+
+    @pytest.fixture
+    def dsyrk(self):
+        if samplers._dsyrk() is None or samplers._dposv() is None:
+            pytest.skip("numpy's bundled OpenBLAS lacks dsyrk or dposv")
+
+    def test_dsyrk_fills_numpys_upper_triangle(self, dsyrk):
+        gen = np.random.default_rng(21)
+        xs = gen.standard_normal((50, 301)) * gen.uniform(0.4, 1.7, 301)
+        a = np.full((50, 50), np.nan)
+        with samplers._one_blas_thread():
+            samplers._gram_filler(xs, a)()
+            want = np.triu(xs @ xs.T)
+        assert np.array_equal(np.triu(a), want)
+        assert np.isnan(a[np.tril_indices(50, -1)]).all()  # left unwritten
+
+    @pytest.mark.parametrize("xs,a", [
+        (np.ones((3, 4)), np.empty((4, 4))),                # sizes differ
+        (np.ones((4, 3)).T, np.empty((3, 3))),              # not contiguous
+        (np.ones((3, 4), dtype=np.float32), np.empty((3, 3))),  # not float64
+    ])
+    def test_unfit_buffers_refused(self, dsyrk, xs, a):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            samplers._gram_filler(xs, a)
+
+    def test_without_dsyrk_same_woodbury_draws(self, dsyrk, monkeypatch):
+        gen = np.random.default_rng(22)
+        x = gen.standard_normal((15, 40))
+        data = Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(15), x=x)
+        mcmc = McmcConfig(iterations=60, burn_in=20, seed=3)
+        bound = fit(data, PriorSpec.horseshoe(), mcmc)
+        monkeypatch.setattr(samplers, "_dsyrk", lambda: None)
+        plain = fit(data, PriorSpec.horseshoe(), mcmc)
+        for name in ("beta", "sigma2", "lam", "tau"):
+            assert np.array_equal(getattr(bound, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("path,shapes", [
+        ("woodbury", [(12, 30), (15, 40)]), ("dense", [(30, 8), (40, 12)])])
+    def test_interleaved_chains_reproduce_solo_draws(self, path, shapes):
+        """Two chains of different shapes, stepped alternately in one
+        thread, share no bound pointer or buffer."""
+        gen = np.random.default_rng(23)
+        problems = [(gen.standard_normal(s), gen.standard_normal(s[0]))
+                    for s in shapes]
+        woodbury = path == "woodbury"
+
+        def chain(i):
+            """Chain i's sweeps; each step returns its state's latents."""
+            (x, y), state = problems[i], _horseshoe_start(shapes[i][1])
+            steps = samplers._horseshoe_sweeps(_rng(i), x, y, state,
+                                               PriorSpec.horseshoe(), woodbury)
+            while True:
+                next(steps)
+                yield np.concatenate([state.beta, state.lam,
+                                      [state.sigma2, state.tau]])
+
+        with samplers._one_blas_thread():
+            solo = [[next(c) for _ in range(20)] for c in map(chain, (0, 1))]
+            mixed = [[], []]
+            chains = [chain(0), chain(1)]
+            for _ in range(20):
+                for i in (0, 1):
+                    mixed[i].append(next(chains[i]))
+        for got, want in zip(mixed, solo):
+            assert np.array_equal(np.array(got), np.array(want))
 
 
 class TestSpikeSlab:

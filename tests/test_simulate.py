@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shrinksel import selection
+from shrinksel import samplers, selection, simulate
 from shrinksel.core import InvariantError, PriorSpec, _rng
 from shrinksel.samplers import McmcConfig
 from shrinksel.selection import S2mConfig
@@ -277,6 +277,39 @@ class TestRunBenchmark:
         with pytest.raises(ZeroDivisionError):
             run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m", "2m"],
                           SMALL_MCMC)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_chain_recorded_per_replicate(self, monkeypatch):
+        # The degenerate likelihood of the sampler tests (a response of
+        # 1e200 overflows the residual sum of squares) fails each chain.
+        monkeypatch.setattr(simulate, "gen_response",
+                            lambda x, *args: np.full(x.shape[0], 1e200))
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(5.0,),
+                        seed=3, replicates=2)
+        with pytest.warns(UserWarning, match="2 of 2 replicates failed"):
+            reports = run_benchmark(cfg, PriorSpec.horseshoe(),
+                                    ["s2m", "2m"], SMALL_MCMC)
+        for rep in reports.values():
+            assert not rep.per_replicate
+            assert [i for i, _ in rep.failures] == [0, 1]
+            for _, message in rep.failures:
+                assert message.startswith(
+                    "chain failed: sampler produced a non-finite state at "
+                    "iteration 1;")
+
+    def test_chain_bug_propagates(self, monkeypatch):
+        # Only a chain's non-finite state is a recorded failure. Any other
+        # error in the chain, such as a bad argument to a bound LAPACK
+        # call, used to be recorded as "chain failed" too.
+        def broken_solver(a, b):
+            def solve():
+                raise TypeError("wrong type")
+            return solve
+        monkeypatch.setattr(samplers, "_spd_solver", broken_solver)
+        cfg = SimConfig(n=20, p=5, r=1, strengths=(5.0,),
+                        seed=3, replicates=2)
+        with pytest.raises(TypeError, match="wrong type"):
+            run_benchmark(cfg, PriorSpec.horseshoe(), ["s2m"], SMALL_MCMC)
 
     def test_repeated_method_rejected(self):
         # s2m used to run twice per replicate and fold into one row.
