@@ -11,13 +11,9 @@ tuning. A sweep draws beta from its exact multivariate-normal conditional,
 through an n x n Cholesky solve when p > n (Bhattacharya, Chakraborty &
 Mallick, 2016) and a p x p one otherwise, then sigma2, lam, nu, tau (kept
 at or below ``tau_upper`` when that bound is set) and xi. Each chain owns
-its work arrays and binds its BLAS/LAPACK calls to them once: LAPACK
-``dposv`` solves the system (:func:`_spd_solver`) and, at p > n, BLAS
-``dsyrk`` fills the triangle of it that ``dposv`` reads
-(:func:`_gram_filler`), both from numpy's bundled OpenBLAS. Without
-``dsyrk`` numpy's ``xs @ xs.T`` fills the whole matrix with the same
-values; without ``dposv`` the draws fall back to ``np.linalg.solve``,
-whose rounding differs.
+its work arrays and binds LAPACK ``dposv`` of numpy's bundled OpenBLAS to
+them once (:func:`_spd_solver`); without ``dposv`` the draws fall back to
+``np.linalg.solve``, whose rounding differs.
 
 The spike-and-slab mixes a point mass at zero with a N(0, sigma2 sigma_j2)
 slab. A sweep updates (z_j, beta_j) jointly per coordinate with beta_j
@@ -170,44 +166,6 @@ def _dposv():
                            ctypes.c_void_p, i64, i64, ctypes.c_size_t], None)
 
 
-@functools.cache
-def _dsyrk():
-    """BLAS ``dsyrk`` (64-bit integers) of numpy's OpenBLAS, or None."""
-    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    # uplo, trans, n, k, alpha, a, lda, beta, c, ldc, then hidden lengths.
-    return _openblas_call("scipy_dsyrk_64_",
-                          [ctypes.c_char_p, ctypes.c_char_p, i64, i64, f64,
-                           ctypes.c_void_p, i64, f64, ctypes.c_void_p, i64,
-                           ctypes.c_size_t, ctypes.c_size_t], None)
-
-
-def _address(arr):
-    """``arr``'s data pointer, holding a reference to ``arr``."""
-    return arr.ctypes.data_as(ctypes.c_void_p)
-
-
-def _gram_filler(xs, a):
-    """``fill()``: a = xs xs' for C-contiguous float64 xs (k x p), a (k x k).
-
-    Row-major xs is column-major xs' (p x k): ``dsyrk('L', 'T')``, bound
-    once, writes a's row-major upper triangle alone, with the values
-    numpy's ``xs @ xs.T`` gets from that call before mirroring them. Only
-    ``dposv('L')`` leaves the rest unread, so without it ``fill`` is
-    ``np.matmul`` into all of a."""
-    dsyrk = _dsyrk() if _dposv() else None
-    if dsyrk is None:
-        return functools.partial(np.matmul, xs, xs.T, out=a)
-    k, p = xs.shape
-    if not (a.shape == (k, k) and xs.flags.c_contiguous
-            and a.flags.c_contiguous and xs.dtype == a.dtype == np.float64):
-        raise ValueError("dsyrk needs C-contiguous float64 xs (k x p), "
-                         "a (k x k)")
-    k, p = ctypes.c_int64(k), ctypes.c_int64(p)
-    return functools.partial(dsyrk, b"L", b"T", k, p, ctypes.c_double(1.0),
-                             _address(xs), p, ctypes.c_double(0.0),
-                             _address(a), k, 1, 1)
-
-
 def _spd_solver(a, b):
     """``solve()``: x of a x = b, ``a`` symmetric positive definite, by
     LAPACK ``dposv`` bound once to these buffers, in place: a Cholesky
@@ -229,7 +187,8 @@ def _spd_solver(a, b):
         raise ValueError("dposv needs C-contiguous float64 a (k x k), b (k)")
     k, one, info = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64()
     # a is symmetric: its row-major buffer is its column-major one too.
-    args = (b"L", k, one, _address(a), k, _address(b), k, info, 1)
+    args = (b"L", k, one, a.ctypes.data_as(ctypes.c_void_p), k,
+            b.ctypes.data_as(ctypes.c_void_p), k, info, 1)
 
     def solve():
         dposv(*args)
@@ -331,7 +290,6 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
     diag, solve = a.reshape(-1)[::k + 1], _spd_solver(a, rhs)
     if use_woodbury:
         xs = np.empty((n, p))
-        fill = _gram_filler(xs, a)
     else:
         gram, xty = x.T @ x, x.T @ y
     b2, scaled_b2, resid = np.empty(p), np.empty(p), np.empty(n)
@@ -346,7 +304,7 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
             u = sd * rng.standard_normal(p)
             v = x @ u + rng.standard_normal(n)
             np.multiply(x, sd, out=xs)
-            fill()
+            np.matmul(xs, xs.T, out=a)  # a BLAS syrk: half the flops
             diag += 1.0
             np.subtract(np.divide(y, sigma, out=rhs), v, out=rhs)
             beta = x.T @ solve()

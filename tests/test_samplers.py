@@ -291,43 +291,7 @@ class TestSpdSolve:
 
 
 class TestBoundCalls:
-    """The Woodbury fill by the bound ``dsyrk`` against numpy's product, and
-    the chain's bound calls and buffers against sharing."""
-
-    @pytest.fixture
-    def dsyrk(self):
-        if samplers._dsyrk() is None or samplers._dposv() is None:
-            pytest.skip("numpy's bundled OpenBLAS lacks dsyrk or dposv")
-
-    def test_dsyrk_fills_numpys_upper_triangle(self, dsyrk):
-        gen = np.random.default_rng(21)
-        xs = gen.standard_normal((50, 301)) * gen.uniform(0.4, 1.7, 301)
-        a = np.full((50, 50), np.nan)
-        with samplers._one_blas_thread():
-            samplers._gram_filler(xs, a)()
-            want = np.triu(xs @ xs.T)
-        assert np.array_equal(np.triu(a), want)
-        assert np.isnan(a[np.tril_indices(50, -1)]).all()  # left unwritten
-
-    @pytest.mark.parametrize("xs,a", [
-        (np.ones((3, 4)), np.empty((4, 4))),                # sizes differ
-        (np.ones((4, 3)).T, np.empty((3, 3))),              # not contiguous
-        (np.ones((3, 4), dtype=np.float32), np.empty((3, 3))),  # not float64
-    ])
-    def test_unfit_buffers_refused(self, dsyrk, xs, a):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            samplers._gram_filler(xs, a)
-
-    def test_without_dsyrk_same_woodbury_draws(self, dsyrk, monkeypatch):
-        gen = np.random.default_rng(22)
-        x = gen.standard_normal((15, 40))
-        data = Dataset(y=x[:, 0] * 3.0 + gen.standard_normal(15), x=x)
-        mcmc = McmcConfig(iterations=60, burn_in=20, seed=3)
-        bound = fit(data, PriorSpec.horseshoe(), mcmc)
-        monkeypatch.setattr(samplers, "_dsyrk", lambda: None)
-        plain = fit(data, PriorSpec.horseshoe(), mcmc)
-        for name in ("beta", "sigma2", "lam", "tau"):
-            assert np.array_equal(getattr(bound, name), getattr(plain, name))
+    """The chain's bound ``dposv`` and work arrays against sharing."""
 
     @pytest.mark.parametrize("path,shapes", [
         ("woodbury", [(12, 30), (15, 40)]), ("dense", [(30, 8), (40, 12)])])
