@@ -20,9 +20,9 @@ from .selection import (S2mConfig, TWO_SIGMA_HAT, TwoMeansSplit,
                         select_top_h)
 from .shrinkage import (HsEstimate, McEstimate, QuadratureError,
                         ShrinkFactors, ShrinkGridPoint, TwoVarProblem,
-                        hs_estimator, hs_estimator_mc, hs_integrand,
-                        hs_shrinkage, normal_estimator, normal_ratio_contracts,
-                        normal_shrink_factors, reverse_shrinkage_grid)
+                        hs_estimator_mc, hs_shrinkage, normal_estimator,
+                        normal_ratio_contracts, normal_shrink_factors,
+                        reverse_shrinkage_grid)
 from .simulate import (ErrorReport, SimConfig, gen_design, gen_response,
                        run_benchmark, score)
 
@@ -39,9 +39,8 @@ __all__ = [
     "select_credible", "select_ht", "run_selector",
     "TwoVarProblem", "ShrinkFactors", "ShrinkGridPoint", "HsEstimate",
     "McEstimate", "QuadratureError", "normal_shrink_factors",
-    "normal_estimator", "normal_ratio_contracts", "hs_integrand",
-    "hs_shrinkage", "hs_estimator", "hs_estimator_mc",
-    "reverse_shrinkage_grid",
+    "normal_estimator", "normal_ratio_contracts", "hs_shrinkage",
+    "hs_estimator_mc", "reverse_shrinkage_grid",
     "SimConfig", "ErrorReport", "gen_design", "gen_response", "score",
     "run_benchmark",
 ]

@@ -200,11 +200,6 @@ def _spd_solver(a, b):
     return solve
 
 
-def _spd_solve(a, b):
-    """One solve of :func:`_spd_solver`: x of a x = b, in place."""
-    return _spd_solver(a, b)()
-
-
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved = 1

@@ -71,10 +71,10 @@ class TwoMeansSplit:
 _BLOCK_ROWS = 128
 
 
-def _checked_abs_values(values, minimum=2) -> np.ndarray:
+def _checked_abs_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < minimum:
-        raise InvariantError(f"need a vector of at least {minimum} values")
+    if v.ndim != 1 or v.size < 2:
+        raise InvariantError("need a vector of at least 2 values")
     if not np.all(np.isfinite(v)):
         raise InvariantError("values must be finite")
     if np.any(v < 0):

@@ -76,7 +76,10 @@ class TwoVarProblem:
             raise InvariantError("rho must lie in [0, 1)")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise InvariantError("tau must be strictly positive")
-        x1, x2 = float(self.mle[0]), float(self.mle[1])
+        try:
+            x1, x2 = map(float, self.mle)
+        except (TypeError, ValueError):
+            raise InvariantError("mle must be a pair of numbers") from None
         if not (np.isfinite(x1) and np.isfinite(x2)):
             raise InvariantError("mle entries must be finite")
         if abs(x2) == 0 or abs(x1) < abs(x2):
@@ -223,34 +226,6 @@ def normal_ratio_contracts(problem: TwoVarProblem) -> bool:
     return abs(b1 / b2) < problem.a
 
 
-def hs_integrand(k1: float, k2: float, problem: TwoVarProblem,
-                 which: str = "F_only") -> float:
-    """Raw horseshoe integrand at shrinkage weights (k1, k2) in (0, 1)^2.
-
-    ``F_only`` evaluates the density factor F times the exponential data
-    factor E; ``numerator_1``/``numerator_2`` additionally multiply by the
-    coordinate-specific linear form that appears in the estimator's
-    numerator. The endpoints are singular and rejected.
-    """
-    if not (0.0 < k1 < 1.0 and 0.0 < k2 < 1.0):
-        raise InvariantError("k1, k2 must lie strictly inside (0, 1)")
-    tau2 = problem.tau ** 2
-    f, inv_d = _f_coeffs(k1, k2, problem.rho)
-    lin1, lin2, log_e = (_point_part(problem) @ f).tolist()
-    f_factor = (math.sqrt(inv_d)
-                / (1.0 - (1.0 - tau2) * k1)
-                / (1.0 - (1.0 - tau2) * k2)
-                * (1.0 - k1) ** -0.5 * (1.0 - k2) ** -0.5)
-    base = f_factor * math.exp(log_e)
-    if which == "F_only":
-        return base
-    if which == "numerator_1":
-        return lin1 * base
-    if which == "numerator_2":
-        return lin2 * base
-    raise InvariantError(f"unknown integrand variant {which!r}")
-
-
 @lru_cache(maxsize=len(_QUAD_ORDERS))
 def _quad_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes k and tensor weights of one order, built on first use.
@@ -333,11 +308,6 @@ def hs_shrinkage(problem: TwoVarProblem) -> HsEstimate:
     raise QuadratureError(
         f"quadrature did not converge to relative {_TOL:g} by order "
         f"{_QUAD_ORDERS[-1]} (achieved {err:g})", achieved=err)
-
-
-def hs_estimator(problem: TwoVarProblem) -> tuple[float, float]:
-    """Horseshoe posterior mean of the coefficient pair."""
-    return hs_shrinkage(problem).estimate
 
 
 def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,

@@ -213,7 +213,7 @@ class TestSpdSolve:
     @staticmethod
     def _matches_lu(a, b):
         want = np.linalg.solve(a, b)
-        got = samplers._spd_solve(a.copy(), b.copy())
+        got = samplers._spd_solver(a.copy(), b.copy())()
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_woodbury_matrix(self):
@@ -242,13 +242,13 @@ class TestSpdSolve:
 
     def test_not_positive_definite_is_non_finite(self, lapack):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert not np.any(np.isfinite(samplers._spd_solve(a, np.ones(2))))
+        assert not np.any(np.isfinite(samplers._spd_solver(a, np.ones(2))()))
 
     def test_without_openblas_singular_is_non_finite(self, monkeypatch):
         # As dposv's info > 0, so that the chain stops at its finite-state
         # check instead of raising LinAlgError.
         monkeypatch.setattr(samplers, "_dposv", lambda: None)
-        got = samplers._spd_solve(np.zeros((2, 2)), np.ones(2))
+        got = samplers._spd_solver(np.zeros((2, 2)), np.ones(2))()
         assert np.isnan(got).all()
 
     @pytest.mark.parametrize("a,b", [
@@ -259,12 +259,12 @@ class TestSpdSolve:
     ])
     def test_unfit_buffers_refused(self, lapack, a, b):
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            samplers._spd_solve(a, b)
+            samplers._spd_solver(a, b)()
 
     def test_refused_argument_raises(self, lapack):
         # An empty system has lda = 0, below LAPACK's minimum of 1.
         with pytest.raises(RuntimeError, match="argument 5"):
-            samplers._spd_solve(np.empty((0, 0)), np.empty(0))
+            samplers._spd_solver(np.empty((0, 0)), np.empty(0))()
 
     @pytest.mark.parametrize("path", ["dense", "woodbury"])
     def test_without_openblas_draws_by_lu_solve(self, path, monkeypatch):
@@ -413,8 +413,9 @@ def _reference_horseshoe(data, prior, mcmc, init, path):
 
     Its changes: the Woodbury matrix is formed as xs @ xs.T with
     xs = x * sqrt(d) instead of (x * d) @ x.T, and both beta draws solve
-    with the Cholesky helper ``_spd_solve`` (checked against
-    ``np.linalg.solve`` in ``TestSpdSolve``) instead of an LU solve.
+    with one call of a fresh ``_spd_solver(a, b)``, the Cholesky solve the
+    sweep binds once per chain (checked against ``np.linalg.solve`` in
+    ``TestSpdSolve``), instead of an LU solve.
     """
     x, y = data.x, data.y
     n, p = x.shape
@@ -434,14 +435,14 @@ def _reference_horseshoe(data, prior, mcmc, init, path):
             xs = x * np.sqrt(d)
             m = xs @ xs.T
             m[np.diag_indices_from(m)] += 1.0
-            w = samplers._spd_solve(m, y / sigma - v)
+            w = samplers._spd_solver(m, y / sigma - v)()
             beta = sigma * (u + d * (x.T @ w))
         else:
             e = rng.standard_normal(n + p)
             a = gram.copy()
             a[np.diag_indices_from(a)] += 1.0 / d
             w = x.T @ e[:n] + e[n:] / np.sqrt(d)
-            beta = samplers._spd_solve(a, xty + sigma * w)
+            beta = samplers._spd_solver(a, xty + sigma * w)()
         resid = y - x @ beta
         scaled_b2 = beta ** 2 / lam
         sigma2 = float(_plain_inv_gamma(

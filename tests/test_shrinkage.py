@@ -1,5 +1,6 @@
 """Closed-form factors, the quadrature estimator, and the classification grid."""
 
+import functools
 import math
 import os
 import subprocess
@@ -12,10 +13,11 @@ import pytest
 from shrinksel.core import InvariantError
 from shrinksel.shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID,
                                  DEFAULT_TAU_GRID, _MC_BLOCK, ShrinkGridPoint,
-                                 TwoVarProblem, hs_estimator, hs_estimator_mc,
-                                 hs_integrand, hs_shrinkage, normal_estimator,
-                                 normal_ratio_contracts, normal_shrink_factors,
-                                 reverse_shrinkage_grid, write_grid_csv)
+                                 TwoVarProblem, _f_coeffs, _point_part,
+                                 hs_estimator_mc, hs_shrinkage,
+                                 normal_estimator, normal_ratio_contracts,
+                                 normal_shrink_factors, reverse_shrinkage_grid,
+                                 write_grid_csv)
 
 
 def random_problem(rng, a_min=1.0) -> TwoVarProblem:
@@ -40,6 +42,9 @@ class TestTwoVarProblem:
             TwoVarProblem(rho=0.5, tau=1.0, mle=(1.0, 2.0))
         with pytest.raises(InvariantError):
             TwoVarProblem(rho=0.5, tau=1.0, mle=(1.0, 0.0))
+        for mle in ((2.0, 1.0, 3.0), (2.0,), 2.0):
+            with pytest.raises(InvariantError, match="pair of numbers"):
+                TwoVarProblem(rho=0.5, tau=1.0, mle=mle)
 
 
 class TestNormalFactors:
@@ -110,62 +115,91 @@ class TestRatioContraction:
                                                  mle=(2.0, 1.0)))
 
 
+def mp_integrand(k1, k2, pr):
+    """The horseshoe integrand's parts by its plain formulas, at 50 digits.
+
+    Returns (f1, f2, f3), 1/d, (lin1, lin2, log E) and the prior weight F
+    at weights (k1, k2). F E, lin1 F E and lin2 F E are the integrands of
+    the estimator's denominator and its two numerators.
+    """
+    with mpmath.workdps(50):
+        k1, k2 = mpmath.mpf(k1), mpmath.mpf(k2)
+        rho, tau2 = mpmath.mpf(pr.rho), mpmath.mpf(pr.tau) ** 2
+        x1, x2 = (mpmath.mpf(v) for v in pr.mle)
+        d = 1 - (1 - k1) * (1 - k2) * rho ** 2
+        f1 = (rho ** 2 - 1 - rho ** 2 * k2) * k1 / d
+        f2 = (rho ** 2 - 1 - rho ** 2 * k1) * k2 / d
+        f3 = -rho * k1 * k2 / d
+        point = (f1 * x1 + f3 * x2, f2 * x2 + f3 * x1,
+                 (f1 * x1 ** 2 + f2 * x2 ** 2 + 2 * f3 * x1 * x2) / 2)
+        f_factor = (d ** mpmath.mpf("-0.5")
+                    / (1 - (1 - tau2) * k1) / (1 - (1 - tau2) * k2)
+                    * (1 - k1) ** mpmath.mpf("-0.5")
+                    * (1 - k2) ** mpmath.mpf("-0.5"))
+        return (f1, f2, f3), 1 / d, point, f_factor
+
+
 class TestHsIntegrand:
+    """The integrand's algebra, ``_f_coeffs`` and ``_point_part``, against
+    ``mp_integrand``, and the quadrature against mpmath's own integral."""
+
     def test_symmetric_numerators(self):
         pr = TwoVarProblem(rho=0.4, tau=0.7, mle=(1.2, 1.2))
-        n1 = hs_integrand(0.3, 0.3, pr, "numerator_1")
-        n2 = hs_integrand(0.3, 0.3, pr, "numerator_2")
+        f, _ = _f_coeffs(0.3, 0.3, pr.rho)
+        n1, n2, _ = _point_part(pr) @ f
         assert n1 == pytest.approx(n2, rel=1e-14)
 
     def test_zero_correlation_factorizes(self):
+        # At rho = 0 the quadratic form is diagonal: E factorises into
+        # exp(-k1 x1^2 / 2) exp(-k2 x2^2 / 2), and d = 1.
         pr = TwoVarProblem(rho=0.0, tau=0.5, mle=(2.0, 1.0))
-
-        def marginal(k, x):
-            tau2 = 0.25
-            return (1.0 / (1.0 - (1.0 - tau2) * k) * (1.0 - k) ** -0.5
-                    * math.exp(-0.5 * k * x * x))
-
-        val = hs_integrand(0.3, 0.6, pr, "F_only")
-        assert val == pytest.approx(marginal(0.3, 2.0) * marginal(0.6, 1.0),
-                                    rel=1e-12)
+        f, inv_d = _f_coeffs(0.3, 0.6, pr.rho)
+        assert f.tolist() == [-0.3, -0.6, 0.0]
+        assert inv_d == 1.0
+        log_e = (_point_part(pr) @ f)[2]
+        assert log_e == pytest.approx(-0.5 * (0.3 * 2.0 ** 2 + 0.6 * 1.0 ** 2),
+                                      rel=1e-12)
 
     def test_matches_high_precision_evaluation(self):
         pr = TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0))
-        k1, k2 = mpmath.mpf("0.3"), mpmath.mpf("0.7")
-        rho = mpmath.mpf("0.5")
-        tau2 = mpmath.mpf("0.25")
-        x1, x2 = mpmath.mpf(2), mpmath.mpf(1)
-        with mpmath.workdps(50):
-            d = 1 - (1 - k1) * (1 - k2) * rho ** 2
-            f1 = (rho ** 2 - 1 - rho ** 2 * k2) * k1 / d
-            f2 = (rho ** 2 - 1 - rho ** 2 * k1) * k2 / d
-            f3 = -rho * k1 * k2 / d
-            f_factor = (d ** mpmath.mpf("-0.5")
-                        / (1 - (1 - tau2) * k1) / (1 - (1 - tau2) * k2)
-                        * (1 - k1) ** mpmath.mpf("-0.5")
-                        * (1 - k2) ** mpmath.mpf("-0.5"))
-            e_factor = mpmath.e ** ((f1 * x1 ** 2 + f2 * x2 ** 2
-                                     + 2 * f3 * x1 * x2) / 2)
-            expected = {
-                "F_only": f_factor * e_factor,
-                "numerator_1": (f1 * x1 + f3 * x2) * f_factor * e_factor,
-                "numerator_2": (f2 * x2 + f3 * x1) * f_factor * e_factor,
-            }
-        for which, ref in expected.items():
-            got = hs_integrand(0.3, 0.7, pr, which)
-            assert got == pytest.approx(float(ref), rel=1e-12), which
+        f, inv_d = _f_coeffs(0.3, 0.7, pr.rho)
+        got = [*f, inv_d, *(_point_part(pr) @ f)]
+        want_f, want_inv_d, want_point, _ = mp_integrand(0.3, 0.7, pr)
+        names = ("f1", "f2", "f3", "1/d", "lin1", "lin2", "log E")
+        for name, g, w in zip(names, got, [*want_f, want_inv_d, *want_point]):
+            assert g == pytest.approx(float(w), rel=1e-12), name
 
-    def test_rejects_boundary(self):
+    def test_quadrature_matches_mpmath_integral(self):
+        """r1 and r2 of ``hs_shrinkage`` against the ratios of mpmath's
+        tanh-sinh integrals of F E, lin1 F E and lin2 F E over [0, 1]^2:
+        the substitution, the weights and the tau and d factors of the
+        quadrature, end to end. Tanh-sinh needs no substitution for the
+        (1 - k)^(-1/2) endpoint singularities."""
         pr = TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0))
-        with pytest.raises(InvariantError):
-            hs_integrand(0.0, 0.5, pr)
-        with pytest.raises(InvariantError):
-            hs_integrand(0.5, 1.0, pr)
+
+        # The three integrals visit the same nodes: evaluate each once.
+        @functools.lru_cache(maxsize=None)
+        def integrands(k1, k2):
+            _, _, (lin1, lin2, log_e), f_factor = mp_integrand(k1, k2, pr)
+            with mpmath.workdps(50):
+                fe = f_factor * mpmath.exp(log_e)
+                return fe, lin1 * fe, lin2 * fe
+
+        with mpmath.workdps(15):
+            den, num1, num2 = (
+                mpmath.quad(lambda k1, k2, i=i: integrands(k1, k2)[i],
+                            [0, 1], [0, 1]) for i in range(3))
+            x1, x2 = pr.mle
+            want = (float(-num1 / (x1 * den)), float(-num2 / (x2 * den)))
+        res = hs_shrinkage(pr)
+        assert res.r1 == pytest.approx(want[0], rel=1e-8, abs=0.0)
+        assert res.r2 == pytest.approx(want[1], rel=1e-8, abs=0.0)
 
 
 class TestHsEstimator:
     def test_symmetric_problem(self):
-        b1, b2 = hs_estimator(TwoVarProblem(rho=0.0, tau=0.5, mle=(1.5, 1.5)))
+        b1, b2 = hs_shrinkage(
+            TwoVarProblem(rho=0.0, tau=0.5, mle=(1.5, 1.5))).estimate
         assert b1 == pytest.approx(b2, rel=1e-10)
 
     def test_independent_coordinates_widen_ratio(self):
@@ -231,38 +265,8 @@ class TestGrid:
                 for tau in DEFAULT_TAU_GRID:
                     for a in DEFAULT_A_GRID:
                         pr = TwoVarProblem(rho=rho, tau=tau, mle=(a * x2, x2))
-                        b1, b2 = hs_estimator(pr)
+                        b1, b2 = hs_shrinkage(pr).estimate
                         assert b1 > 0 and b2 > 0, (rho, tau, a, x2)
-
-
-class TestIntegrandPathsAgree:
-    """The vectorised quadrature against pointwise ``hs_integrand``.
-
-    ``hs_integrand`` is the path checked against mpmath above; here its
-    values, summed on the same sin^2 nodes with weights
-    w_i * 2 sin(theta_i) cos(theta_i) (dk = 2 sin cos dtheta), must give
-    the r-values of ``_quad_r_values``.
-    """
-
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
-    def test_order_16_r_values(self, rho):
-        from numpy.polynomial.legendre import leggauss
-        from shrinksel.shrinkage import _quad_r_values
-
-        pr = TwoVarProblem(rho=rho, tau=0.5, mle=(2.0, 1.0))
-        nodes, weights = leggauss(16)
-        theta = (nodes + 1.0) * (math.pi / 4.0)
-        k = np.sin(theta) ** 2
-        jac = weights * (math.pi / 4.0) * 2.0 * np.sin(theta) * np.cos(theta)
-        sums = {which: sum(jac[i] * jac[j] * hs_integrand(k[i], k[j], pr, which)
-                           for i in range(16) for j in range(16))
-                for which in ("F_only", "numerator_1", "numerator_2")}
-        x1, x2 = pr.mle
-        rebuilt = (-sums["numerator_1"] / (x1 * sums["F_only"]),
-                   -sums["numerator_2"] / (x2 * sums["F_only"]))
-        quad = _quad_r_values(pr, 16)
-        for got, want in zip(quad, rebuilt):
-            assert got == pytest.approx(want, rel=1e-10)
 
 
 def plain_formula_r_values(pr, order):
@@ -399,6 +403,7 @@ class TestCachedQuadratureRules:
         for pr in (TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)),
                    TwoVarProblem(rho=0.94, tau=0.5, mle=(3.0, 1.5)),
                    TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0)),
+                   TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0)),
                    TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
             want = plain_formula_r_values(pr, order)
             assert _quad_r_values(pr, order) == pytest.approx(want, rel=1e-13,
