@@ -15,6 +15,7 @@ from shrinksel import samplers
 from shrinksel.core import Dataset, InvariantError, PriorSpec, load_draws, save_draws
 from shrinksel.samplers import (ChainState, McmcConfig, NonFiniteStateError,
                                 _rng, fit)
+from shrinksel.shrinkage import TwoVarProblem, hs_shrinkage
 
 
 def _horseshoe_from(data, prior, mcmc, init, use_woodbury):
@@ -205,6 +206,53 @@ class TestBetaDrawOneStep:
         var = np.diag(cov)
         cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / t)
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 5 * cov_se)
+
+
+class TestChainAgainstQuadrature:
+    """The Gibbs chain's posterior mean at p = 2 against the quadrature.
+
+    With tau and sigma2 held, the chain targets the posterior of
+    ``TwoVarProblem``: Gram matrix G = [[1, rho], [rho, 1]], error variance
+    1, and beta_j ~ N(0, lam_j tau^2) with sqrt(lam_j) standard
+    half-Cauchy; the sampler's ``tau`` is the variance scale tau^2. So the
+    chain's mean of beta must reach ``hs_shrinkage(problem).estimate``, and
+    the reverse-shrinkage flag that ``shrinkmap`` reads from it. Points near
+    the flag's boundary, or whose posterior puts the signal on either
+    coordinate (rho 0.99, tau 0.05, A 10), are left out.
+    """
+
+    SWEEPS = 20_000
+
+    @pytest.mark.parametrize("path", ["dense", "woodbury"])
+    @pytest.mark.parametrize("rho,tau,a,x2,reverse", [
+        (0.94, 0.1, 10.0, 1.5, True),  # strong: shrunk ratio 258
+        (0.97, 0.5, 2.0, 1.0, False),  # shrunk ratio 1.08
+        (0.0, 0.3, 3.0, 1.0, True)])  # shrunk ratio 9.8
+    def test_posterior_mean_and_flag(self, path, rho, tau, a, x2, reverse):
+        pr = TwoVarProblem(rho=rho, tau=tau, mle=(a * x2, x2))
+        quad = np.array(hs_shrinkage(pr).estimate)
+        # X'X = G and the least-squares fit of y = X mle is mle.
+        x = np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T.copy()
+        y = x @ np.array(pr.mle)
+        # An inverse-gamma(1e12, 1e12) prior holds sigma2 within about 1e-6
+        # of 1; tau is set before each sweep, whose beta and lam draws read
+        # it before the sweep redraws it.
+        prior = PriorSpec.horseshoe(ig_shape=1e12, ig_scale=1e12,
+                                    tau_upper=None)
+        state = _horseshoe_start(2)
+        steps = samplers._horseshoe_sweeps(_rng(11), x, y, state, prior,
+                                           path == "woodbury")
+        draws = np.empty((self.SWEEPS, 2))
+        for i in range(self.SWEEPS):
+            state.tau = tau * tau
+            next(steps)
+            draws[i] = state.beta
+        kept = draws[self.SWEEPS // 10:]
+        mean = kept.mean(axis=0)
+        se = np.array([batch_means_se(kept[:, j], 50) for j in range(2)])
+        assert np.all(np.abs(mean - quad) < 4.0 * se), (mean, quad, se)
+        assert (abs(quad[0] / quad[1]) >= a) == reverse
+        assert (abs(mean[0] / mean[1]) >= a) == reverse
 
 
 class TestSpdSolve:

@@ -10,10 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from shrinksel import shrinkage
 from shrinksel.core import InvariantError
 from shrinksel.shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID,
-                                 DEFAULT_TAU_GRID, _MC_BLOCK, ShrinkGridPoint,
-                                 TwoVarProblem, _f_coeffs, _point_part,
+                                 DEFAULT_TAU_GRID, _MC_BLOCK, QuadratureError,
+                                 ShrinkGridPoint, TwoVarProblem, _f_coeffs,
+                                 _hs_row, _point_part, _quad_r_batch,
                                  hs_estimator_mc, hs_shrinkage,
                                  normal_estimator, normal_ratio_contracts,
                                  normal_shrink_factors, reverse_shrinkage_grid,
@@ -269,6 +271,62 @@ class TestGrid:
                         assert b1 > 0 and b2 > 0, (rho, tau, a, x2)
 
 
+class TestGridBatches:
+    """A grid row evaluated as one batch against each point alone."""
+
+    def test_rows_match_single_points(self):
+        # A = 1.1 twice: a repeated value is its own member of the batch.
+        a_grid = [1.0, 1.1, 10.0, 1.1]
+        for x2 in (1.0, 1.5):
+            points = reverse_shrinkage_grid([0.0, 0.5, 0.99], [0.01, 0.95],
+                                            a_grid, x2=x2)
+            assert len(points) == 24
+            for pt in points:
+                res = hs_shrinkage(pt.problem)
+                b1, b2 = res.estimate
+                assert pt.error is None
+                assert pt.ratio_shrunk == abs(b1 / b2), pt.problem
+                assert pt.reverse == (abs(b1 / b2) >= pt.problem.a)
+                assert pt.quad_error == res.quad_error
+            for lo in range(0, len(points), len(a_grid)):
+                row = [pt.problem for pt in points[lo:lo + len(a_grid)]]
+                # HsEstimate equality covers the estimate, r1, r2, s1, s2,
+                # quad_error and the order reached.
+                assert _hs_row(row) == [hs_shrinkage(pr) for pr in row]
+
+    def test_failed_points_keep_the_single_point_record(self, monkeypatch,
+                                                        tmp_path):
+        # rho 0.99, tau 0.01 needs order 128; at tau 0.5 only A = 10 fails,
+        # so one batch holds points that converge and one that does not.
+        monkeypatch.setattr(shrinkage, "_QUAD_ORDERS", (16, 32))
+        points = reverse_shrinkage_grid([0.99], [0.01, 0.5], [1.1, 10.0, 1.0])
+        assert [pt.error is None for pt in points] == [False] * 3 + [
+            True, False, True]
+        for pt in points:
+            if pt.error is None:
+                assert pt.quad_error == hs_shrinkage(pt.problem).quad_error
+                continue
+            with pytest.raises(QuadratureError) as exc:
+                hs_shrinkage(pt.problem)
+            assert pt.error == str(exc.value)
+            assert "by order 32 (achieved" in pt.error
+            assert pt.quad_error == exc.value.achieved
+            assert math.isnan(pt.ratio_shrunk) and pt.reverse is False
+        path = tmp_path / "grid.csv"
+        write_grid_csv(points, str(path))
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[5:] == ["nan", "0", f"{points[0].quad_error:.6g}"]
+
+    def test_batches_split_below_one_megabyte(self):
+        # At order 128 (16384 nodes) seven problems fill 0.875 MB, so nine
+        # go in two batches; at order 256 each goes alone.
+        row = [TwoVarProblem(rho=0.99, tau=0.01, mle=(1.0 + a / 4, 1.0))
+               for a in range(9)]
+        for order in (128, 256):
+            assert _quad_r_batch(row, order) == [
+                _quad_r_batch([pr], order)[0] for pr in row]
+
+
 def plain_formula_r_values(pr, order):
     """The r-values by the integrand's plain formula on a fresh rule.
 
@@ -342,15 +400,14 @@ class TestCachedQuadratureRules:
 
     @pytest.mark.parametrize("order", [16, 32, 64])
     def test_bit_identical_to_a_fresh_rule(self, order):
-        from shrinksel.shrinkage import _quad_r_values
 
         for pr in (TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)),
                    TwoVarProblem(rho=0.94, tau=0.5, mle=(3.0, 1.5)),
                    TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
             want = self.fresh_rule_r_values(pr, order)
             # A second call reads the cached rule.
-            assert _quad_r_values(pr, order) == want
-            assert _quad_r_values(pr, order) == want
+            assert _quad_r_batch([pr], order)[0] == want
+            assert _quad_r_batch([pr], order)[0] == want
 
     def test_cached_arrays_are_read_only(self):
         from shrinksel.shrinkage import _quad_rule
@@ -398,7 +455,6 @@ class TestCachedQuadratureRules:
 
     @pytest.mark.parametrize("order", [16, 32, 64, 128])
     def test_r_values_match_the_plain_formula(self, order):
-        from shrinksel.shrinkage import _quad_r_values
 
         for pr in (TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)),
                    TwoVarProblem(rho=0.94, tau=0.5, mle=(3.0, 1.5)),
@@ -406,8 +462,8 @@ class TestCachedQuadratureRules:
                    TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0)),
                    TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
             want = plain_formula_r_values(pr, order)
-            assert _quad_r_values(pr, order) == pytest.approx(want, rel=1e-13,
-                                                              abs=0.0)
+            assert _quad_r_batch([pr], order)[0] == pytest.approx(
+                want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("x2", [1.0, 1.5])
     def test_default_grid_matches_the_plain_formula(self, x2):
@@ -434,7 +490,7 @@ class TestCachedQuadratureRules:
                 arr[0, 0] = 0.5
 
     def test_interleaved_rho_values_give_identical_r_values(self):
-        from shrinksel.shrinkage import _quad_r_values, _rho_tables
+        from shrinksel.shrinkage import _rho_tables
 
         orders = (16, 32, 64, 128)
         pr_a = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.0))
@@ -444,12 +500,12 @@ class TestCachedQuadratureRules:
         _rho_tables.cache_clear()
         # One order at a time: B's set sits beside A's.
         for o, wa, wb in zip(orders, want_a, want_b):
-            assert _quad_r_values(pr_a, o) == wa
-            assert _quad_r_values(pr_b, o) == wb
-            assert _quad_r_values(pr_a, o) == wa
+            assert _quad_r_batch([pr_a], o)[0] == wa
+            assert _quad_r_batch([pr_b], o)[0] == wb
+            assert _quad_r_batch([pr_a], o)[0] == wa
         # Every order of A, then of B, then of A: B's sets evict some of A's.
         for pr, want in ((pr_a, want_a), (pr_b, want_b), (pr_a, want_a)):
-            assert [_quad_r_values(pr, o) for o in orders] == want
+            assert [_quad_r_batch([pr], o)[0] for o in orders] == want
 
 
 def whole_array_mc(pr, n_samples, seed):
@@ -507,6 +563,38 @@ class TestMcBlocks:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+class TestMcBytes:
+    """Estimates and standard errors pinned bit for bit at the benchmark's
+    four spot checks (10^6 samples, seeds 1000-1003) and at one block plus
+    one sample: the in-place block arithmetic and the uniforms drawn into a
+    buffer must keep every bit of the plain expressions."""
+
+    @pytest.mark.parametrize("i,rho,tau,a,x2,want", [
+        (0, 0.94, 0.05, 10.0, 1.0,
+         (10.682291338734572, 0.0705169174735164,
+          0.0024509167095747536, 0.001718748381796074)),
+        (1, 0.96, 0.2, 5.0, 1.5,
+         (7.5467979909603535, 1.1366976400815612,
+          0.007344968460921368, 0.006948281280553869)),
+        (2, 0.97, 0.5, 2.0, 1.0,
+         (1.1193406324241795, 1.0344649402098018,
+          0.0013312640014871981, 0.0012920829217880048)),
+        (3, 0.99, 0.95, 1.1, 1.5,
+         (1.2914757922988218, 1.2867704991946352,
+          0.0012888737762899013, 0.0012878412163026705))])
+    def test_benchmark_spot_checks(self, i, rho, tau, a, x2, want):
+        pr = TwoVarProblem(rho=rho, tau=tau, mle=(a * x2, x2))
+        mc = hs_estimator_mc(pr, n_samples=1_000_000, seed=1000 + i)
+        assert mc.estimate + mc.se == want
+
+    def test_one_block_and_one_sample(self):
+        mc = hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
+                             n_samples=_MC_BLOCK + 1, seed=7)
+        assert mc.estimate + mc.se == (2.165118325981081, 1.7040122644869986,
+                                       0.020918604737595492,
+                                       0.020203615546403025)
+
+
 class TestMcStandardError:
     """The delta-method standard errors against the seed-to-seed spread."""
 
@@ -532,9 +620,9 @@ class TestArgumentChecks:
 
 _THREAD_CHILD = """
 import hashlib
-from shrinksel.shrinkage import TwoVarProblem, _quad_r_values, hs_estimator_mc
-pr = TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0))
-r = [_quad_r_values(pr, order) for order in (64, 128, 256, 512)]
+from shrinksel.shrinkage import TwoVarProblem, _quad_r_batch, hs_estimator_mc
+row = [TwoVarProblem(rho=0.99, tau=0.01, mle=(a, 1.0)) for a in (1.1, 2.0, 10.0)]
+r = [_quad_r_batch(row, order) for order in (64, 128, 256, 512)]
 mc = hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
                      n_samples=100_003, seed=7)
 print(hashlib.sha256(repr((r, mc)).encode()).hexdigest())
@@ -542,9 +630,11 @@ print(hashlib.sha256(repr((r, mc)).encode()).hexdigest())
 
 
 def test_shrinkage_independent_of_blas_threads():
-    """Quadrature at up to 512^2 nodes and an MC estimate give the same
-    bits on one and two BLAS threads: the engine runs without the chains'
-    one-thread pin, and OpenBLAS splits a long dot product across threads."""
+    """Quadrature of a three-point batch at up to 512^2 nodes and an MC
+    estimate give the same bits on one and two BLAS threads: the engine runs
+    without the chains' one-thread pin, and OpenBLAS splits a long dot
+    product across threads. The batch puts any thread-dependent call inside
+    the batched kernel under the same check."""
     pr = TwoVarProblem(rho=0.99, tau=0.01, mle=(1.1, 1.0))
     assert hs_shrinkage(pr).order == 128  # 16384 nodes
     import shrinksel
