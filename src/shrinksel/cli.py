@@ -175,6 +175,17 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+class _OneCommaList(argparse.Action):
+    """Stores a flag's comma list; a second use of the flag exits 2."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # Until the flag's first use the attribute is the default itself.
+        if getattr(namespace, self.dest) is not self.default:
+            parser.error(f"{option_string} given more than once: pass its "
+                         f"values as one comma list")
+        setattr(namespace, self.dest, values)
+
+
 def _number_or_word(text: str):
     """argparse type for a Union field: a float if the text parses, else it."""
     try:
@@ -442,11 +453,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         parents=[out_flag])
     sp.add_argument("--x2", type=float, action="append",
                     help="smaller MLE value; repeat for several grids")
-    sp.add_argument("--rho", type=_float_list, default=DEFAULT_RHO_GRID,
+    sp.add_argument("--rho", type=_float_list, action=_OneCommaList,
+                    default=DEFAULT_RHO_GRID,
                     help="comma list of correlation values")
-    sp.add_argument("--tau", type=_float_list, default=DEFAULT_TAU_GRID,
+    sp.add_argument("--tau", type=_float_list, action=_OneCommaList,
+                    default=DEFAULT_TAU_GRID,
                     help="comma list of prior scales")
-    sp.add_argument("--a", type=_float_list, default=DEFAULT_A_GRID,
+    sp.add_argument("--a", type=_float_list, action=_OneCommaList,
+                    default=DEFAULT_A_GRID,
                     help="comma list of MLE ratios (>= 1)")
     sp.set_defaults(func=cmd_shrinkmap)
     return parser

@@ -15,10 +15,15 @@ integrator over half-Cauchy scale draws provides an independent
 cross-check of the quadrature path; each block of 2^15 samples draws one
 (2, b) array of uniforms, so its memory does not depend on the sample count.
 
-Everything here is a pure function and runs in the calling process: the
-grid evaluates the A values of one (rho, tau) row together, one batch per
-order, at about 50 µs a point on the default grid (about 70 µs for a
-point alone; 2-core VM), less than handing it to a worker process.
+Everything here is a pure function. The quadrature runs in the calling
+thread: the grid evaluates the A values of one (rho, tau) row together,
+one batch per order, at about 50 µs a point on the default grid (about
+85 µs for a point alone; 2-core VM), less than handing it to a worker
+process, and its arrays are too small for threads to pay. The Monte Carlo check splits its blocks into
+one contiguous run per usable CPU, the calling thread doing the first
+and a worker thread each of the others. Philox is counter-based, so each
+run skips ahead to its first sample, and the runs' block sums are added
+in block order: the result has the same bits at any CPU count.
 The quadrature caches what does not depend on the point: each order's
 nodes and weights, and, per (rho, order), one read-only set of four
 node-grid tables: the integrand's rho part (f1, f2, f3) and the tensor
@@ -30,6 +35,7 @@ default grid, which converges by order 64, keeps about 0.3 MB.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -271,8 +277,9 @@ def _rho_tables(rho: float, order: int) -> np.ndarray:
     return tables
 
 
-def _quad_r_batch(problems: Sequence[TwoVarProblem],
-                  order: int) -> list[tuple[float, float]]:
+def _quad_r_batch(problems: Sequence[TwoVarProblem], order: int,
+                  points: Optional[Sequence[np.ndarray]] = None
+                  ) -> list[tuple[float, float]]:
     """(r1, r2) of each problem by tensor Gauss-Legendre at a fixed order.
 
     The problems share rho and tau. The rho part of the integrand and the
@@ -284,8 +291,11 @@ def _quad_r_batch(problems: Sequence[TwoVarProblem],
     grid; the shift cancels between numerator and denominator. Each
     problem's exponent and sums are matrix-vector products: OpenBLAS splits
     those by output element, so the result depends neither on its thread
-    count nor on the batch.
+    count nor on the batch. ``points`` holds each problem's
+    :func:`_point_part`, built here when not given.
     """
+    if points is None:
+        points = [_point_part(pr) for pr in problems]
     k, _ = _quad_rule(order)
     tables = _rho_tables(problems[0].rho, order)
     f, wd = tables[:3].reshape(3, -1), tables[3].reshape(-1)
@@ -293,7 +303,7 @@ def _quad_r_batch(problems: Sequence[TwoVarProblem],
     step = max(1, ((1 << 17) - 1) // wd.size)  # 2^17 doubles make 1 MB
     r_values = []
     for lo in range(0, len(problems), step):
-        batch = [(pr, _point_part(pr)) for pr in problems[lo:lo + step]]
+        batch = list(zip(problems[lo:lo + step], points[lo:lo + step]))
         base = np.empty((len(batch), wd.size))
         for row, (_, point) in zip(base, batch):
             np.matmul(point[2], f, out=row)
@@ -314,17 +324,20 @@ def _quad_r_batch(problems: Sequence[TwoVarProblem],
 def _hs_row(problems: Sequence[TwoVarProblem]) -> list:
     """:func:`hs_shrinkage` of problems that share rho and tau.
 
-    The problems not yet converged go through one batch per order.
-    Returns, per problem, its :class:`HsEstimate` or the
-    :class:`QuadratureError` it fails with.
+    The problems not yet converged go through one batch per order; each
+    problem's point part is built once, not once per order. Returns, per
+    problem, its :class:`HsEstimate` or the :class:`QuadratureError` it
+    fails with.
     """
+    points = [_point_part(pr) for pr in problems]
     out, prev = [None] * len(problems), [None] * len(problems)
     err = [math.inf] * len(problems)
     for order in _QUAD_ORDERS:
         active = [i for i, res in enumerate(out) if res is None]
         if not active:
             break
-        r_batch = _quad_r_batch([problems[i] for i in active], order)
+        r_batch = _quad_r_batch([problems[i] for i in active], order,
+                                [points[i] for i in active])
         for i, (r1, r2) in zip(active, r_batch):
             if prev[i] is not None:
                 scale = max(abs(r1), abs(r2), 1e-300)
@@ -354,34 +367,36 @@ def hs_shrinkage(problem: TwoVarProblem) -> HsEstimate:
     return res
 
 
-def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
-                    seed: int = 0) -> McEstimate:
-    """Monte Carlo evaluation of the horseshoe estimator.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Independent of the quadrature path: samples the two local scales from
-    the standard half-Cauchy, averages the integrands, and propagates the
-    sampling covariance of the three means through the estimator by the
-    delta method. The returned standard errors are for the two estimate
-    components. Each block of ``_MC_BLOCK`` samples draws one ``(2, b)``
-    array of uniforms (row 0 for k1, row 1 for k2), so the stream depends
-    only on the seed, and no array grows with ``n_samples``. A block writes
-    only into buffers allocated once per call: the uniforms, the f rows,
-    the prior weight, and the rows of one matrix product,
-    (lin1, lin2, log E), which become (lin1 phi, lin2 phi, phi).
+
+def _mc_run(problem: TwoVarProblem, point: np.ndarray, seed: int, lo: int,
+            hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block of samples ``lo`` to ``hi`` of the seed's stream, the sums
+    of (lin1 phi, lin2 phi, phi) and the matrix of their cross-products.
+
+    ``lo`` is a multiple of ``_MC_BLOCK``. The run starts its own generator
+    at sample ``lo``: a sample takes two uniforms and a Philox counter step
+    yields four, so ``lo // 2`` steps skip exactly the uniforms of the
+    samples before it. Each block draws one ``(2, b)`` array of uniforms
+    (row 0 for k1, row 1 for k2) and writes only into buffers allocated
+    once per run: the uniforms, the f rows, the prior weight, and the rows
+    of one matrix product, (lin1, lin2, log E), which become
+    (lin1 phi, lin2 phi, phi).
     """
-    if isinstance(n_samples, bool) or not (
-            isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise InvariantError("n_samples must be an integer at least 1")
     tau = problem.tau
-    x1, x2 = problem.mle
-    point = _point_part(problem)
     rng = _rng(seed)
-
+    rng.bit_generator.advance(lo // 2)
     rows, f_rows = np.empty((3, _MC_BLOCK)), np.empty((3, _MC_BLOCK))
     weights, u = np.empty(_MC_BLOCK), np.empty(2 * _MC_BLOCK)
-    sums, prods = np.zeros(3), np.zeros((3, 3))
-    for lo in range(0, n_samples, _MC_BLOCK):
-        b = min(_MC_BLOCK, n_samples - lo)
+    parts = []
+    for start in range(lo, hi, _MC_BLOCK):
+        b = min(_MC_BLOCK, hi - start)
         block = rows[:, :b]
         k = block[:2]  # the weights (k1, k2), until the matmul below
         np.multiply(rng.random(out=u[:2 * b].reshape(2, b)), math.pi / 2.0,
@@ -401,10 +416,56 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
         phi = np.exp(block[2], out=block[2])
         phi *= weight
         block[:2] *= phi
-        sums += block.sum(axis=1)
         # Row by row: OpenBLAS takes block @ block.T three times as long.
-        for j in range(3):
-            prods[j] += block @ block[j]
+        parts.append((block.sum(axis=1),
+                      np.array([block @ block[j] for j in range(3)])))
+    return parts
+
+
+def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
+                    seed: int = 0) -> McEstimate:
+    """Monte Carlo evaluation of the horseshoe estimator.
+
+    Independent of the quadrature path: samples the two local scales from
+    the standard half-Cauchy, averages the integrands, and propagates the
+    sampling covariance of the three means through the estimator by the
+    delta method. The returned standard errors are for the two estimate
+    components.
+
+    The samples go in blocks of ``_MC_BLOCK``, and the blocks in contiguous
+    runs, one per usable CPU and never more than there are blocks. The
+    calling thread does the first run and one worker thread each of the
+    others; a single run starts no thread. Each run skips ahead to its
+    first sample in the seed's stream (see :func:`_mc_run`) and owns about
+    2.4 MB of buffers, so no array grows with ``n_samples``. A run hands
+    back 12 floats per block, its three sums and nine cross-products, which
+    are held until they are added here in block order. Every estimate and
+    standard error therefore keeps its bits at any CPU count.
+    """
+    if isinstance(n_samples, bool) or not (
+            isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise InvariantError("n_samples must be an integer at least 1")
+    x1, x2 = problem.mle
+    point = _point_part(problem)
+    n_blocks = -(-n_samples // _MC_BLOCK)
+    n_runs = min(_usable_cpus(), n_blocks)
+    edges = [min(n_blocks * i // n_runs * _MC_BLOCK, n_samples)
+             for i in range(n_runs + 1)]
+    runs = list(zip(edges, edges[1:]))
+    if n_runs == 1:
+        parts = _mc_run(problem, point, seed, *runs[0])
+    else:
+        import concurrent.futures
+        with concurrent.futures.ThreadPoolExecutor(n_runs - 1) as pool:
+            later = [pool.submit(_mc_run, problem, point, seed, lo, hi)
+                     for lo, hi in runs[1:]]
+            parts = _mc_run(problem, point, seed, *runs[0])
+            for run in later:
+                parts += run.result()
+    sums, prods = np.zeros(3), np.zeros((3, 3))
+    for block_sums, block_prods in parts:
+        sums += block_sums
+        prods += block_prods
 
     means = sums / n_samples
     cov_samples = prods / n_samples - np.outer(means, means)

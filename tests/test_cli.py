@@ -540,6 +540,22 @@ class TestShrinkmap:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--rho", "--tau", "--a"])
+    def test_repeated_grid_flag_writes_nothing(self, tmp_path, capsys, flag):
+        # A second --rho used to replace the first silently, while --x2
+        # appends: --rho 0 --rho 0.5 ran the rho 0.5 grid alone.
+        out = tmp_path / "g"
+        grid = {"--rho": ["0", "0.5"], "--tau": ["0.1", "0.9"],
+                "--a": ["1.1", "10"]}
+        argv = [arg for f, values in grid.items()
+                for arg in ([f, values[0], f, values[1]] if f == flag
+                            else [f, values[0]])]
+        assert run("shrinkmap", "--out", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} given more than once" in err
+        assert "one comma list" in err
+        assert not out.exists()
+
     def test_resolved_file_lists_each_grid_once(self, tmp_path):
         out = tmp_path / "g"
         assert run("shrinkmap", "--out", str(out), "--rho", "0.95",

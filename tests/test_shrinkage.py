@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -595,6 +596,89 @@ class TestMcBytes:
                                        0.020203615546403025)
 
 
+class TestMcSplit:
+    """The blocks split into one run per usable CPU, each run skipping
+    ahead in the seed's Philox stream, against the same call on one CPU."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        """(lo, hi, on the calling thread) of each run, as the runs start."""
+        runs, caller = [], threading.get_ident()
+        real = shrinkage._mc_run
+
+        def recording(problem, point, seed, lo, hi):
+            runs.append((lo, hi, threading.get_ident() == caller))
+            return real(problem, point, seed, lo, hi)
+
+        monkeypatch.setattr(shrinkage, "_mc_run", recording)
+        return runs
+
+    def test_philox_advance_counts_four_raw_values(self):
+        # The skip-ahead by lo // 2 rests on this unit: advance(k) moves
+        # the counter k steps, and each step yields four 64-bit values.
+        from numpy.random import Philox, SeedSequence
+
+        drawn, skipped = Philox(SeedSequence(11)), Philox(SeedSequence(11))
+        for k in (1, 3, 1 << 14):
+            want = drawn.random_raw(4 * k + 4)[4 * k:]
+            skipped.advance(k)
+            assert (skipped.random_raw(4) == want).all()
+
+    @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                   3 * _MC_BLOCK + 17, 100_003])
+    def test_same_estimate_at_any_cpu_count(self, monkeypatch, n):
+        pr = TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5))
+        self.force_cpus(monkeypatch, 1)
+        want = hs_estimator_mc(pr, n_samples=n, seed=7)
+        n_blocks = -(-n // _MC_BLOCK)
+        for cpus in (2, 3, 5, n_blocks + 3):
+            self.force_cpus(monkeypatch, cpus)
+            runs = self.record_runs(monkeypatch)
+            assert hs_estimator_mc(pr, n_samples=n, seed=7) == want, cpus
+            # Contiguous runs over all samples, block-aligned, never more
+            # than the blocks; the calling thread does the first.
+            runs.sort()
+            assert len(runs) == min(cpus, n_blocks)
+            assert [on_caller for *_, on_caller in runs] == [True] + [
+                False] * (len(runs) - 1)
+            edges = [lo for lo, _, _ in runs] + [runs[-1][1]]
+            assert edges[0] == 0 and edges[-1] == n
+            assert all(lo % _MC_BLOCK == 0 and lo < hi
+                       for lo, hi, _ in runs)
+            assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(runs,
+                                                                  runs[1:]))
+
+    def test_cpu_count_when_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert shrinkage._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert shrinkage._usable_cpus() == 1
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failed_run_raises_and_leaves_no_thread(self, monkeypatch,
+                                                    failing):
+        self.force_cpus(monkeypatch, 3)
+        real = shrinkage._mc_run
+
+        def run(problem, point, seed, lo, hi):
+            if (lo > 0) == (failing == "worker"):
+                raise RuntimeError(f"run at {lo} failed")
+            return real(problem, point, seed, lo, hi)
+
+        monkeypatch.setattr(shrinkage, "_mc_run", run)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed"):
+            hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
+                            n_samples=3 * _MC_BLOCK, seed=7)
+        assert threading.active_count() == threads
+
+
 class TestMcStandardError:
     """The delta-method standard errors against the seed-to-seed spread."""
 
@@ -653,6 +737,7 @@ def test_shrinkage_independent_of_blas_threads():
 
 _RSS_CHILD = """
 import sys
+import threading
 from shrinksel.shrinkage import TwoVarProblem, hs_estimator_mc
 hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
                 n_samples=int(sys.argv[1]), seed=7)
