@@ -545,12 +545,9 @@ class TestShrinkmap:
         # A second --rho used to replace the first silently, while --x2
         # appends: --rho 0 --rho 0.5 ran the rho 0.5 grid alone.
         out = tmp_path / "g"
-        grid = {"--rho": ["0", "0.5"], "--tau": ["0.1", "0.9"],
-                "--a": ["1.1", "10"]}
-        argv = [arg for f, values in grid.items()
-                for arg in ([f, values[0], f, values[1]] if f == flag
-                            else [f, values[0]])]
-        assert run("shrinkmap", "--out", str(out), *argv) == 2
+        again = {"--rho": "0.5", "--tau": "0.9", "--a": "10"}[flag]
+        assert run("shrinkmap", "--out", str(out), "--rho", "0", "--tau",
+                   "0.1", "--a", "1.1", flag, again) == 2
         err = capsys.readouterr().err
         assert f"{flag} given more than once" in err
         assert "one comma list" in err

@@ -737,7 +737,6 @@ def test_shrinkage_independent_of_blas_threads():
 
 _RSS_CHILD = """
 import sys
-import threading
 from shrinksel.shrinkage import TwoVarProblem, hs_estimator_mc
 hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
                 n_samples=int(sys.argv[1]), seed=7)
