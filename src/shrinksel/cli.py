@@ -26,11 +26,12 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
-                   atomic_write_lines, load_draws, load_matrix_csv, save_draws,
-                   save_matrix_csv)
+                   _positive_int, _table_lines, atomic_write_lines, load_draws,
+                   load_matrix_csv, save_draws, save_matrix_csv)
 from .samplers import McmcConfig, fit
-from .selection import (S2mConfig, TWO_SIGMA_HAT, check_methods, resolve_b,
-                        run_selectors, write_selection_report)
+from .selection import (S2mConfig, TWO_SIGMA_HAT, check_methods,
+                        read_selection_report, resolve_b, run_selectors,
+                        write_selection_report)
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
                         reverse_shrinkage_grid, write_grid_csv)
 from .simulate import (SimConfig, format_benchmark_table, gen_design,
@@ -149,17 +150,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _positive_int(value, where: str) -> int:
-    """``value`` as an integer >= 1; otherwise a UsageError naming ``where``."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = None
-    if number is None or number < 1:
-        raise UsageError(f"{where}: expected an integer >= 1, got {value!r}")
-    return number
-
-
 def _jobs(args) -> int:
     return 1 if args.jobs is None else _positive_int(args.jobs, "--jobs")
 
@@ -231,12 +221,12 @@ def cmd_fit(args) -> int:
     config = _load_config(args.config)
     prior = _build("prior", config, args)
     mcmc = _build("mcmc", config, args)
-    out = _out_dir(args)
     x = load_matrix_csv(args.design)
     y = load_matrix_csv(args.response)
     if y.shape[1] != 1:
         raise UsageError(f"{args.response}: expected a single column")
     data = Dataset(y=y[:, 0], x=x)
+    out = _out_dir(args)
     start = time.perf_counter()
     draws = fit(data, prior, mcmc)
     wall = time.perf_counter() - start
@@ -255,8 +245,8 @@ def cmd_select(args) -> int:
     config = _load_config(args.config)
     methods = _methods_list(args, config, default="s2m")
     cfg = _build("selection", config, args)
-    out = _out_dir(args)
     draws = load_draws(args.draws)
+    out = _out_dir(args)
     outcomes = run_selectors(draws, methods, cfg)
     resolved = resolve_b(draws, cfg)
     write_selection_report(outcomes, os.path.join(out, "selection.csv"),
@@ -275,46 +265,24 @@ def cmd_select(args) -> int:
 
 def _read_truth_file(path) -> frozenset[int]:
     """The 1-based signal indices of a truth file, one per line."""
-    truth = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                truth.add(_positive_int(line.strip(), f"{path}: line {lineno}"))
-    return frozenset(truth)
+        return frozenset(_positive_int(cells[0], f"{path}: line {lineno}")
+                         for lineno, cells in _table_lines(fh, path, 1, 1))
 
 
 def cmd_evaluate(args) -> int:
     truth = _read_truth_file(args.truth)
+    outcomes = read_selection_report(args.selection)
     out = _out_dir(args)
     lines = ["method,masking,swamping"]
-    with open(args.selection, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            m_pos = header.index("method")
-            s_pos = header.index("selected")
-        except ValueError:
-            raise UsageError(
-                f"{args.selection}: not a selection report") from None
-        e_pos = header.index("error") if "error" in header else None
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) < len(header):
-                raise UsageError(
-                    f"{args.selection}: line {lineno}: {len(cells)} cells, "
-                    f"the header has {len(header)}")
-            if not cells[m_pos]:
-                continue
-            if e_pos is not None and cells[e_pos]:
-                print(f"{cells[m_pos]}: skipped (selector failed: "
-                      f"{cells[e_pos]})", file=sys.stderr)
-                continue
-            selected = {_positive_int(v, f"{args.selection}: line {lineno}")
-                        for v in cells[s_pos].split()}
-            masking, swamping = score(selected, truth)
-            lines.append(f"{cells[m_pos]},{masking},{swamping}")
-            print(f"{cells[m_pos]}: masking={masking} swamping={swamping}")
+    for method, selected in outcomes.items():
+        if isinstance(selected, str):
+            print(f"{method}: skipped (selector failed: {selected})",
+                  file=sys.stderr)
+            continue
+        masking, swamping = score(selected, truth)
+        lines.append(f"{method},{masking},{swamping}")
+        print(f"{method}: masking={masking} swamping={swamping}")
     atomic_write_lines(os.path.join(out, "evaluate.csv"), lines)
     return EXIT_OK
 

@@ -350,18 +350,23 @@ def _indexed_block(names: dict[str, int], stem: str,
     return [names[found[i]] for i in range(1, k + 1)]
 
 
-def _read_rows(fh, path: str, first_line: int,
-               header: Optional[list[str]] = None) -> np.ndarray:
-    """The numeric table in the comma-separated lines left in ``fh``.
+def _positive_int(value, where: str) -> int:
+    """``value`` as an integer >= 1, else InvariantError naming ``where``."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or number < 1:
+        raise InvariantError(
+            f"{where}: expected an integer >= 1, got {value!r}")
+    return number
 
-    Blank lines are skipped. Every row must have as many cells as
-    ``header`` (or, without one, as the first row); a ragged or
-    non-numeric row raises :class:`InvariantError` naming its file line,
-    counted from ``first_line``. Each row is converted as it is read, so
-    the cell strings of one row, not of the table, are held at a time.
-    """
-    rows = []
-    width = None if header is None else len(header)
+
+def _table_lines(fh, path: str, first_line: int,
+                 width: Optional[int] = None):
+    """(file line, cells) of each non-blank line left in ``fh``, counted from
+    ``first_line``. A row without ``width`` cells (or, without it, the first
+    row's count) raises :class:`InvariantError` naming its file line."""
     for lineno, line in enumerate(fh, start=first_line):
         cells = line.strip().split(",")
         if cells == [""]:
@@ -370,6 +375,18 @@ def _read_rows(fh, path: str, first_line: int,
         if len(cells) != width:
             raise InvariantError(f"{path}: row {lineno} has {len(cells)} "
                                  f"cells, expected {width}")
+        yield lineno, cells
+
+
+def _read_rows(fh, path: str, first_line: int,
+               header: Optional[list[str]] = None) -> np.ndarray:
+    """The numeric table in :func:`_table_lines` of ``fh``, as wide as
+    ``header`` if given. A non-numeric cell raises :class:`InvariantError`
+    naming its file line. Each row is converted as it is read, so the cell
+    strings of one row, not of the table, are held at a time."""
+    rows = []
+    width = None if header is None else len(header)
+    for lineno, cells in _table_lines(fh, path, first_line, width):
         try:
             rows.append(np.array(cells, dtype=float))
         except ValueError:

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .core import (InvariantError, PosteriorDraws, SelectionResult,
-                   atomic_write_lines)
+                   _positive_int, _table_lines, atomic_write_lines)
 
 #: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
 TWO_SIGMA_HAT = "2sigma2"
@@ -316,8 +316,8 @@ def check_methods(methods) -> None:
     """Refuse an empty method list, an unknown tag or a repeated tag."""
     unknown = [m for m in methods if m not in _SELECTORS]
     if unknown or not methods:
-        raise InvariantError(f"unknown method(s) {unknown}; valid methods: "
-                             f"{', '.join(_SELECTORS)}")
+        what = f"unknown method(s) {unknown}" if unknown else "no methods"
+        raise InvariantError(f"{what}; valid methods: {', '.join(_SELECTORS)}")
     repeated = [m for m in _SELECTORS if methods.count(m) > 1]
     if repeated:
         raise InvariantError(f"method(s) {repeated} given more than once")
@@ -345,13 +345,17 @@ def run_selectors(draws: PosteriorDraws, methods, cfg: S2mConfig = S2mConfig()
     return outcomes
 
 
+#: The selection CSV header, written and required by the two functions below.
+_REPORT_HEADER = "method,h,selected,b,level,threshold,error"
+
+
 def write_selection_report(outcomes, csv_path: str, text_path: str,
                            cfg: S2mConfig, resolved_b: float) -> None:
     """Write :func:`run_selectors` outcomes to a CSV and a text report: the
     results in call order, then the refusals, each with its message."""
     params = {"b": resolved_b, "level": cfg.credible_level,
               "threshold": cfg.kappa_threshold}
-    rows = [f"method,h,selected,{','.join(params)},error"]
+    rows = [_REPORT_HEADER]
     lines = []
     for method, r in sorted(outcomes.items(),
                             key=lambda o: isinstance(o[1], str)):
@@ -367,3 +371,22 @@ def write_selection_report(outcomes, csv_path: str, text_path: str,
         lines.append(f"method={method} H={r.h_mode} selected=[{sel}]")
     atomic_write_lines(csv_path, rows)
     atomic_write_lines(text_path, lines)
+
+
+def read_selection_report(path: str) -> dict[str, Union[frozenset[int], str]]:
+    """Per method, in file order, the selected indices or refusal message
+    that a selection CSV records. The header must be :data:`_REPORT_HEADER`
+    and each row as wide, with a known tag given once and 1-based indices;
+    anything else raises :class:`InvariantError` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip() != _REPORT_HEADER:
+            raise InvariantError(f"{path}: not a selection report (expected "
+                                 f"the header {_REPORT_HEADER!r})")
+        rows = list(_table_lines(fh, path, 2, _REPORT_HEADER.count(",") + 1))
+    try:
+        check_methods([cells[0] for _, cells in rows])
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from None
+    return {cells[0]: cells[-1] or frozenset(
+        _positive_int(v, f"{path}: line {lineno}") for v in cells[2].split())
+        for lineno, cells in rows}

@@ -118,6 +118,7 @@ class TestFit:
                    "--design", str(bad), "--response", str(resp))
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_inputs(self, tmp_path):
         assert run("fit", "--out", str(tmp_path)) == 2
@@ -179,6 +180,15 @@ class TestSelect:
                    "--methods", "s2m,s2m,hppm,hppm")
         assert code == 2
         assert "['s2m', 'hppm']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_draw_cell_makes_no_output_directory(self, tmp_path,
+                                                             capsys):
+        draws = tmp_path / "draws.csv"
+        draws.write_text("beta_1,beta_2,sigma2\n0.5,1.0,0.3\n0.4,x,0.2\n")
+        out = tmp_path / "sel"
+        assert run("select", "--out", str(out), "--draws", str(draws)) == 2
+        assert "non-numeric cell 'x' at row 3" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -284,7 +294,7 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{sel}: line 3" in err and "internal error" not in err
-        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+        assert not (tmp_path / "eval").exists()
 
     def test_short_row_is_usage_error(self, sim_dir, tmp_path, capsys):
         sel = tmp_path / "selection.csv"
@@ -297,8 +307,8 @@ class TestEvaluate:
                    "--truth", str(sim_dir / "truth.txt"))
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{sel}: line 4" in err and "internal error" not in err
-        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+        assert f"{sel}: row 4" in err and "internal error" not in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("body,lineno,cell", [
         ("0\n1\n-3\n", 1, "'0'"),
@@ -319,7 +329,7 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{truth}: line {lineno}" in err and cell in err
-        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+        assert not (tmp_path / "eval").exists()
 
     def test_selected_indices_must_be_positive_integers(self, tmp_path,
                                                          capsys):
@@ -334,7 +344,54 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{sel}: line 2" in err and "'0'" in err
-        assert not (tmp_path / "eval" / "evaluate.csv").exists()
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("body,message", [
+        (_HEADER + ",1,3,,,,\n", "unknown method(s) ['']"),
+        (_HEADER + "lasso,1,3,,,,\n", "unknown method(s) ['lasso']"),
+        (_HEADER + "s2m,1,3,2,,,\n2m,1,3,,,,\ns2m,1,3,2,,,\n",
+         "['s2m'] given more than once"),
+        (_HEADER + "2m,1,3,,,,,,\n", "row 2 has 9 cells, expected 7"),
+        (_HEADER.replace("\n", ",method\n") + "2m,1,3,,,,,2m\n",
+         "not a selection report"),
+        (_HEADER, "no methods"),
+    ], ids=["empty-method", "unknown-method", "repeated-method", "long-row",
+            "two-method-columns", "header-only"])
+    def test_malformed_report_is_usage_error(self, sim_dir, tmp_path, capsys,
+                                             body, message):
+        # Each of these used to exit 0: the empty tag dropped, the unknown
+        # and repeated tags scored, the extra cells and column ignored.
+        sel = tmp_path / "selection.csv"
+        sel.write_text(body)
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel),
+                   "--truth", str(sim_dir / "truth.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sel}: " in err and message in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_refused_selectors_are_skipped(self, tmp_path, capsys):
+        draws = tmp_path / "draws.csv"
+        save_draws(PosteriorDraws(beta=_REPORT_BETA, sigma2=_REPORT_SIGMA2,
+                                  **_REPORT_LATENTS["horseshoe"]), str(draws))
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n3\n5\n")
+        assert run("select", "--out", str(tmp_path / "sel"),
+                   "--draws", str(draws),
+                   "--methods", "s2m,2m,hppm,mpm,cs,ht") == 0
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run("evaluate", "--out", str(out),
+                   "--selection", str(tmp_path / "sel" / "selection.csv"),
+                   "--truth", str(truth)) == 0
+        assert (out / "evaluate.csv").read_text() == (
+            "method,masking,swamping\ns2m,1,1\n2m,1,0\ncs,1,0\nht,1,1\n")
+        assert capsys.readouterr().err == (
+            "hppm: skipped (selector failed: hppm needs z draws "
+            "(spike-and-slab chains))\n"
+            "mpm: skipped (selector failed: mpm needs z draws "
+            "(spike-and-slab chains))\n")
 
     def test_blank_lines_are_skipped(self, sim_dir, tmp_path):
         sel = tmp_path / "selection.csv"
