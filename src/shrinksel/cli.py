@@ -144,6 +144,16 @@ def _build(section: str, config: dict, args):
     return cls(**kwargs)
 
 
+def _check_out(out) -> None:
+    """Refuse an ``--out`` that cannot become a directory because it, or
+    its nearest existing parent, is not one."""
+    path = out and os.path.normpath(out)
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise UsageError(f"--out {out}: {path!r} is not a directory")
+
+
 def _out_dir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -441,6 +451,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_out(args.out)
         return args.func(args)
     except (UsageError, InvariantError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

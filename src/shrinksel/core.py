@@ -5,6 +5,13 @@ All types are frozen dataclasses holding read-only numpy arrays, so
 instances are safe to share across threads; the only side-effecting
 operations are the file writers.
 
+The T x p draw matrices are the largest arrays the package holds, so each
+is held once. :class:`PosteriorDraws` keeps an array that already has its
+field's dtype, without a copy, and makes it read-only in place: a chain's
+output arrays become its draws. :func:`save_draws` joins the draws one
+block of rows at a time, never as a whole table, and :func:`load_draws`
+parses one table whose column slices become the loaded draws.
+
 Variable indices are 1-based wherever a user sees them (truth sets,
 selection results, CSV column names ``beta_1..beta_p``), matching the
 draw-file header vocabulary. Draw files are plain CSV so that chains
@@ -58,15 +65,45 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise InvariantError(f"{name} contains non-finite entries")
 
 
-def _csv_lines(table: np.ndarray) -> Iterable[str]:
-    """Rows of a 2-D float array as CSV lines of ``_FLOAT_FMT`` cells.
+#: Bytes of float64 one block of a blocked pass over a draw matrix spans:
+#: the value checks and the draw-file parser here, the selectors'
+#: temporaries in :mod:`~shrinksel.selection`.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_len(across: int) -> int:
+    """Indices per block when each index stands for ``across`` float64s."""
+    return max(2, _BLOCK_BYTES // (8 * across))
+
+
+def _blocks(n: int, across: int) -> list[slice]:
+    """Slices covering ``range(n)`` in blocks of :func:`_block_len` indices.
+
+    No block is one index wide unless ``n`` is 1: numpy sums a one-column
+    block pairwise but a wider one row by row, as it does the whole
+    matrix, so a lone last column would change the bits of a column mean.
+    """
+    bounds = list(range(0, n, _block_len(across))) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _csv_lines(*blocks: np.ndarray) -> Iterable[str]:
+    """Rows of 2-D arrays, side by side, as CSV lines of ``_FLOAT_FMT``
+    cells.
 
     One format string per row, applied to Python floats, writes the same
-    text as formatting each float64 scalar, faster. Lines are produced one
-    row at a time, so a writer holds one row's text, not the table's.
+    text as formatting each float64 scalar, faster. The arrays are joined
+    one block of :func:`_blocks` rows at a time, so a writer holds a block
+    and one row's text, not a joined table.
     """
-    row_fmt = ",".join([_FLOAT_FMT] * table.shape[1])
-    return (row_fmt % tuple(row.tolist()) for row in table)
+    width = sum(b.shape[1] for b in blocks)
+    row_fmt = ",".join([_FLOAT_FMT] * width)
+    for rows in _blocks(len(blocks[0]), width):
+        # A generator of its own lets the block go before the next is made.
+        yield from (row_fmt % tuple(row.tolist())
+                    for row in np.hstack([b[rows] for b in blocks]))
 
 
 def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
@@ -218,6 +255,32 @@ _LATENTS = (
 _REQUIRED = _LATENTS[:2]
 
 
+def _draw_array(lat: _Latent, value, shape: tuple) -> np.ndarray:
+    """``value`` as a read-only ``lat.dtype`` array of ``shape``, checked.
+
+    An ndarray that already has the dtype is kept, not copied, and set
+    read-only in place. Anything else is converted through float64, so a
+    fractional ``z`` is refused rather than truncated. The value checks
+    run over row blocks, so they hold one block's booleans at a time.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == lat.dtype:
+        arr = value
+    else:
+        arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise InvariantError(
+            f"{lat.stem} has shape {arr.shape}, expected {shape}")
+    blocks = _blocks(shape[0], arr.size // shape[0])
+    if not all(np.isfinite(arr[rows]).all() for rows in blocks):
+        raise InvariantError(f"{lat.stem} contains non-finite entries")
+    if lat.ok is not None and not all(lat.ok(arr[rows]).all()
+                                      for rows in blocks):
+        raise InvariantError(f"{lat.stem} draws must be {lat.rule}")
+    arr = arr.astype(lat.dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PosteriorDraws:
     """Retained MCMC draws: ``beta`` is T x p, ``sigma2`` length T.
@@ -226,6 +289,11 @@ class PosteriorDraws:
     T x p) and ``tau`` (global variance scale, length T). Spike-and-slab
     chains populate ``z`` (0/1 inclusion indicators, T x p) and ``pi``
     (exclusion probability, length T). Absent latents are ``None``.
+
+    An ndarray that already has its field's dtype (float64; int64 for
+    ``z``) is kept as it is, views included, and made read-only in place:
+    the draws share its memory, so the caller must not write to it through
+    another name. Other inputs are converted into new arrays.
     """
 
     beta: np.ndarray
@@ -246,17 +314,8 @@ class PosteriorDraws:
             value = getattr(self, lat.field)
             if value is None and lat not in _REQUIRED:
                 continue
-            arr = np.array(value, dtype=float)
             shape = (t, p) if lat.per_coef else (t,)
-            if arr.shape != shape:
-                raise InvariantError(
-                    f"{lat.stem} has shape {arr.shape}, expected {shape}")
-            _require_finite(lat.stem, arr)
-            if lat.ok is not None and not np.all(lat.ok(arr)):
-                raise InvariantError(f"{lat.stem} draws must be {lat.rule}")
-            arr = arr.astype(lat.dtype, copy=False)
-            arr.setflags(write=False)
-            object.__setattr__(self, lat.field, arr)
+            object.__setattr__(self, lat.field, _draw_array(lat, value, shape))
 
     @property
     def t(self) -> int:
@@ -317,13 +376,14 @@ def save_draws(draws: PosteriorDraws, path: str) -> None:
     header = ",".join(
         ",".join(f"{lat.stem}_{k}" for k in range(1, draws.p + 1))
         if lat.per_coef else lat.stem for lat, _ in present)
-    table = np.hstack([a if lat.per_coef else a[:, None] for lat, a in present])
-    atomic_write_lines(path, itertools.chain([header], _csv_lines(table)))
+    atomic_write_lines(path, itertools.chain([header], _csv_lines(
+        *(a if lat.per_coef else a[:, None] for lat, a in present))))
 
 
 def _indexed_block(names: dict[str, int], stem: str,
-                   path: str) -> Optional[list[int]]:
-    """Column positions of ``stem_1..stem_k``, or None if absent entirely.
+                   path: str) -> Union[slice, list[int], None]:
+    """Column positions of ``stem_1..stem_k``, or None if absent entirely:
+    a slice when they are consecutive and in order, else a list.
 
     Two columns for one index (``beta_1`` and ``beta_01``) are refused.
     """
@@ -347,7 +407,9 @@ def _indexed_block(names: dict[str, int], stem: str,
         raise InvariantError(
             f"{path}: columns {stem}_{missing[0]}.. missing (have "
             f"{stem}_1..{stem}_{k} with gaps)")
-    return [names[found[i]] for i in range(1, k + 1)]
+    pos = [names[found[i]] for i in range(1, k + 1)]
+    return slice(pos[0], pos[0] + k) if pos == list(
+        range(pos[0], pos[0] + k)) else pos
 
 
 def _positive_int(value, where: str) -> int:
@@ -382,13 +444,17 @@ def _read_rows(fh, path: str, first_line: int,
                header: Optional[list[str]] = None) -> np.ndarray:
     """The numeric table in :func:`_table_lines` of ``fh``, as wide as
     ``header`` if given. A non-numeric cell raises :class:`InvariantError`
-    naming its file line. Each row is converted as it is read, so the cell
-    strings of one row, not of the table, are held at a time."""
-    rows = []
+    naming its file line. Each row is parsed straight into a block of
+    about :data:`_BLOCK_BYTES`, and the blocks are joined once, so at most
+    the cell strings of one row and two copies of the table are held."""
+    blocks, used = [], 0
     width = None if header is None else len(header)
     for lineno, cells in _table_lines(fh, path, first_line, width):
+        if not blocks or used == len(blocks[-1]):
+            blocks.append(np.empty((_block_len(len(cells)), len(cells))))
+            used = 0
         try:
-            rows.append(np.array(cells, dtype=float))
+            blocks[-1][used] = cells
         except ValueError:
             for j, cell in enumerate(cells):
                 try:
@@ -399,16 +465,20 @@ def _read_rows(fh, path: str, first_line: int,
                         f"{path}: non-numeric cell {cell!r} at row {lineno}, "
                         f"column {column}") from None
             raise
-    if not rows:
+        used += 1
+    if not blocks:
         raise InvariantError(f"{path}: no data rows")
-    return np.array(rows)
+    blocks[-1] = blocks[-1][:used]
+    return np.concatenate(blocks)
 
 
 def load_draws(path: str) -> PosteriorDraws:
     """Read a draw CSV written by :func:`save_draws` or an external sampler.
 
     The header decides which optional latents are present; column order is
-    irrelevant. Raises :class:`InvariantError` naming the file on missing
+    irrelevant. Every latent is a view of the one parsed table, except
+    ``z`` (converted to int64) and a block whose columns are out of order
+    (copied). Raises :class:`InvariantError` naming the file on missing
     required columns, ragged rows or non-numeric cells (naming the row),
     and on values :class:`PosteriorDraws` refuses.
     """

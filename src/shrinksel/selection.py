@@ -8,17 +8,23 @@ counts by their mode, and pick that many variables off the posterior
 median of ``|beta_j|``. The baselines select from inclusion indicators
 (``hppm``, ``mpm``), credible intervals (``cs``), or shrinkage weights
 (``ht``).
+
+The selectors read the T x p draws in row or column blocks of about
+``core._BLOCK_BYTES``, so their temporaries stay the size of a block
+however many draws there are, and each blocked median, quantile or mean
+has the same bits as the whole-matrix numpy call.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import (InvariantError, PosteriorDraws, SelectionResult,
+from .core import (InvariantError, PosteriorDraws, SelectionResult, _blocks,
                    _positive_int, _table_lines, atomic_write_lines)
 
 #: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
@@ -65,12 +71,6 @@ class TwoMeansSplit:
     M: float
 
 
-#: Rows of |beta| that the batched 2-means handles at once. It bounds the
-#: extra memory to a few block x p float arrays; unblocked, a 3000 x 300
-#: draw matrix would add tens of MB.
-_BLOCK_ROWS = 128
-
-
 def _checked_abs_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -83,14 +83,15 @@ def _checked_abs_values(values) -> np.ndarray:
 
 
 def _row_sums(v: np.ndarray):
-    """Ascending-sorted rows, their row-wise cumsums of v and v*v, and ss_lo.
+    """Rows of ``v`` sorted ascending in place, their row-wise cumsums of v
+    and v*v, and ss_lo.
 
     ``np.cumsum`` adds sequentially, so the first a entries of a row's
     cumsum equal, bit for bit, the cumsum of the row's first a values:
     every ``s2m`` peel reuses these sums on a prefix. ``ss_lo[:, k-1]`` is
     the within-cluster SS of the k smallest values, which no peel changes.
     """
-    v = np.sort(v, axis=1)
+    v.sort(axis=1)
     cs, cq = np.cumsum(v, axis=1), np.cumsum(v * v, axis=1)
     s_lo = cs[:, :-1]
     return v, cs, cq, cq[:, :-1] - s_lo * s_lo / np.arange(1, v.shape[1])
@@ -111,11 +112,15 @@ def _best_splits(v, cs, cq, ss_lo, a):
     n_hi = a[:, None] - np.arange(1, v.shape[1])
     s_lo = cs[:, :-1]
     s_hi = cs[last][:, None] - s_lo
-    # Splits past a row's prefix get an infinite cost; the clamped
-    # divisor only keeps them finite until then.
-    ss_hi = ((cq[last][:, None] - cq[:, :-1])
-             - s_hi * s_hi / np.maximum(n_hi, 1))
-    total = np.where(n_hi > 0, ss_lo + ss_hi, np.inf)
+    # total = ss_lo + ss_hi, built in place. Splits past a row's prefix get
+    # an infinite cost; the clamped divisor only keeps them finite until
+    # then.
+    total = cq[last][:, None] - cq[:, :-1]
+    sq = s_hi * s_hi
+    sq /= np.maximum(n_hi, 1)
+    total -= sq
+    total += ss_lo
+    total[n_hi <= 0] = np.inf
     # np.argmin takes the first minimum; reversing yields the last, i.e.
     # the largest low cluster among ties.
     i = total.shape[1] - 1 - np.argmin(total[:, ::-1], axis=1)
@@ -126,34 +131,55 @@ def _best_splits(v, cs, cq, ss_lo, a):
             np.where(const, v[:, 0], s_hi[rows, i] / (a - k_best)))
 
 
-def _signal_counts(abs_beta: np.ndarray, b=None) -> np.ndarray:
-    """Per-row signal counts: plain 2-means, or s2m peeling when b is set.
+def _signal_counts(beta: np.ndarray, b=None) -> np.ndarray:
+    """Per-row signal counts of ``|beta|``: plain 2-means, or s2m peeling
+    when b is set.
 
-    Rows go through in blocks of :data:`_BLOCK_ROWS`; within a block every
-    row is split at once, and each peel re-splits only the rows still
-    peeling.
+    Rows go through in blocks of about ``core._BLOCK_BYTES`` of ``beta``,
+    each taking its own ``|beta|``; within a block every row is split at
+    once, and each peel re-splits only the rows still peeling, from sums
+    cut down to those rows.
     """
-    t, p = abs_beta.shape
+    t, p = beta.shape
     if p < 2:
         raise InvariantError("need a vector of at least 2 values")
     h = np.empty(t, dtype=np.int64)
-    for start in range(0, t, _BLOCK_ROWS):
-        v, cs, cq, ss_lo = _row_sums(abs_beta[start:start + _BLOCK_ROWS])
-        rows = np.arange(v.shape[0])
-        k, m, big = _best_splits(v, cs, cq, ss_lo, np.full(rows.size, p))
+    for block in _blocks(t, p):
+        sums = _row_sums(np.abs(beta[block]))
+        rows = np.arange(len(sums[0]))
+        k, m, big = _best_splits(*sums, np.full(rows.size, p))
         if b is None:
-            h[start:start + rows.size] = np.minimum(k, p - k)
+            h[block] = np.minimum(k, p - k)
             continue
         noise = np.zeros(rows.size, dtype=np.int64)
         while rows.size:
             gap = big - m > b
             rows, k = rows[gap], k[gap]
             noise[rows] = k
-            rows, a = rows[k >= 2], k[k >= 2]
-            k, m, big = _best_splits(v[rows], cs[rows], cq[rows],
-                                     ss_lo[rows], a)
-        h[start:start + noise.size] = p - noise
+            again = k >= 2
+            keep = np.flatnonzero(gap)[again]
+            sums = [s[keep] for s in sums]
+            rows, k, m, big = rows[again], *_best_splits(*sums, k[again])
+        h[block] = p - noise
     return h
+
+
+def _by_columns(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` applied to blocks of columns of ``a`` and joined on the last
+    axis: for a per-column reduction ``fn``, the same bits as ``fn(a)``
+    with temporaries the size of one block."""
+    return np.concatenate([fn(a[:, cols]) for cols in _blocks(*a.shape[::-1])],
+                          axis=-1)
+
+
+def _abs_median(beta: np.ndarray) -> np.ndarray:
+    """Posterior median of each ``|beta_j|``."""
+    return np.median(np.abs(beta), axis=0)
+
+
+def _mean_weight(lam: np.ndarray) -> np.ndarray:
+    """Posterior mean of each shrinkage weight ``1/(1+lambda_j)``."""
+    return np.mean(1.0 / (1.0 + lam), axis=0)
 
 
 def kmeans2_1d(values) -> TwoMeansSplit:
@@ -212,7 +238,7 @@ def select_top_h(draws: PosteriorDraws, h: int) -> frozenset[int]:
     """
     if not 0 <= h <= draws.p:
         raise InvariantError(f"H={h} outside 0..{draws.p}")
-    med = np.median(np.abs(draws.beta), axis=0)
+    med = _by_columns(_abs_median, draws.beta)
     order = np.argsort(-med, kind="stable")
     return frozenset(int(j) + 1 for j in order[:h])
 
@@ -227,7 +253,7 @@ def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
 def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Sequential-2-means selection over all retained draws."""
     b = resolve_b(draws, cfg)
-    h = _signal_counts(np.abs(draws.beta), b)
+    h = _signal_counts(draws.beta, b)
     degenerate = int(np.sum(h == draws.p))
     if degenerate:
         warnings.warn(
@@ -242,7 +268,7 @@ def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> Selection
 
 def select_2m(draws: PosteriorDraws) -> SelectionResult:
     """Plain 2-means selection over all retained draws."""
-    h = _signal_counts(np.abs(draws.beta))
+    h = _signal_counts(draws.beta)
     mode = aggregate_mode(h)
     return SelectionResult(
         method="2m", selected=select_top_h(draws, mode),
@@ -263,11 +289,17 @@ def select_hppm(draws: PosteriorDraws) -> SelectionResult:
     """
     if draws.z is None:
         raise InvariantError("hppm needs z draws (spike-and-slab chains)")
-    patterns, visits = np.unique(draws.z, axis=0, return_counts=True)
-    # np.unique returns the patterns in lexicographic order and lexsort is
-    # stable, so the first of the sorted keys breaks the last tie too.
-    best = patterns[np.lexsort((patterns.sum(axis=1), -visits))[0]]
-    return _from_mask("hppm", best)
+    visits = Counter()
+    for rows in _blocks(draws.t, draws.p):
+        visits.update(row.tobytes() for row in np.packbits(draws.z[rows],
+                                                           axis=1))
+    # Bits are packed first to last from each byte's high bit, so the
+    # packed rows, all one length, sort as the patterns do.
+    top = max(visits.values())
+    best = min((key for key, n in visits.items() if n == top),
+               key=lambda key: (int.from_bytes(key, "big").bit_count(), key))
+    return _from_mask("hppm", np.unpackbits(
+        np.frombuffer(best, dtype=np.uint8), count=draws.p))
 
 
 def select_mpm(draws: PosteriorDraws) -> SelectionResult:
@@ -282,7 +314,9 @@ def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResu
     if not 0 < level < 1:
         raise InvariantError("level must lie in (0, 1)")
     alpha = 1.0 - level
-    lo, hi = np.quantile(draws.beta, [alpha / 2, 1 - alpha / 2], axis=0)
+    lo, hi = _by_columns(
+        lambda blk: np.quantile(blk, [alpha / 2, 1 - alpha / 2], axis=0),
+        draws.beta)
     return _from_mask("cs", (lo > 0) | (hi < 0))
 
 
@@ -296,7 +330,7 @@ def select_ht(draws: PosteriorDraws, threshold: float = 0.5) -> SelectionResult:
         raise InvariantError("ht needs lambda draws (horseshoe chains)")
     if not 0 < threshold < 1:
         raise InvariantError("threshold must lie in (0, 1)")
-    kappa = np.mean(1.0 / (1.0 + draws.lam), axis=0)
+    kappa = _by_columns(_mean_weight, draws.lam)
     return _from_mask("ht", kappa < threshold)
 
 
@@ -373,11 +407,26 @@ def write_selection_report(outcomes, csv_path: str, text_path: str,
     atomic_write_lines(text_path, lines)
 
 
+def _report_selection(cells: list[str], where: str) -> frozenset[int]:
+    """The indices of one report row, which :func:`write_selection_report`
+    writes each once, as many as the row's ``h`` cell counts."""
+    indices = [_positive_int(v, where) for v in cells[2].split()]
+    repeated = sorted(j for j, n in Counter(indices).items() if n > 1)
+    if repeated:
+        raise InvariantError(f"{where}: index {repeated[0]} given more "
+                             f"than once")
+    if cells[1] != str(len(indices)):
+        raise InvariantError(f"{where}: h is {cells[1]!r} but the row gives "
+                             f"{len(indices)} indices")
+    return frozenset(indices)
+
+
 def read_selection_report(path: str) -> dict[str, Union[frozenset[int], str]]:
     """Per method, in file order, the selected indices or refusal message
     that a selection CSV records. The header must be :data:`_REPORT_HEADER`
-    and each row as wide, with a known tag given once and 1-based indices;
-    anything else raises :class:`InvariantError` naming the file."""
+    and each row as wide, with a known tag given once and distinct 1-based
+    indices as many as its ``h``; anything else raises
+    :class:`InvariantError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().strip() != _REPORT_HEADER:
             raise InvariantError(f"{path}: not a selection report (expected "
@@ -387,6 +436,6 @@ def read_selection_report(path: str) -> dict[str, Union[frozenset[int], str]]:
         check_methods([cells[0] for _, cells in rows])
     except InvariantError as exc:
         raise InvariantError(f"{path}: {exc}") from None
-    return {cells[0]: cells[-1] or frozenset(
-        _positive_int(v, f"{path}: line {lineno}") for v in cells[2].split())
-        for lineno, cells in rows}
+    return {cells[0]: cells[-1] or _report_selection(cells,
+                                                     f"{path}: line {lineno}")
+            for lineno, cells in rows}

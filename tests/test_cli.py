@@ -371,6 +371,27 @@ class TestEvaluate:
         assert f"{sel}: " in err and message in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("row,message", [
+        ("2m,5,3 3,,,,", "index 3 given more than once"),
+        ("2m,2,3 7 3,,,,", "index 3 given more than once"),
+        ("2m,5,3,,,,", "h is '5' but the row gives 1 indices"),
+        ("2m,,3,,,,", "h is '' but the row gives 1 indices"),
+        ("2m,1,,,,,", "h is '1' but the row gives 0 indices"),
+    ], ids=["repeated-h5", "repeated", "h-over", "h-empty", "h-no-indices"])
+    def test_row_select_never_writes_is_usage_error(self, tmp_path, capsys,
+                                                    row, message):
+        # 2m,5,3 3 used to score as {3} with exit 0: the h cell was never
+        # read and the repeated index merged.
+        sel = tmp_path / "selection.csv"
+        sel.write_text(_HEADER + "s2m,1,3,2,,,\n" + row + "\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("3\n")
+        code = run("evaluate", "--out", str(tmp_path / "eval"),
+                   "--selection", str(sel), "--truth", str(truth))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {sel}: line 3: {message}\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_refused_selectors_are_skipped(self, tmp_path, capsys):
         draws = tmp_path / "draws.csv"
         save_draws(PosteriorDraws(beta=_REPORT_BETA, sigma2=_REPORT_SIGMA2,
@@ -647,3 +668,28 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("bench", "--config", str(bad)) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "fit",
+                                         "select"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_is_usage_error(self, sim_dir, tmp_path, capsys,
+                                              command, below):
+        # os.makedirs used to raise FileExistsError here: exit 1, "internal
+        # error", after the command's work was done.
+        existing = tmp_path / "afile"
+        existing.write_text("keep me\n")
+        out = existing / "sub" if below else existing
+        argv = {
+            "evaluate": ("--selection", "no.csv", "--truth", "no.txt"),
+            "simulate": ("-n", "10", "-p", "4", "-r", "1", "--strengths", "3"),
+            "fit": ("--design", str(sim_dir / "design.csv"),
+                    "--response", str(sim_dir / "response.csv")),
+            "select": ("--draws", "no.csv"),
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--out", str(out), *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {out}: {str(existing)!r} is "
+                                f"not a directory\n")
+        assert captured.out == ""
+        assert existing.read_text() == "keep me\n"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shrinksel import core
 from shrinksel.core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
                             SelectionResult, _map_jobs, atomic_write_lines,
                             load_draws, load_matrix_csv, save_draws,
@@ -96,6 +97,60 @@ class TestPosteriorDraws:
         assert d.z.dtype == np.int64 and d.z.tolist() == [[1, 0], [0, 1]]
         assert not d.z.flags.writeable and not d.beta.flags.writeable
 
+    def test_arrays_of_the_field_dtype_are_kept_not_copied(self):
+        table = np.random.default_rng(2).uniform(0.5, 1.5, (4, 7))
+        z = np.array([[0, 1], [1, 1], [0, 0], [1, 0]], dtype=np.int64)
+        d = PosteriorDraws(beta=table[:, :2], sigma2=table[:, 2],
+                           lam=table[:, 3:5], tau=table[:, 5], z=z,
+                           pi=table[:, 6] / 2)
+        for name, given in (("beta", table[:, :2]), ("sigma2", table[:, 2]),
+                            ("lam", table[:, 3:5]), ("tau", table[:, 5]),
+                            ("z", z)):
+            assert np.shares_memory(getattr(d, name), given), name
+        assert d.z is z and not z.flags.writeable
+        # The views were made read-only in place; their base was not.
+        assert not d.beta.flags.writeable and table.flags.writeable
+
+    def test_other_inputs_are_converted_into_new_arrays(self):
+        beta_list = [[1.0, 2.0], [3.0, 4.0]]
+        beta_int = np.array([[1, 2], [3, 4]])
+        z_float = np.array([[1.0, 0.0], [0.0, 1.0]])
+        sigma2 = np.ones(2, dtype=np.float32)
+        for beta in (beta_list, beta_int):
+            d = PosteriorDraws(beta=beta, sigma2=sigma2, z=z_float,
+                               pi=np.full(2, 0.5))
+            assert d.beta.dtype == np.float64 and d.beta.tolist() == [
+                [1.0, 2.0], [3.0, 4.0]]
+            assert d.z.dtype == np.int64
+            assert d.sigma2.dtype == np.float64
+            for given, kept in ((beta, d.beta), (z_float, d.z),
+                                (sigma2, d.sigma2)):
+                assert not np.shares_memory(given, kept)
+        # The caller's arrays of another dtype stay writable.
+        assert beta_int.flags.writeable and z_float.flags.writeable
+
+    @pytest.mark.parametrize("z", [[[0.5, 0.0]], [[1.0, np.nan]], [[2, 0]],
+                                   [[-1, 0]]],
+                             ids=["half", "nan", "two", "minus-one"])
+    def test_z_outside_0_1_refused_not_truncated(self, z):
+        with pytest.raises(InvariantError, match="^z "):
+            PosteriorDraws(beta=np.zeros((1, 2)), sigma2=np.ones(1), z=z)
+
+    @pytest.mark.parametrize("row", [0, 1, 38, 39])
+    def test_values_checked_in_every_row_block(self, monkeypatch, row):
+        # Blocks of 4 rows at p = 3: a bad value is found in any block,
+        # and a non-finite one is reported first as before.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 3 * 4)
+        lam = np.ones((40, 3))
+        lam[row, 1] = -1.0
+        with pytest.raises(InvariantError, match="lambda draws must be"):
+            PosteriorDraws(beta=np.zeros((40, 3)), sigma2=np.ones(40),
+                           lam=lam, tau=np.ones(40))
+        lam[39 - row, 2] = np.inf
+        with pytest.raises(InvariantError, match="lambda contains non-finite"):
+            PosteriorDraws(beta=np.zeros((40, 3)), sigma2=np.ones(40),
+                           lam=lam, tau=np.ones(40))
+
 
 class TestSelectionResult:
     def test_count_consistency_for_clustering_methods(self):
@@ -162,6 +217,37 @@ class TestDrawCsv:
         path.write_text("sigma2,beta_2,beta_1\n2.0,7.0,5.0\n")
         d = load_draws(str(path))
         assert d.beta[0, 0] == 5.0 and d.beta[0, 1] == 7.0
+
+    def test_loaded_latents_view_one_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "d.csv"
+        save_draws(_random_draws(rng, 6, 3, with_hs=True), str(path))
+        d = load_draws(str(path))
+        for name in ("sigma2", "lam", "tau"):
+            assert np.shares_memory(d.beta.base, getattr(d, name)), name
+        assert d.beta.base.shape == (6, 8)
+
+    def test_out_of_order_block_is_copied_in_index_order(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("beta_2,beta_1,sigma2,lambda_1,lambda_2,tau\n"
+                        "2,1,0.5,10,20,0.25\n4,3,0.5,30,40,0.25\n")
+        d = load_draws(str(path))
+        assert d.beta.tolist() == [[1, 2], [3, 4]]
+        assert d.lam.tolist() == [[10, 20], [30, 40]]
+        table = d.sigma2.base
+        assert d.lam.base is table and d.tau.base is table
+        assert not np.shares_memory(d.beta, table)
+
+    def test_rows_across_parse_blocks(self, tmp_path, monkeypatch):
+        # Blocks of 2 rows at width 3: 7 rows fill three and part of one.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 3 * 2)
+        draws = PosteriorDraws(beta=np.arange(14.0).reshape(7, 2),
+                               sigma2=np.arange(1.0, 8.0))
+        path = tmp_path / "d.csv"
+        save_draws(draws, str(path))
+        back = load_draws(str(path))
+        assert np.array_equal(back.beta, draws.beta)
+        assert np.array_equal(back.sigma2, draws.sigma2)
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"

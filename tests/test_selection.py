@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_two_partition_ss, within_ss_of_split
-from shrinksel import selection
+from shrinksel import core, selection
 from shrinksel.core import METHODS, InvariantError, PosteriorDraws
 from shrinksel.selection import (S2mConfig, aggregate_mode, count_signals_2m,
                                  count_signals_s2m, kmeans2_1d, resolve_b,
@@ -247,6 +247,31 @@ class TestBaselines:
             d = draws_from_beta(np.ones(z.shape), z=z,
                                 pi=np.full(z.shape[0], 0.5))
             assert select_hppm(d).selected == frozenset(expected)
+
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 13 * 3],
+                             ids=["one-block", "3-row-blocks"])
+    def test_hppm_equals_brute_force_count(self, monkeypatch, block_bytes):
+        # Rows drawn from a few patterns with equal visit counts forced,
+        # so every trial ends in a tie; p up to 13 spans two packed bytes.
+        if block_bytes:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            p = int(rng.integers(1, 14))
+            pool = rng.integers(0, 2, (int(rng.integers(1, 6)), p))
+            visits = np.full(len(pool), int(rng.integers(2, 5)))
+            visits[rng.integers(0, len(pool))] -= rng.integers(0, 2)
+            z = rng.permutation(np.repeat(pool, visits, axis=0))
+            counts = {}
+            for row in z.tolist():
+                counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+            top = max(counts.values())
+            best = min((sum(pat), pat) for pat, n in counts.items()
+                       if n == top)[1]
+            d = draws_from_beta(np.ones(z.shape), z=z,
+                                pi=np.full(len(z), 0.5))
+            expected = {j + 1 for j, v in enumerate(best) if v}
+            assert select_hppm(d).selected == expected, z
 
     def test_hppm_requires_z(self):
         with pytest.raises(InvariantError):
@@ -493,9 +518,15 @@ class TestBatchedAgainstRowReference:
                            if tied else best)
 
     @pytest.mark.filterwarnings("ignore:s2m declared every variable")
+    def test_h_counts_equal_row_reference_across_row_blocks(self,
+                                                            monkeypatch):
+        # Small blocks put most shapes across several row blocks.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 40 * 16)
+        self.test_h_counts_equal_row_reference()
+
+    @pytest.mark.filterwarnings("ignore:s2m declared every variable")
     def test_h_counts_equal_row_reference(self):
         rng = np.random.default_rng(23)
-        # Row counts on both sides of the selector's block size.
         for t, p in [(1, 2), (7, 2), (40, 3), (129, 12), (300, 31),
                      (260, 2), (90, 60)]:
             d = draws_from_beta(_awkward_draws(rng, t, p),
@@ -509,3 +540,37 @@ class TestBatchedAgainstRowReference:
                 expected = _reference_counts(abs_beta, resolve_b(d, S2mConfig(b=b)))
                 assert np.array_equal(res.h_counts, expected), (t, p, b)
                 assert res.h_mode == aggregate_mode(expected)
+
+
+class TestColumnBlocks:
+    """Blocked reductions give the bits of the whole-matrix numpy calls."""
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 11])
+    def test_blocked_equals_whole_matrix(self, monkeypatch, t, p):
+        # Three columns per block: p = 10 ends in a 4-wide block (a lone
+        # tenth column would be summed pairwise), p = 11 in a 2-wide one.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * t * 3)
+        rng = np.random.default_rng(100 * t + p)
+        a = rng.standard_normal((t, p)) * rng.choice([1e-3, 1.0, 1e3], p)
+        lam = np.exp(3 * rng.standard_normal((t, p)))
+        quantiles = lambda b: np.quantile(b, [0.025, 0.975], axis=0)
+        for fn, x in ((selection._abs_median, a), (quantiles, a),
+                      (selection._mean_weight, lam)):
+            assert selection._by_columns(fn, x).tobytes() == fn(x).tobytes()
+
+    def test_mean_weight_bits_over_many_rows(self, monkeypatch):
+        # Long columns, where pairwise and row-by-row sums part ways.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 1001 * 2)
+        lam = np.exp(3 * np.random.default_rng(3).standard_normal((1001, 9)))
+        got = selection._by_columns(selection._mean_weight, lam)
+        assert got.tobytes() == selection._mean_weight(lam).tobytes()
+        assert [s.stop - s.start for s in core._blocks(9, 1001)] == [
+            2, 2, 2, 3]
+
+    def test_no_block_is_one_wide(self):
+        for n in range(1, 40):
+            for across in (1, 5, 50_000):
+                widths = [s.stop - s.start for s in core._blocks(n, across)]
+                assert sum(widths) == n
+                assert min(widths) >= 2 or n == 1
