@@ -5,12 +5,12 @@ All types are frozen dataclasses holding read-only numpy arrays, so
 instances are safe to share across threads; the only side-effecting
 operations are the file writers.
 
-The T x p draw matrices are the largest arrays the package holds, so each
-is held once. :class:`PosteriorDraws` keeps an array that already has its
-field's dtype, without a copy, and makes it read-only in place: a chain's
-output arrays become its draws. :func:`save_draws` joins the draws one
-block of rows at a time, never as a whole table, and :func:`load_draws`
-parses one table whose column slices become the loaded draws.
+The T x p draw matrices and the design are the largest arrays the package
+holds, so each is held once: :class:`PosteriorDraws` and :class:`Dataset`
+keep an array of the field's dtype without a copy, read-only in place,
+and a chain's output arrays become its draws. :func:`save_draws` joins
+the draws a block of rows at a time, never as a whole table, and
+:func:`load_draws` parses one table whose column slices become the draws.
 
 Variable indices are 1-based wherever a user sees them (truth sets,
 selection results, CSV column names ``beta_1..beta_p``), matching the
@@ -21,6 +21,7 @@ produced by external samplers can be fed straight into the selectors.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -52,17 +53,6 @@ def _rng(seed: Union[int, SeedSequence]) -> Generator:
     """
     seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     return Generator(Philox(seq))
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise InvariantError(f"{name} contains non-finite entries")
 
 
 #: Bytes of float64 one block of a blocked pass over a draw matrix spans:
@@ -142,12 +132,43 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _checked_array(name: str, value, dtype, shape: tuple,
+                   ok: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                   refusal: str = "") -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array of ``shape``, checked.
+
+    An ndarray that already has the dtype is kept, not copied, and set
+    read-only in place. Anything else is converted through float64, so a
+    fractional ``z`` is refused rather than truncated. Every entry must be
+    finite and pass ``ok`` if given, else ``f"{name} {refusal}"`` is
+    raised; the checks run over row blocks, so they hold one block's
+    booleans at a time.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == dtype:
+        arr = value
+    else:
+        arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise InvariantError(f"{name} has shape {arr.shape}, expected {shape}")
+    blocks = _blocks(shape[0], math.prod(shape[1:]))
+    if not all(np.isfinite(arr[rows]).all() for rows in blocks):
+        raise InvariantError(f"{name} contains non-finite entries")
+    if ok is not None and not all(ok(arr[rows]).all() for rows in blocks):
+        raise InvariantError(f"{name} {refusal}")
+    arr = arr.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A Gaussian linear-regression problem: response ``y``, design ``x``.
 
     ``truth`` optionally records the 1-based indices of the true signal
     columns; it is used only for scoring selections on simulated data.
+    A float64 ``y`` or ``x`` ndarray is kept, views included, and made
+    read-only in place, so the caller must not write to it through another
+    name; other inputs are converted into new arrays.
     """
 
     y: np.ndarray
@@ -155,27 +176,26 @@ class Dataset:
     truth: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        y = _readonly(self.y)
-        x = _readonly(self.x)
-        if y.ndim != 1:
-            raise InvariantError(f"y must be a vector, got shape {y.shape}")
-        if x.ndim != 2:
-            raise InvariantError(f"x must be a matrix, got shape {x.shape}")
-        if x.shape[0] != y.shape[0]:
+        y_shape, x_shape = np.shape(self.y), np.shape(self.x)
+        if len(y_shape) != 1:
+            raise InvariantError(f"y must be a vector, got shape {y_shape}")
+        if len(x_shape) != 2:
+            raise InvariantError(f"x must be a matrix, got shape {x_shape}")
+        n, p = x_shape
+        if n != y_shape[0]:
             raise InvariantError(
-                f"x has {x.shape[0]} rows but y has length {y.shape[0]}")
-        if y.shape[0] < 1 or x.shape[1] < 1:
+                f"x has {n} rows but y has length {y_shape[0]}")
+        if n < 1 or p < 1:
             raise InvariantError("n and p must both be positive")
-        _require_finite("y", y)
-        _require_finite("x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", _checked_array("y", self.y, float, (n,)))
+        object.__setattr__(self, "x",
+                           _checked_array("x", self.x, float, (n, p)))
         if self.truth is not None:
             truth = frozenset(int(j) for j in self.truth)
-            bad = [j for j in truth if not 1 <= j <= x.shape[1]]
+            bad = [j for j in truth if not 1 <= j <= p]
             if bad:
                 raise InvariantError(
-                    f"truth indices {sorted(bad)} outside 1..{x.shape[1]}")
+                    f"truth indices {sorted(bad)} outside 1..{p}")
             object.__setattr__(self, "truth", truth)
 
     @property
@@ -255,32 +275,6 @@ _LATENTS = (
 _REQUIRED = _LATENTS[:2]
 
 
-def _draw_array(lat: _Latent, value, shape: tuple) -> np.ndarray:
-    """``value`` as a read-only ``lat.dtype`` array of ``shape``, checked.
-
-    An ndarray that already has the dtype is kept, not copied, and set
-    read-only in place. Anything else is converted through float64, so a
-    fractional ``z`` is refused rather than truncated. The value checks
-    run over row blocks, so they hold one block's booleans at a time.
-    """
-    if isinstance(value, np.ndarray) and value.dtype == lat.dtype:
-        arr = value
-    else:
-        arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise InvariantError(
-            f"{lat.stem} has shape {arr.shape}, expected {shape}")
-    blocks = _blocks(shape[0], arr.size // shape[0])
-    if not all(np.isfinite(arr[rows]).all() for rows in blocks):
-        raise InvariantError(f"{lat.stem} contains non-finite entries")
-    if lat.ok is not None and not all(lat.ok(arr[rows]).all()
-                                      for rows in blocks):
-        raise InvariantError(f"{lat.stem} draws must be {lat.rule}")
-    arr = arr.astype(lat.dtype, copy=False)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class PosteriorDraws:
     """Retained MCMC draws: ``beta`` is T x p, ``sigma2`` length T.
@@ -315,7 +309,9 @@ class PosteriorDraws:
             if value is None and lat not in _REQUIRED:
                 continue
             shape = (t, p) if lat.per_coef else (t,)
-            object.__setattr__(self, lat.field, _draw_array(lat, value, shape))
+            object.__setattr__(self, lat.field, _checked_array(
+                lat.stem, value, lat.dtype, shape, lat.ok,
+                f"draws must be {lat.rule}"))
 
     @property
     def t(self) -> int:
@@ -347,10 +343,9 @@ class SelectionResult:
         if any(j < 1 for j in selected):
             raise InvariantError("selected indices must be >= 1")
         object.__setattr__(self, "selected", selected)
-        counts = _readonly(np.asarray(self.h_counts), dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise InvariantError("h_counts must be a vector of counts >= 0")
-        object.__setattr__(self, "h_counts", counts)
+        object.__setattr__(self, "h_counts", _checked_array(
+            "h_counts", self.h_counts, np.int64, (np.size(self.h_counts),),
+            lambda a: a >= 0, "must be counts >= 0"))
         if self.h_mode < 0:
             raise InvariantError("h_mode must be nonnegative")
         if self.method in ("s2m", "2m") and len(selected) != self.h_mode:

@@ -1,19 +1,20 @@
 """Bivariate shrinkage analysis for correlated predictors.
 
-Considers two standardized predictors whose Gram matrix has unit diagonal
-and off-diagonal ``rho``, with MLE pair ``(x1, x2)`` and ratio
-``A = |x1/x2| >= 1``. For a zero-mean normal prior with common variance
-scale ``tau**2`` the posterior-mean shrinkage factors have closed forms,
-and the shrunk ratio always falls strictly below A: a global-only prior
-never widens the separation between a signal and its confounder. For the
-horseshoe prior the posterior mean is a ratio of 2-D integrals over the
-per-coordinate shrinkage weights; this module evaluates it by tensor
-Gauss-Legendre quadrature (after a sin^2 substitution that removes the
-endpoint singularity) and classifies each parameter combination as
-reverse-shrinkage (shrunk ratio >= MLE ratio) or not. A plain Monte Carlo
-integrator over half-Cauchy scale draws provides an independent
-cross-check of the quadrature path; each block of 2^15 samples draws one
-(2, b) array of uniforms, so its memory does not depend on the sample count.
+Considers two standardized predictors whose Gram matrix G has unit
+diagonal and off-diagonal ``rho``, with MLE pair ``(x1, x2)``. Each
+estimate is Tweedie's mle + G^-1 grad log m, the gradient of the log
+marginal m being a ratio of integrals over the two local shrinkage
+weights, composed with the signed MLEs by :func:`_compose`; the ratio
+``A = |x1/x2| >= 1`` only classifies a point as reverse-shrinkage
+(shrunk ratio |b1/b2| >= A) or not. Under a zero-mean normal prior with
+variance scale ``tau**2`` a same-sign pair's shrunk ratio always falls
+strictly below A: a global-only prior never widens the separation
+between a signal and its confounder. For the horseshoe the integrals go
+by tensor Gauss-Legendre quadrature (after a sin^2 substitution that
+removes the endpoint singularity). A plain Monte Carlo integrator over
+half-Cauchy scale draws cross-checks them; each block of 2^15 samples
+draws one (2, b) array of uniforms, so its memory does not depend on the
+sample count.
 
 Everything here is a pure function. The quadrature runs in the calling
 thread: the grid evaluates the A values of one (rho, tau) row together,
@@ -71,8 +72,9 @@ class TwoVarProblem:
     ``rho`` is the Gram-matrix off-diagonal in [0, 1); ``tau`` the prior
     scale (standard-deviation scale, so the shrinkage weight under the
     normal prior is 1/(1+tau^2)); ``mle`` the MLE pair with
-    ``|mle[0]| >= |mle[1]| > 0``. The error variance is fixed at 1: the
-    ratios are free of a common scale.
+    ``|mle[0]| >= |mle[1]| > 0`` and any signs. Estimates use the signed
+    MLEs; :attr:`a` only classifies reverse shrinkage. The error variance
+    is fixed at 1: the ratios are free of a common scale.
     """
 
     rho: float
@@ -96,7 +98,7 @@ class TwoVarProblem:
 
     @property
     def a(self) -> float:
-        """MLE magnitude ratio |mle1/mle2| >= 1."""
+        """MLE magnitude ratio |mle1/mle2| >= 1: the reverse-shrinkage bar."""
         return abs(self.mle[0] / self.mle[1])
 
 
@@ -107,7 +109,7 @@ class ShrinkFactors:
     ``kappa = 1/(1+tau^2)`` is the scalar shrinkage weight; f1 = f2 and f3
     are the quadratic-form coefficients of the marginal data density;
     r1/r2 and s1/s2 are the intermediate and final per-coordinate
-    shrinkage factors, with the estimator being (1 - s_j) * mle_j.
+    shrinkage factors, with the estimate being (1 - s_j) * mle_j.
     """
 
     f1: float
@@ -118,6 +120,7 @@ class ShrinkFactors:
     s1: float
     s2: float
     kappa: float
+    estimate: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -201,46 +204,51 @@ def _point_part(problem: TwoVarProblem) -> np.ndarray:
                                   for a, b in zip(lin1, lin2)]])
 
 
-def _compose_estimate(problem: TwoVarProblem, r1: float, r2: float):
-    """Map the intermediate factors (r1, r2) to (s1, s2) and the estimate."""
-    a = problem.a
-    rho = problem.rho
-    denom = 1.0 - rho * rho
-    s1 = (r1 - rho * r2 / a) / denom
-    s2 = (r2 - rho * r1 * a) / denom
+def _compose(problem: TwoVarProblem, num1, num2, den):
+    """(r1, r2, s1, s2, estimate) from one problem's integrand sums.
+
+    ``num / den`` is the gradient of the log marginal at the MLE, so the
+    estimate is Tweedie's ``mle + G^-1 num / den``, written as (1 - s_j)
+    x_j with r_j = -num_j / (x_j den). The ratio x1/x2 is signed: -A for
+    a pair of opposite signs, A to the bit for a same-sign pair.
+    """
     x1, x2 = problem.mle
-    return s1, s2, ((1.0 - s1) * x1, (1.0 - s2) * x2)
+    r1, r2 = -num1 / (x1 * den), -num2 / (x2 * den)
+    rho, ratio = problem.rho, x1 / x2
+    denom = 1.0 - rho * rho
+    s1 = (r1 - rho * r2 / ratio) / denom
+    s2 = (r2 - rho * r1 * ratio) / denom
+    return r1, r2, s1, s2, ((1.0 - s1) * x1, (1.0 - s2) * x2)
 
 
 def normal_shrink_factors(problem: TwoVarProblem) -> ShrinkFactors:
-    """Closed-form shrinkage factors under the global-only normal prior."""
+    """Closed-form shrinkage factors under the global-only normal prior:
+    a point mass at k1 = k2 = kappa, so the sums are one point's values."""
     kappa = 1.0 / (1.0 + problem.tau ** 2)
     f, _ = _f_coeffs(kappa, kappa, problem.rho)
+    num1, num2 = (_point_part(problem)[:2] @ f).tolist()
+    r1, r2, s1, s2, est = _compose(problem, num1, num2, 1.0)
     f1, f2, f3 = f.tolist()
-    a = problem.a
-    r1 = -(a * f1 + f3) / a
-    r2 = -(f2 + a * f3)
-    s1, s2, _ = _compose_estimate(problem, r1, r2)
-    return ShrinkFactors(f1=f1, f2=f2, f3=f3,
-                         r1=r1, r2=r2, s1=s1, s2=s2, kappa=kappa)
+    return ShrinkFactors(f1=f1, f2=f2, f3=f3, r1=r1, r2=r2, s1=s1, s2=s2,
+                         kappa=kappa, estimate=est)
 
 
 def normal_estimator(problem: TwoVarProblem) -> tuple[float, float]:
     """Posterior mean under the global-only normal prior."""
-    fac = normal_shrink_factors(problem)
-    x1, x2 = problem.mle
-    return ((1.0 - fac.s1) * x1, (1.0 - fac.s2) * x2)
+    return normal_shrink_factors(problem).estimate
 
 
 def normal_ratio_contracts(problem: TwoVarProblem) -> bool:
     """True iff the normal-prior estimator strictly contracts the MLE ratio.
 
-    For 0 < rho < 1 and A > 1 this holds for every tau, i.e. the
-    global-only prior never achieves reverse-shrinkage; the function
-    exists so that sweeps can verify the claim numerically.
+    Defined for a same-sign MLE pair, 0 < rho < 1 and A > 1, where it holds
+    for every tau: sweeps verify with it that a global-only prior never
+    reverses shrinkage. An opposite-sign pair can widen the ratio.
     """
     if problem.a <= 1.0:
         raise InvariantError("ratio contraction is defined for A > 1")
+    if problem.mle[0] * problem.mle[1] < 0:
+        raise InvariantError("ratio contraction is defined for same-sign MLEs")
     if not 0.0 < problem.rho < 1.0:
         raise InvariantError("ratio contraction is defined for rho in (0, 1)")
     b1, b2 = normal_estimator(problem)
@@ -277,10 +285,10 @@ def _rho_tables(rho: float, order: int) -> np.ndarray:
     return tables
 
 
-def _quad_r_batch(problems: Sequence[TwoVarProblem], order: int,
-                  points: Optional[Sequence[np.ndarray]] = None
-                  ) -> list[tuple[float, float]]:
-    """(r1, r2) of each problem by tensor Gauss-Legendre at a fixed order.
+def _quad_batch(problems: Sequence[TwoVarProblem], order: int,
+                points: Optional[Sequence[np.ndarray]] = None) -> list[tuple]:
+    """:func:`_compose` of each problem by tensor Gauss-Legendre at a fixed
+    order: (r1, r2, s1, s2, estimate).
 
     The problems share rho and tau. The rho part of the integrand and the
     weights come from the cached :func:`_rho_tables` (sizes in the module
@@ -301,7 +309,7 @@ def _quad_r_batch(problems: Sequence[TwoVarProblem], order: int,
     f, wd = tables[:3].reshape(3, -1), tables[3].reshape(-1)
     g = 1.0 / (1.0 - (1.0 - problems[0].tau ** 2) * k)
     step = max(1, ((1 << 17) - 1) // wd.size)  # 2^17 doubles make 1 MB
-    r_values = []
+    composed = []
     for lo in range(0, len(problems), step):
         batch = list(zip(problems[lo:lo + step], points[lo:lo + step]))
         base = np.empty((len(batch), wd.size))
@@ -316,9 +324,8 @@ def _quad_r_batch(problems: Sequence[TwoVarProblem], order: int,
         dens = base.sum(axis=1).tolist()
         for (pr, point), row, den in zip(batch, base, dens):
             num1, num2 = (point[:2] @ (f @ row)).tolist()
-            x1, x2 = pr.mle
-            r_values.append((-num1 / (x1 * den), -num2 / (x2 * den)))
-    return r_values
+            composed.append(_compose(pr, num1, num2, den))
+    return composed
 
 
 def _hs_row(problems: Sequence[TwoVarProblem]) -> list:
@@ -336,15 +343,14 @@ def _hs_row(problems: Sequence[TwoVarProblem]) -> list:
         active = [i for i, res in enumerate(out) if res is None]
         if not active:
             break
-        r_batch = _quad_r_batch([problems[i] for i in active], order,
-                                [points[i] for i in active])
-        for i, (r1, r2) in zip(active, r_batch):
+        batch = _quad_batch([problems[i] for i in active], order,
+                            [points[i] for i in active])
+        for i, (r1, r2, s1, s2, est) in zip(active, batch):
             if prev[i] is not None:
                 scale = max(abs(r1), abs(r2), 1e-300)
                 err[i] = max(abs(r1 - prev[i][0]),
                              abs(r2 - prev[i][1])) / scale
                 if err[i] < _TOL:
-                    s1, s2, est = _compose_estimate(problems[i], r1, r2)
                     out[i] = HsEstimate(estimate=est, r1=r1, r2=r2, s1=s1,
                                         s2=s2, quad_error=err[i], order=order)
             prev[i] = (r1, r2)
@@ -471,20 +477,18 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     cov_samples = prods / n_samples - np.outer(means, means)
     cov_means = cov_samples / n_samples
     m1, m2, mb = means
-    r1 = -m1 / (x1 * mb)
-    r2 = -m2 / (x2 * mb)
+    r1, r2, _, _, est = _compose(problem, m1, m2, mb)
     jac = np.array([
         [-1.0 / (x1 * mb), 0.0, m1 / (x1 * mb * mb)],
         [0.0, -1.0 / (x2 * mb), m2 / (x2 * mb * mb)],
     ])
     cov_r = jac @ cov_means @ jac.T
-    # The estimate is affine in (r1, r2), so the columns of its Jacobian
-    # are the changes that a unit step in each factor makes.
-    est0, est1, est2 = (np.array(_compose_estimate(problem, *r)[2])
-                        for r in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    # The estimate is affine in (r1, r2): a unit step in each factor, made
+    # by the sums (-x1 u, -x2 v) at den 1, gives a column of its Jacobian.
+    est0, est1, est2 = (np.array(_compose(problem, -x1 * u, -x2 * v, 1.0)[4])
+                        for u, v in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     lin = np.column_stack([est1 - est0, est2 - est0])
     cov_b = lin @ cov_r @ lin.T
-    _, _, est = _compose_estimate(problem, r1, r2)
     se = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov_b), 0.0)))
     return McEstimate(estimate=est, se=se, r1=r1, r2=r2, n_samples=n_samples)
 

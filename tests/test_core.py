@@ -52,6 +52,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.x[0, 0] = 1.0
 
+    def test_float64_arrays_kept_in_place(self):
+        y, x = np.zeros(3), np.ones((3, 2))
+        d = Dataset(y=y, x=x)
+        assert np.shares_memory(d.y, y) and np.shares_memory(d.x, x)
+        assert not y.flags.writeable and not x.flags.writeable
+
+    def test_lists_and_int_arrays_converted(self):
+        y, x = [1, 2, 3], np.arange(6).reshape(3, 2)
+        d = Dataset(y=y, x=x)
+        assert d.y.dtype == d.x.dtype == np.float64
+        assert d.y.tolist() == [1.0, 2.0, 3.0] and d.x.tolist() == x.tolist()
+        assert not np.shares_memory(d.x, x) and x.flags.writeable
+        with pytest.raises(InvariantError, match="y contains non-finite"):
+            Dataset(y=[1.0, np.inf, 3.0], x=x)
+
 
 class TestPriorSpec:
     def test_defaults(self):
@@ -157,6 +172,23 @@ class TestSelectionResult:
         with pytest.raises(InvariantError):
             SelectionResult(method="s2m", selected=frozenset({1, 2}),
                             h_counts=np.array([2, 2]), h_mode=3)
+
+    def test_counts_kept_in_place(self, monkeypatch):
+        from shrinksel import selection
+
+        counts = []
+
+        def recording(*args):
+            counts.append(real(*args))
+            return counts[-1]
+
+        real = selection._signal_counts
+        monkeypatch.setattr(selection, "_signal_counts", recording)
+        res = selection.select_2m(PosteriorDraws(
+            beta=np.array([[3.0, 0.1, 2.9], [0.2, 3.1, 3.0]]),
+            sigma2=np.ones(2)))
+        assert res.h_counts.tolist() == [1, 1]
+        assert np.shares_memory(res.h_counts, counts[0])
 
     def test_other_methods_unconstrained(self):
         r = SelectionResult(method="cs", selected=frozenset({2}), h_mode=1)

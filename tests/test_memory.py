@@ -62,6 +62,14 @@ def test_fit_holds_its_draws_once(n, p):
     assert peak <= 1.15 * nbytes(draws) + MB, (peak, nbytes(draws))
 
 
+def test_dataset_holds_its_design_once():
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((50, 20000)), rng.standard_normal(50)
+    data, peak = traced_peak(Dataset, y, x)
+    assert np.shares_memory(data.x, x)
+    assert peak < 0.1 * x.nbytes, peak
+
+
 @pytest.mark.filterwarnings("ignore:s2m declared every variable")
 @pytest.mark.parametrize("family,methods", [
     ("horseshoe", ["s2m", "2m", "cs", "ht"]),

@@ -16,11 +16,17 @@ from shrinksel.core import InvariantError
 from shrinksel.shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID,
                                  DEFAULT_TAU_GRID, _MC_BLOCK, QuadratureError,
                                  ShrinkGridPoint, TwoVarProblem, _f_coeffs,
-                                 _hs_row, _point_part, _quad_r_batch,
+                                 _hs_row, _point_part, _quad_batch,
                                  hs_estimator_mc, hs_shrinkage,
                                  normal_estimator, normal_ratio_contracts,
                                  normal_shrink_factors, reverse_shrinkage_grid,
                                  write_grid_csv)
+
+
+#: (rho, tau, mle) with MLE pairs of opposite signs: an estimate composed
+#: with |x1/x2| in place of the signed x1/x2 gets each of them wrong.
+OPPOSITE_SIGNS = [(rho, tau, mle) for rho, tau in ((0.5, 0.5), (0.9, 0.7))
+                  for mle in ((2.0, -1.0), (-2.0, 1.0))]
 
 
 def random_problem(rng, a_min=1.0) -> TwoVarProblem:
@@ -99,6 +105,14 @@ class TestNormalEstimator:
         b1, b2 = normal_estimator(pr)
         assert abs(b1 / b2) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("rho,tau,mle", OPPOSITE_SIGNS)
+    def test_opposite_signs_match_the_ridge_solution(self, rho, tau, mle):
+        # The posterior mean under beta ~ N(0, tau^2 I), solved directly.
+        gram = np.array([[1.0, rho], [rho, 1.0]])
+        want = np.linalg.solve(gram + np.eye(2) / tau ** 2, gram @ mle)
+        got = normal_estimator(TwoVarProblem(rho=rho, tau=tau, mle=mle))
+        assert got == pytest.approx(want.tolist(), rel=1e-12, abs=0.0)
+
 
 class TestRatioContraction:
     def test_hand_computed_point(self):
@@ -116,6 +130,15 @@ class TestRatioContraction:
         with pytest.raises(InvariantError):
             normal_ratio_contracts(TwoVarProblem(rho=0.0, tau=1.0,
                                                  mle=(2.0, 1.0)))
+
+    def test_refuses_opposite_signs(self):
+        # The claim fails there: the estimate (0.303, -0.030) widens the
+        # ratio from 2 to 10.
+        pr = TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, -1.0))
+        b1, b2 = normal_estimator(pr)
+        assert abs(b1 / b2) == pytest.approx(10.0, rel=1e-12)
+        with pytest.raises(InvariantError, match="same-sign"):
+            normal_ratio_contracts(pr)
 
 
 def mp_integrand(k1, k2, pr):
@@ -140,6 +163,39 @@ def mp_integrand(k1, k2, pr):
                     * (1 - k1) ** mpmath.mpf("-0.5")
                     * (1 - k2) ** mpmath.mpf("-0.5"))
         return (f1, f2, f3), 1 / d, point, f_factor
+
+
+def mp_sums(pr, maxdegree=None):
+    """mpmath's tanh-sinh integrals of F E, lin1 F E and lin2 F E over
+    [0, 1]^2: the denominator and the two numerators, at mpmath's own
+    degree unless ``maxdegree`` caps it. Tanh-sinh needs no substitution
+    for the (1 - k)^(-1/2) endpoint singularities."""
+
+    # The three integrals visit the same nodes: evaluate each once.
+    @functools.lru_cache(maxsize=None)
+    def integrands(k1, k2):
+        _, _, (lin1, lin2, log_e), f_factor = mp_integrand(k1, k2, pr)
+        with mpmath.workdps(50):
+            fe = f_factor * mpmath.exp(log_e)
+            return fe, lin1 * fe, lin2 * fe
+
+    with mpmath.workdps(15):
+        return [mpmath.quad(lambda k1, k2, i=i: integrands(k1, k2)[i],
+                            [0, 1], [0, 1], maxdegree=maxdegree)
+                for i in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def mp_tweedie_mean(rho, tau):
+    """The horseshoe posterior mean at mle (2, -1) by Tweedie's formula,
+    mle + G^-1 num / den, from :func:`mp_sums`. Tanh-sinh at degree 3
+    agrees with mpmath's own degree, 6 here, to 2e-9 at both (rho, tau) of
+    ``OPPOSITE_SIGNS``, in a twentieth of the time."""
+    pr = TwoVarProblem(rho=rho, tau=tau, mle=(2.0, -1.0))
+    den, num1, num2 = mp_sums(pr, maxdegree=3)
+    gram = np.array([[1.0, rho], [rho, 1.0]])
+    return np.array(pr.mle) + np.linalg.solve(
+        gram, [float(num1 / den), float(num2 / den)])
 
 
 class TestHsIntegrand:
@@ -174,29 +230,22 @@ class TestHsIntegrand:
 
     def test_quadrature_matches_mpmath_integral(self):
         """r1 and r2 of ``hs_shrinkage`` against the ratios of mpmath's
-        tanh-sinh integrals of F E, lin1 F E and lin2 F E over [0, 1]^2:
-        the substitution, the weights and the tau and d factors of the
-        quadrature, end to end. Tanh-sinh needs no substitution for the
-        (1 - k)^(-1/2) endpoint singularities."""
+        integrals (:func:`mp_sums`): the substitution, the weights and the
+        tau and d factors of the quadrature, end to end."""
         pr = TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0))
-
-        # The three integrals visit the same nodes: evaluate each once.
-        @functools.lru_cache(maxsize=None)
-        def integrands(k1, k2):
-            _, _, (lin1, lin2, log_e), f_factor = mp_integrand(k1, k2, pr)
-            with mpmath.workdps(50):
-                fe = f_factor * mpmath.exp(log_e)
-                return fe, lin1 * fe, lin2 * fe
-
-        with mpmath.workdps(15):
-            den, num1, num2 = (
-                mpmath.quad(lambda k1, k2, i=i: integrands(k1, k2)[i],
-                            [0, 1], [0, 1]) for i in range(3))
-            x1, x2 = pr.mle
-            want = (float(-num1 / (x1 * den)), float(-num2 / (x2 * den)))
+        den, num1, num2 = mp_sums(pr)
+        x1, x2 = pr.mle
+        want = (float(-num1 / (x1 * den)), float(-num2 / (x2 * den)))
         res = hs_shrinkage(pr)
         assert res.r1 == pytest.approx(want[0], rel=1e-8, abs=0.0)
         assert res.r2 == pytest.approx(want[1], rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("rho,tau,mle", OPPOSITE_SIGNS)
+    def test_opposite_signs_match_the_tweedie_mean(self, rho, tau, mle):
+        # The mean is odd in the MLE pair: (-2, 1) gives minus (2, -1)'s.
+        want = mp_tweedie_mean(rho, tau) * (mle[0] / 2.0)
+        res = hs_shrinkage(TwoVarProblem(rho=rho, tau=tau, mle=mle))
+        assert res.estimate == pytest.approx(want.tolist(), rel=1e-8, abs=0.0)
 
 
 class TestHsEstimator:
@@ -228,6 +277,16 @@ class TestHsEstimator:
         res = hs_shrinkage(TwoVarProblem(rho=0.97, tau=0.05, mle=(10.0, 1.0)))
         assert res.quad_error < 1e-6
         assert res.order in (32, 64, 128, 256, 512)
+
+    @pytest.mark.parametrize("rho,tau,mle", OPPOSITE_SIGNS)
+    def test_opposite_signs_mc_matches_the_tweedie_mean(self, rho, tau, mle):
+        # Against mpmath's mean, not hs_shrinkage: the two evaluators share
+        # the composition, so they can agree and both be wrong.
+        want = mp_tweedie_mean(rho, tau) * (mle[0] / 2.0)
+        mc = hs_estimator_mc(TwoVarProblem(rho=rho, tau=tau, mle=mle),
+                             n_samples=1_000_000, seed=5)
+        for w, m, se in zip(want, mc.estimate, mc.se):
+            assert abs(w - m) < 4 * se
 
     def test_sign_flip_invariance(self):
         base = TwoVarProblem(rho=0.9, tau=0.3, mle=(4.0, 2.0))
@@ -324,8 +383,8 @@ class TestGridBatches:
         row = [TwoVarProblem(rho=0.99, tau=0.01, mle=(1.0 + a / 4, 1.0))
                for a in range(9)]
         for order in (128, 256):
-            assert _quad_r_batch(row, order) == [
-                _quad_r_batch([pr], order)[0] for pr in row]
+            assert _quad_batch(row, order) == [
+                _quad_batch([pr], order)[0] for pr in row]
 
 
 def plain_formula_r_values(pr, order):
@@ -407,8 +466,8 @@ class TestCachedQuadratureRules:
                    TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
             want = self.fresh_rule_r_values(pr, order)
             # A second call reads the cached rule.
-            assert _quad_r_batch([pr], order)[0] == want
-            assert _quad_r_batch([pr], order)[0] == want
+            assert _quad_batch([pr], order)[0][:2] == want
+            assert _quad_batch([pr], order)[0][:2] == want
 
     def test_cached_arrays_are_read_only(self):
         from shrinksel.shrinkage import _quad_rule
@@ -463,7 +522,7 @@ class TestCachedQuadratureRules:
                    TwoVarProblem(rho=0.5, tau=0.5, mle=(2.0, 1.0)),
                    TwoVarProblem(rho=0.0, tau=0.95, mle=(1.1, 1.0))):
             want = plain_formula_r_values(pr, order)
-            assert _quad_r_batch([pr], order)[0] == pytest.approx(
+            assert _quad_batch([pr], order)[0][:2] == pytest.approx(
                 want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("x2", [1.0, 1.5])
@@ -501,12 +560,12 @@ class TestCachedQuadratureRules:
         _rho_tables.cache_clear()
         # One order at a time: B's set sits beside A's.
         for o, wa, wb in zip(orders, want_a, want_b):
-            assert _quad_r_batch([pr_a], o)[0] == wa
-            assert _quad_r_batch([pr_b], o)[0] == wb
-            assert _quad_r_batch([pr_a], o)[0] == wa
+            assert _quad_batch([pr_a], o)[0][:2] == wa
+            assert _quad_batch([pr_b], o)[0][:2] == wb
+            assert _quad_batch([pr_a], o)[0][:2] == wa
         # Every order of A, then of B, then of A: B's sets evict some of A's.
         for pr, want in ((pr_a, want_a), (pr_b, want_b), (pr_a, want_a)):
-            assert [_quad_r_batch([pr], o)[0] for o in orders] == want
+            assert [_quad_batch([pr], o)[0][:2] for o in orders] == want
 
 
 def whole_array_mc(pr, n_samples, seed):
@@ -704,9 +763,9 @@ class TestArgumentChecks:
 
 _THREAD_CHILD = """
 import hashlib
-from shrinksel.shrinkage import TwoVarProblem, _quad_r_batch, hs_estimator_mc
+from shrinksel.shrinkage import TwoVarProblem, _quad_batch, hs_estimator_mc
 row = [TwoVarProblem(rho=0.99, tau=0.01, mle=(a, 1.0)) for a in (1.1, 2.0, 10.0)]
-r = [_quad_r_batch(row, order) for order in (64, 128, 256, 512)]
+r = [_quad_batch(row, order) for order in (64, 128, 256, 512)]
 mc = hs_estimator_mc(TwoVarProblem(rho=0.96, tau=0.3, mle=(3.0, 1.5)),
                      n_samples=100_003, seed=7)
 print(hashlib.sha256(repr((r, mc)).encode()).hexdigest())
