@@ -135,14 +135,13 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
 def _checked_array(name: str, value, dtype, shape: tuple,
                    ok: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                    refusal: str = "") -> np.ndarray:
-    """``value`` as a read-only ``dtype`` array of ``shape``, checked.
+    """``value`` as a ``dtype`` array of ``shape``, checked, still writable.
 
-    An ndarray that already has the dtype is kept, not copied, and set
-    read-only in place. Anything else is converted through float64, so a
-    fractional ``z`` is refused rather than truncated. Every entry must be
-    finite and pass ``ok`` if given, else ``f"{name} {refusal}"`` is
-    raised; the checks run over row blocks, so they hold one block's
-    booleans at a time.
+    An ndarray that already has the dtype is kept, not copied. Anything
+    else is converted through float64, so a fractional ``z`` is refused
+    rather than truncated. Every entry must be finite and pass ``ok`` if
+    given, else ``f"{name} {refusal}"`` is raised; the checks run over row
+    blocks, so they hold one block's booleans at a time.
     """
     if isinstance(value, np.ndarray) and value.dtype == dtype:
         arr = value
@@ -155,9 +154,14 @@ def _checked_array(name: str, value, dtype, shape: tuple,
         raise InvariantError(f"{name} contains non-finite entries")
     if ok is not None and not all(ok(arr[rows]).all() for rows in blocks):
         raise InvariantError(f"{name} {refusal}")
-    arr = arr.astype(dtype, copy=False)
-    arr.setflags(write=False)
-    return arr
+    return arr.astype(dtype, copy=False)
+
+
+def _set_read_only(obj, **arrays: np.ndarray) -> None:
+    """Freeze ``arrays`` as fields of ``obj`` once all its fields pass."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -187,9 +191,8 @@ class Dataset:
                 f"x has {n} rows but y has length {y_shape[0]}")
         if n < 1 or p < 1:
             raise InvariantError("n and p must both be positive")
-        object.__setattr__(self, "y", _checked_array("y", self.y, float, (n,)))
-        object.__setattr__(self, "x",
-                           _checked_array("x", self.x, float, (n, p)))
+        y = _checked_array("y", self.y, float, (n,))
+        x = _checked_array("x", self.x, float, (n, p))
         if self.truth is not None:
             truth = frozenset(int(j) for j in self.truth)
             bad = [j for j in truth if not 1 <= j <= p]
@@ -197,6 +200,7 @@ class Dataset:
                 raise InvariantError(
                     f"truth indices {sorted(bad)} outside 1..{p}")
             object.__setattr__(self, "truth", truth)
+        _set_read_only(self, y=y, x=x)
 
     @property
     def n(self) -> int:
@@ -304,14 +308,12 @@ class PosteriorDraws:
         t, p = np.shape(self.beta)
         if t < 1 or p < 1:
             raise InvariantError("need at least one draw and one coefficient")
-        for lat in _LATENTS:
-            value = getattr(self, lat.field)
-            if value is None and lat not in _REQUIRED:
-                continue
-            shape = (t, p) if lat.per_coef else (t,)
-            object.__setattr__(self, lat.field, _checked_array(
-                lat.stem, value, lat.dtype, shape, lat.ok,
-                f"draws must be {lat.rule}"))
+        present = [lat for lat in _LATENTS
+                   if lat in _REQUIRED or getattr(self, lat.field) is not None]
+        _set_read_only(self, **{lat.field: _checked_array(
+            lat.stem, getattr(self, lat.field), lat.dtype,
+            (t, p) if lat.per_coef else (t,), lat.ok,
+            f"draws must be {lat.rule}") for lat in present})
 
     @property
     def t(self) -> int:
@@ -343,15 +345,16 @@ class SelectionResult:
         if any(j < 1 for j in selected):
             raise InvariantError("selected indices must be >= 1")
         object.__setattr__(self, "selected", selected)
-        object.__setattr__(self, "h_counts", _checked_array(
+        h_counts = _checked_array(
             "h_counts", self.h_counts, np.int64, (np.size(self.h_counts),),
-            lambda a: a >= 0, "must be counts >= 0"))
+            lambda a: (a >= 0) & (a % 1 == 0), "must be counts >= 0")
         if self.h_mode < 0:
             raise InvariantError("h_mode must be nonnegative")
         if self.method in ("s2m", "2m") and len(selected) != self.h_mode:
             raise InvariantError(
                 f"{self.method} selected {len(selected)} indices but "
                 f"h_mode is {self.h_mode}")
+        _set_read_only(self, h_counts=h_counts)
 
 
 def _present(draws: PosteriorDraws) -> list[tuple[_Latent, np.ndarray]]:

@@ -17,14 +17,17 @@ draws one (2, b) array of uniforms, so its memory does not depend on the
 sample count.
 
 Everything here is a pure function. The quadrature runs in the calling
-thread: the grid evaluates the A values of one (rho, tau) row together,
-one batch per order, at about 50 µs a point on the default grid (about
-85 µs for a point alone; 2-core VM), less than handing it to a worker
-process, and its arrays are too small for threads to pay. The Monte Carlo check splits its blocks into
-one contiguous run per usable CPU, the calling thread doing the first
-and a worker thread each of the others. Philox is counter-based, so each
-run skips ahead to its first sample, and the runs' block sums are added
-in block order: the result has the same bits at any CPU count.
+thread, one batch per (rho, order): the grid evaluates every (tau, A)
+point of one rho together, at about 35 µs a point on the default grid
+(75 µs alone; 2-core VM), too little for worker processes or threads to
+pay. The exponents and sums are stacked matrix products whose slices go
+to the BLAS gemv a lone point uses, so each point keeps its bits in any
+batch, and the node-grid array is cut into chunks under 1 MiB. The Monte
+Carlo check splits its blocks into one contiguous run per usable CPU,
+the calling thread doing the first and a worker thread each of the
+others. Philox is counter-based, so each run skips ahead to its first
+sample, and the runs' block sums are added in block order: the result
+has the same bits at any CPU count.
 The quadrature caches what does not depend on the point: each order's
 nodes and weights, and, per (rho, order), one read-only set of four
 node-grid tables: the integrand's rho part (f1, f2, f3) and the tensor
@@ -82,15 +85,15 @@ class TwoVarProblem:
     mle: tuple[float, float]
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and 0.0 <= self.rho < 1.0):
+        if not (math.isfinite(self.rho) and 0.0 <= self.rho < 1.0):
             raise InvariantError("rho must lie in [0, 1)")
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise InvariantError("tau must be strictly positive")
         try:
             x1, x2 = map(float, self.mle)
         except (TypeError, ValueError):
             raise InvariantError("mle must be a pair of numbers") from None
-        if not (np.isfinite(x1) and np.isfinite(x2)):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
             raise InvariantError("mle entries must be finite")
         if abs(x2) == 0 or abs(x1) < abs(x2):
             raise InvariantError("need |mle[0]| >= |mle[1]| > 0")
@@ -286,57 +289,50 @@ def _rho_tables(rho: float, order: int) -> np.ndarray:
 
 
 def _quad_batch(problems: Sequence[TwoVarProblem], order: int,
-                points: Optional[Sequence[np.ndarray]] = None) -> list[tuple]:
+                points: Optional[np.ndarray] = None) -> list[tuple]:
     """:func:`_compose` of each problem by tensor Gauss-Legendre at a fixed
     order: (r1, r2, s1, s2, estimate).
 
-    The problems share rho and tau. The rho part of the integrand and the
-    weights come from the cached :func:`_rho_tables` (sizes in the module
-    docstring); only the terms in the MLE pair and tau, the latter as one
-    vector per axis, are evaluated here, for as many problems at a time as
-    keep their ``(m, order**2)`` array under 1 MB. The exponential factor
-    is evaluated in log space and normalized by its maximum over the node
-    grid; the shift cancels between numerator and denominator. Each
-    problem's exponent and sums are matrix-vector products: OpenBLAS splits
-    those by output element, so the result depends neither on its thread
-    count nor on the batch. ``points`` holds each problem's
-    :func:`_point_part`, built here when not given.
+    The problems share rho, whose part of the integrand and weights come
+    from the cached :func:`_rho_tables`; only the terms in each problem's
+    MLE pair and tau are evaluated here, in chunks whose ``(m, order**2)``
+    array, allocated once per call, stays under 2^17 doubles (1 MiB). The
+    exponent is shifted by its maximum over the node grid, which cancels
+    between numerator and denominator. The exponent, the three sums and
+    the two numerators are stacked matrix products whose slices numpy
+    hands one by one to the BLAS gemv a lone problem uses; OpenBLAS splits
+    a gemv by output element, so no result depends on its thread count or
+    its batch. ``points`` stacks each problem's :func:`_point_part`.
     """
     if points is None:
-        points = [_point_part(pr) for pr in problems]
+        points = np.array([_point_part(pr) for pr in problems])
     k, _ = _quad_rule(order)
     tables = _rho_tables(problems[0].rho, order)
     f, wd = tables[:3].reshape(3, -1), tables[3].reshape(-1)
-    g = 1.0 / (1.0 - (1.0 - problems[0].tau ** 2) * k)
-    step = max(1, ((1 << 17) - 1) // wd.size)  # 2^17 doubles make 1 MB
-    composed = []
+    g = 1.0 / (1.0 - np.array([[1.0 - pr.tau ** 2] for pr in problems]) * k)
+    step = min(len(problems), max(1, ((1 << 17) - 1) // wd.size))
+    chunk, composed = np.empty((step, wd.size)), []
     for lo in range(0, len(problems), step):
-        batch = list(zip(problems[lo:lo + step], points[lo:lo + step]))
-        base = np.empty((len(batch), wd.size))
-        for row, (_, point) in zip(base, batch):
-            np.matmul(point[2], f, out=row)
-        base -= base.max(axis=1, keepdims=True)
-        np.exp(base, out=base)
-        base *= wd
-        grid = base.reshape(-1, order, order)
-        grid *= g[:, None]
-        grid *= g
-        dens = base.sum(axis=1).tolist()
-        for (pr, point), row, den in zip(batch, base, dens):
-            num1, num2 = (point[:2] @ (f @ row)).tolist()
-            composed.append(_compose(pr, num1, num2, den))
+        part, rows = points[lo:lo + step], chunk[:len(problems) - lo]
+        np.matmul(part[:, 2:], f, out=rows[:, None])
+        rows -= rows.max(axis=1, keepdims=True)
+        np.exp(rows, out=rows)
+        rows *= wd
+        grid = rows.reshape(-1, order, order)
+        grid *= g[lo:lo + step, :, None]
+        grid *= g[lo:lo + step, None, :]
+        nums = part[:, :2] @ (f @ rows[..., None])
+        composed += map(_compose, problems[lo:lo + step],
+                        *nums[..., 0].T.tolist(), rows.sum(axis=1).tolist())
     return composed
 
 
 def _hs_row(problems: Sequence[TwoVarProblem]) -> list:
-    """:func:`hs_shrinkage` of problems that share rho and tau.
-
-    The problems not yet converged go through one batch per order; each
-    problem's point part is built once, not once per order. Returns, per
-    problem, its :class:`HsEstimate` or the :class:`QuadratureError` it
-    fails with.
-    """
-    points = [_point_part(pr) for pr in problems]
+    """:func:`hs_shrinkage` of problems that share rho: the problems not yet
+    converged go through one :func:`_quad_batch` per order, each problem's
+    point part built once. Returns, per problem, its :class:`HsEstimate`
+    or the :class:`QuadratureError` it fails with."""
+    points = np.array([_point_part(pr) for pr in problems])
     out, prev = [None] * len(problems), [None] * len(problems)
     err = [math.inf] * len(problems)
     for order in _QUAD_ORDERS:
@@ -344,7 +340,7 @@ def _hs_row(problems: Sequence[TwoVarProblem]) -> list:
         if not active:
             break
         batch = _quad_batch([problems[i] for i in active], order,
-                            [points[i] for i in active])
+                            points.take(active, axis=0))
         for i, (r1, r2, s1, s2, est) in zip(active, batch):
             if prev[i] is not None:
                 scale = max(abs(r1), abs(r2), 1e-300)
@@ -500,27 +496,26 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     """Classify every (rho, tau, A) combination at a fixed smaller MLE.
 
     Points are returned in grid order (rho outermost, then tau, then A),
-    so each rho's quadrature tables are built once. The A values of one
-    (rho, tau) row are evaluated together, one batch per order, with the
-    same bits as :func:`hs_shrinkage` gives each alone. Quadrature failures
+    so each rho's quadrature tables are built once. The (tau, A) points of
+    one rho are one batch per (rho, order), in chunks under 1 MiB, with
+    the bits :func:`hs_shrinkage` gives each alone. Quadrature failures
     are recorded on the point rather than raised.
     """
     a_grid, x2 = [float(a) for a in a_grid], float(x2)
     points = []
     for rho in rho_grid:
-        for tau in tau_grid:
-            row = [TwoVarProblem(rho=float(rho), tau=float(tau),
-                                 mle=(a * x2, x2)) for a in a_grid]
-            for a, pr, res in zip(a_grid, row, _hs_row(row)):
-                if isinstance(res, QuadratureError):  # nan: not reverse
-                    ratio, quad_error, error = math.nan, res.achieved, str(res)
-                else:
-                    b1, b2 = res.estimate
-                    ratio = math.inf if b2 == 0 else abs(b1 / b2)
-                    quad_error, error = res.quad_error, None
-                points.append(ShrinkGridPoint(
-                    problem=pr, a=a, ratio_mle=pr.a, ratio_shrunk=ratio,
-                    reverse=ratio >= pr.a, quad_error=quad_error, error=error))
+        block = [TwoVarProblem(float(rho), float(tau), (a * x2, x2))
+                 for tau in tau_grid for a in a_grid]
+        for a, pr, res in zip(a_grid * len(tau_grid), block, _hs_row(block)):
+            if isinstance(res, QuadratureError):  # nan: not reverse
+                ratio, quad_error, error = math.nan, res.achieved, str(res)
+            else:
+                b1, b2 = res.estimate
+                ratio = math.inf if b2 == 0 else abs(b1 / b2)
+                quad_error, error = res.quad_error, None
+            points.append(ShrinkGridPoint(
+                problem=pr, a=a, ratio_mle=pr.a, ratio_shrunk=ratio,
+                reverse=ratio >= pr.a, quad_error=quad_error, error=error))
     return points
 
 

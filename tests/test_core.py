@@ -58,6 +58,15 @@ class TestDataset:
         assert np.shares_memory(d.y, y) and np.shares_memory(d.x, x)
         assert not y.flags.writeable and not x.flags.writeable
 
+    def test_refused_dataset_leaves_caller_arrays_writable(self):
+        y, x = np.zeros(3), np.full((3, 2), np.nan)
+        with pytest.raises(InvariantError, match="x contains non-finite"):
+            Dataset(y=y, x=x)
+        x = np.zeros((3, 2))
+        with pytest.raises(InvariantError, match="truth indices"):
+            Dataset(y=y, x=x, truth={3})
+        assert y.flags.writeable and x.flags.writeable
+
     def test_lists_and_int_arrays_converted(self):
         y, x = [1, 2, 3], np.arange(6).reshape(3, 2)
         d = Dataset(y=y, x=x)
@@ -151,6 +160,15 @@ class TestPosteriorDraws:
         with pytest.raises(InvariantError, match="^z "):
             PosteriorDraws(beta=np.zeros((1, 2)), sigma2=np.ones(1), z=z)
 
+    def test_refused_draws_leave_caller_arrays_writable(self):
+        beta, lam = np.zeros((2, 2)), np.ones((2, 2))
+        with pytest.raises(InvariantError, match="sigma2 draws must be"):
+            PosteriorDraws(beta=beta, sigma2=np.array([1.0, -1.0]))
+        with pytest.raises(InvariantError, match="tau draws must be"):
+            PosteriorDraws(beta=beta, sigma2=np.ones(2), lam=lam,
+                           tau=np.zeros(2))
+        assert beta.flags.writeable and lam.flags.writeable
+
     @pytest.mark.parametrize("row", [0, 1, 38, 39])
     def test_values_checked_in_every_row_block(self, monkeypatch, row):
         # Blocks of 4 rows at p = 3: a bad value is found in any block,
@@ -189,6 +207,22 @@ class TestSelectionResult:
             sigma2=np.ones(2)))
         assert res.h_counts.tolist() == [1, 1]
         assert np.shares_memory(res.h_counts, counts[0])
+
+    def test_fractional_counts_refused_not_truncated(self):
+        with pytest.raises(InvariantError, match="must be counts >= 0"):
+            SelectionResult(method="cs", selected={1}, h_counts=[1.5, 2.7],
+                            h_mode=1)
+        res = SelectionResult(method="cs", selected={1},
+                              h_counts=[1.0, 2.0], h_mode=1)
+        assert res.h_counts.dtype == np.int64
+        assert res.h_counts.tolist() == [1, 2]
+
+    def test_refused_result_leaves_caller_counts_writable(self):
+        counts = np.array([2, 2])
+        with pytest.raises(InvariantError, match="h_mode is 3"):
+            SelectionResult(method="s2m", selected={1, 2}, h_counts=counts,
+                            h_mode=3)
+        assert counts.flags.writeable
 
     def test_other_methods_unconstrained(self):
         r = SelectionResult(method="cs", selected=frozenset({2}), h_mode=1)

@@ -9,6 +9,8 @@ import pytest
 from shrinksel import (Dataset, McmcConfig, PosteriorDraws, PriorSpec, fit,
                        load_draws, save_draws)
 from shrinksel.selection import run_selectors
+from shrinksel.shrinkage import (DEFAULT_A_GRID, DEFAULT_TAU_GRID,
+                                 TwoVarProblem, _quad_batch)
 
 MB = 2 ** 20
 
@@ -93,3 +95,13 @@ def test_draw_file_save_and_load(tmp_path, family):
     assert peak <= 0.1 * nbytes(draws), peak
     loaded, peak = traced_peak(load_draws, path)
     assert peak <= 2.2 * nbytes(loaded), (peak, nbytes(loaded))
+
+
+def test_quadrature_block_stays_under_one_and_a_half_mib():
+    # The default grid's 114 points of rho 0.99 at order 64 (4096 nodes)
+    # go in chunks of 31: one 0.97 MiB chunk array, reused by every chunk.
+    block = [TwoVarProblem(rho=0.99, tau=tau, mle=(a, 1.0))
+             for tau in DEFAULT_TAU_GRID for a in DEFAULT_A_GRID]
+    _quad_batch(block[:1], 64)  # builds the rule and the rho tables
+    _, peak = traced_peak(_quad_batch, block, 64)
+    assert peak < 1.5 * MB, peak

@@ -386,6 +386,26 @@ class TestGridBatches:
             assert _quad_batch(row, order) == [
                 _quad_batch([pr], order)[0] for pr in row]
 
+    def test_blocks_of_one_rho_split_into_chunks(self):
+        # Every (tau, A) point of one rho is one batch per order. At rho
+        # 0.99, 44 of these 48 points reach order 64 (31 fill a chunk) and
+        # 13 reach order 128 (7 fill a chunk), so both orders cut the block
+        # into chunks that mix tau values.
+        tau_grid = [0.01, 0.015, 0.02, 0.03, 0.04, 0.05, 0.07, 0.1]
+        a_grid = [1.0, 1.1, 1.5, 2.0, 5.0, 10.0]
+        block = [TwoVarProblem(rho=0.99, tau=tau, mle=(a, 1.0))
+                 for tau in tau_grid for a in a_grid]
+        alone = [hs_shrinkage(pr) for pr in block]
+        assert sum(res.order >= 64 for res in alone) == 44
+        assert sum(res.order >= 128 for res in alone) == 13
+        assert _hs_row(block) == alone
+        points = reverse_shrinkage_grid([0.99], tau_grid, a_grid)
+        assert [pt.quad_error for pt in points] == [
+            res.quad_error for res in alone]
+        for order in (64, 128):
+            assert _quad_batch(block, order) == [
+                _quad_batch([pr], order)[0] for pr in block]
+
 
 def plain_formula_r_values(pr, order):
     """The r-values by the integrand's plain formula on a fresh rule.
