@@ -194,8 +194,8 @@ class Dataset:
         y = _checked_array("y", self.y, float, (n,))
         x = _checked_array("x", self.x, float, (n, p))
         if self.truth is not None:
-            truth = frozenset(int(j) for j in self.truth)
-            bad = [j for j in truth if not 1 <= j <= p]
+            truth = frozenset(_positive_int(j, "truth") for j in self.truth)
+            bad = [j for j in truth if j > p]
             if bad:
                 raise InvariantError(
                     f"truth indices {sorted(bad)} outside 1..{p}")
@@ -329,32 +329,29 @@ class SelectionResult:
     """Outcome of one selector: the chosen index set plus its provenance.
 
     ``h_counts`` holds the per-draw estimated signal counts for the
-    clustering selectors (empty for the others); ``h_mode`` is the
-    aggregated signal-count estimate. Indices in ``selected`` are 1-based.
+    clustering selectors (empty for the others). Indices in ``selected``
+    are 1-based and follow :func:`_positive_int`; the selector's
+    signal-count estimate is their number, :attr:`h_mode`.
     """
 
     method: str
     selected: frozenset[int]
     h_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    h_mode: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvariantError(f"unknown method {self.method!r}")
-        selected = frozenset(int(j) for j in self.selected)
-        if any(j < 1 for j in selected):
-            raise InvariantError("selected indices must be >= 1")
-        object.__setattr__(self, "selected", selected)
         h_counts = _checked_array(
             "h_counts", self.h_counts, np.int64, (np.size(self.h_counts),),
             lambda a: (a >= 0) & (a % 1 == 0), "must be counts >= 0")
-        if self.h_mode < 0:
-            raise InvariantError("h_mode must be nonnegative")
-        if self.method in ("s2m", "2m") and len(selected) != self.h_mode:
-            raise InvariantError(
-                f"{self.method} selected {len(selected)} indices but "
-                f"h_mode is {self.h_mode}")
+        object.__setattr__(self, "selected", frozenset(
+            _positive_int(j, "selected") for j in self.selected))
         _set_read_only(self, h_counts=h_counts)
+
+    @property
+    def h_mode(self) -> int:
+        """The signal-count estimate: the number of selected indices."""
+        return len(self.selected)
 
 
 def _present(draws: PosteriorDraws) -> list[tuple[_Latent, np.ndarray]]:
@@ -411,12 +408,15 @@ def _indexed_block(names: dict[str, int], stem: str,
 
 
 def _positive_int(value, where: str) -> int:
-    """``value`` as an integer >= 1, else InvariantError naming ``where``."""
+    """``value`` as an integer >= 1, else InvariantError naming ``where``:
+    the one rule for a 1-based index. Text must spell an integer; a number
+    must be whole and not a bool (``2.0`` passes, ``1.5`` and NaN do not)."""
     try:
         number = int(value)
-    except ValueError:
-        number = None
-    if number is None or number < 1:
+        whole = isinstance(value, str) or number == value
+    except (TypeError, ValueError, OverflowError):
+        number, whole = 0, False
+    if isinstance(value, (bool, np.bool_)) or not whole or number < 1:
         raise InvariantError(
             f"{where}: expected an integer >= 1, got {value!r}")
     return number

@@ -260,25 +260,18 @@ def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> Selection
             f"s2m declared every variable a signal in {degenerate} of "
             f"{draws.t} draws (first cluster gap within b={b:g}); consider "
             f"a smaller b", stacklevel=2)
-    mode = aggregate_mode(h)
-    return SelectionResult(
-        method="s2m", selected=select_top_h(draws, mode),
-        h_counts=h, h_mode=mode)
+    return SelectionResult("s2m", select_top_h(draws, aggregate_mode(h)), h)
 
 
 def select_2m(draws: PosteriorDraws) -> SelectionResult:
     """Plain 2-means selection over all retained draws."""
     h = _signal_counts(draws.beta)
-    mode = aggregate_mode(h)
-    return SelectionResult(
-        method="2m", selected=select_top_h(draws, mode),
-        h_counts=h, h_mode=mode)
+    return SelectionResult("2m", select_top_h(draws, aggregate_mode(h)), h)
 
 
 def _from_mask(method: str, mask) -> SelectionResult:
     """The variables where ``mask`` is true, by 1-based index."""
-    selected = frozenset(int(j) + 1 for j in np.flatnonzero(mask))
-    return SelectionResult(method, selected, h_mode=len(selected))
+    return SelectionResult(method, np.flatnonzero(mask) + 1)
 
 
 def select_hppm(draws: PosteriorDraws) -> SelectionResult:

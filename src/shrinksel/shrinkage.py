@@ -360,8 +360,8 @@ def hs_shrinkage(problem: TwoVarProblem) -> HsEstimate:
     """Horseshoe posterior mean with adaptive quadrature-order refinement.
 
     The order doubles until the intermediate factors change by less than
-    ``_TOL`` relative; on failure a :class:`QuadratureError` carries the
-    achieved estimate.
+    ``_TOL`` relative; on failure a :class:`QuadratureError` carries their
+    relative change between the last two orders as ``achieved``.
     """
     (res,) = _hs_row([problem])
     if isinstance(res, QuadratureError):
@@ -454,16 +454,13 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     edges = [min(n_blocks * i // n_runs * _MC_BLOCK, n_samples)
              for i in range(n_runs + 1)]
     runs = list(zip(edges, edges[1:]))
-    if n_runs == 1:
+    import concurrent.futures
+    with concurrent.futures.ThreadPoolExecutor(max(n_runs - 1, 1)) as pool:
+        later = [pool.submit(_mc_run, problem, point, seed, lo, hi)
+                 for lo, hi in runs[1:]]
         parts = _mc_run(problem, point, seed, *runs[0])
-    else:
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(n_runs - 1) as pool:
-            later = [pool.submit(_mc_run, problem, point, seed, lo, hi)
-                     for lo, hi in runs[1:]]
-            parts = _mc_run(problem, point, seed, *runs[0])
-            for run in later:
-                parts += run.result()
+        for run in later:
+            parts += run.result()
     sums, prods = np.zeros(3), np.zeros((3, 3))
     for block_sums, block_prods in parts:
         sums += block_sums

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.random import Generator, SeedSequence
 
 from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
-                   _map_jobs, _present, _rng, atomic_write_lines)
+                   _map_jobs, _positive_int, _present, _rng,
+                   atomic_write_lines)
 from .samplers import McmcConfig, NonFiniteStateError, fit
 from .selection import S2mConfig, check_methods, run_selectors
 
@@ -170,11 +171,11 @@ def gen_response(x: np.ndarray, truth, strengths,
     ``noise_sd`` of 0 gives the noise-free response exactly.
     """
     x = np.asarray(x, dtype=float)
-    truth_sorted = sorted(int(j) for j in truth)
+    truth_sorted = sorted(_positive_int(j, "truth") for j in truth)
     strengths = [float(s) for s in strengths]
     if len(strengths) != len(truth_sorted):
         raise InvariantError("one strength per truth index required")
-    if truth_sorted and not 1 <= truth_sorted[0] <= truth_sorted[-1] <= x.shape[1]:
+    if truth_sorted and truth_sorted[-1] > x.shape[1]:
         raise InvariantError("truth indices outside design columns")
     if not all(np.isfinite(strengths)):
         raise InvariantError("strengths must be finite")
@@ -188,8 +189,8 @@ def gen_response(x: np.ndarray, truth, strengths,
 
 def score(selected, truth) -> tuple[int, int]:
     """(masking, swamping) = (|truth - selected|, |selected - truth|)."""
-    sel = {int(j) for j in selected}
-    tru = {int(j) for j in truth}
+    sel = {_positive_int(j, "selected") for j in selected}
+    tru = {_positive_int(j, "truth") for j in truth}
     return len(tru - sel), len(sel - tru)
 
 

@@ -8,6 +8,7 @@ from shrinksel.core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
                             SelectionResult, _map_jobs, atomic_write_lines,
                             load_draws, load_matrix_csv, save_draws,
                             save_matrix_csv)
+from shrinksel.simulate import gen_response, score
 
 
 def _random_draws(rng, t, p, with_hs=False, with_ss=False) -> PosteriorDraws:
@@ -186,10 +187,12 @@ class TestPosteriorDraws:
 
 
 class TestSelectionResult:
-    def test_count_consistency_for_clustering_methods(self):
-        with pytest.raises(InvariantError):
-            SelectionResult(method="s2m", selected=frozenset({1, 2}),
-                            h_counts=np.array([2, 2]), h_mode=3)
+    def test_h_mode_is_the_number_of_selected_indices(self):
+        res = SelectionResult(method="s2m", selected={4, 1, 2},
+                              h_counts=[3, 2])
+        assert res.h_mode == 3
+        with pytest.raises(TypeError):
+            SelectionResult(method="cs", selected={1}, h_mode=5)
 
     def test_counts_kept_in_place(self, monkeypatch):
         from shrinksel import selection
@@ -210,23 +213,57 @@ class TestSelectionResult:
 
     def test_fractional_counts_refused_not_truncated(self):
         with pytest.raises(InvariantError, match="must be counts >= 0"):
-            SelectionResult(method="cs", selected={1}, h_counts=[1.5, 2.7],
-                            h_mode=1)
+            SelectionResult(method="cs", selected={1}, h_counts=[1.5, 2.7])
         res = SelectionResult(method="cs", selected={1},
-                              h_counts=[1.0, 2.0], h_mode=1)
+                              h_counts=[1.0, 2.0])
         assert res.h_counts.dtype == np.int64
         assert res.h_counts.tolist() == [1, 2]
 
     def test_refused_result_leaves_caller_counts_writable(self):
         counts = np.array([2, 2])
-        with pytest.raises(InvariantError, match="h_mode is 3"):
-            SelectionResult(method="s2m", selected={1, 2}, h_counts=counts,
-                            h_mode=3)
+        with pytest.raises(InvariantError, match="got 0"):
+            SelectionResult(method="s2m", selected={0}, h_counts=counts)
         assert counts.flags.writeable
 
-    def test_other_methods_unconstrained(self):
-        r = SelectionResult(method="cs", selected=frozenset({2}), h_mode=1)
-        assert r.selected == frozenset({2})
+
+#: Each numeric entry that takes 1-based indices, as a call on one index
+#: that returns the index it kept.
+_INDEX_ENTRIES = {
+    "Dataset.truth": lambda j: min(Dataset(
+        y=np.zeros(2), x=np.zeros((2, 3)), truth={j}).truth),
+    "SelectionResult.selected": lambda j: min(SelectionResult(
+        method="cs", selected={j}).selected),
+    "gen_response": lambda j: 1 + int(np.flatnonzero(gen_response(
+        np.eye(3), {j}, (5.0,), 0.0, 1))[0]),
+    "score": lambda j: 2 if score({j}, {2}) == score({2}, {j}) == (0, 0)
+    else None,
+}
+
+
+class TestIndexRule:
+    """One rule for a 1-based index at every numeric entry: a whole number
+    >= 1 that is not a bool, never truncated."""
+
+    @pytest.mark.parametrize("entry", list(_INDEX_ENTRIES))
+    @pytest.mark.parametrize("value", [1.5, np.nan, np.inf, 0, True],
+                             ids=["fraction", "nan", "inf", "zero", "bool"])
+    def test_refused(self, entry, value):
+        with pytest.raises(InvariantError, match="expected an integer >= 1"):
+            _INDEX_ENTRIES[entry](value)
+
+    @pytest.mark.parametrize("entry", list(_INDEX_ENTRIES))
+    @pytest.mark.parametrize("value", [2, np.int64(2), 2.0],
+                             ids=["int", "int64", "whole-float"])
+    def test_accepted(self, entry, value):
+        assert _INDEX_ENTRIES[entry](value) == 2
+
+    def test_upper_bounds_keep_their_messages(self):
+        with pytest.raises(InvariantError, match=r"truth indices \[4\] "
+                                                 r"outside 1\.\.3"):
+            Dataset(y=np.zeros(2), x=np.zeros((2, 3)), truth={4.0})
+        with pytest.raises(InvariantError,
+                           match="truth indices outside design columns"):
+            gen_response(np.eye(3), {4}, (5.0,), 0.0, 1)
 
 
 class TestDrawCsv:

@@ -9,11 +9,13 @@ from conftest import brute_force_two_partition_ss, within_ss_of_split
 from shrinksel import core, selection
 from shrinksel.core import METHODS, InvariantError, PosteriorDraws
 from shrinksel.selection import (S2mConfig, aggregate_mode, count_signals_2m,
-                                 count_signals_s2m, kmeans2_1d, resolve_b,
+                                 count_signals_s2m, kmeans2_1d,
+                                 read_selection_report, resolve_b,
                                  run_selector, run_selectors, select_2m,
                                  select_credible,
                                  select_hppm, select_ht, select_mpm,
-                                 select_s2m, select_top_h)
+                                 select_s2m, select_top_h,
+                                 write_selection_report)
 
 
 def draws_from_beta(beta, sigma2=None, **kwargs) -> PosteriorDraws:
@@ -497,6 +499,21 @@ def _awkward_draws(rng, t, p):
     spaced = np.tile(np.arange(p, dtype=float), (int(np.sum(kind == 3)), 1))
     beta[kind == 3] = rng.permuted(spaced, axis=1)
     return beta
+
+
+class TestReportRoundTrip:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_hand_built_result_reads_back(self, tmp_path, method):
+        # Every result writes a row the reader takes back: h is the number
+        # of selected indices, whatever selector built it.
+        csv_path = tmp_path / "selection.csv"
+        write_selection_report(
+            {method: core.SelectionResult(method, {2, 5})}, str(csv_path),
+            str(tmp_path / "selection.txt"), S2mConfig(), 2.0)
+        assert read_selection_report(str(csv_path)) == {
+            method: frozenset({2, 5})}
+        assert f"method={method} H=2 selected=[2 5]" in (
+            tmp_path / "selection.txt").read_text()
 
 
 class TestBatchedAgainstRowReference:
