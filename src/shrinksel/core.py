@@ -407,18 +407,19 @@ def _indexed_block(names: dict[str, int], stem: str,
         range(pos[0], pos[0] + k)) else pos
 
 
-def _positive_int(value, where: str) -> int:
-    """``value`` as an integer >= 1, else InvariantError naming ``where``:
-    the one rule for a 1-based index. Text must spell an integer; a number
-    must be whole and not a bool (``2.0`` passes, ``1.5`` and NaN do not)."""
+def _positive_int(value, where: str, least: int = 1) -> int:
+    """``value`` as an integer >= ``least``, else InvariantError naming
+    ``where``: the one rule for a 1-based index or a count. Text must spell
+    an integer; a number must be whole and not a bool (``2.0`` passes,
+    ``1.5`` and NaN do not)."""
     try:
         number = int(value)
         whole = isinstance(value, str) or number == value
     except (TypeError, ValueError, OverflowError):
         number, whole = 0, False
-    if isinstance(value, (bool, np.bool_)) or not whole or number < 1:
+    if isinstance(value, (bool, np.bool_)) or not whole or number < least:
         raise InvariantError(
-            f"{where}: expected an integer >= 1, got {value!r}")
+            f"{where}: expected an integer >= {least}, got {value!r}")
     return number
 
 

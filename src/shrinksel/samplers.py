@@ -13,7 +13,9 @@ Mallick, 2016) and a p x p one otherwise, then sigma2, lam, nu, tau (kept
 at or below ``tau_upper`` when that bound is set) and xi. Each chain owns
 its work arrays and binds LAPACK ``dposv`` of numpy's bundled OpenBLAS to
 them once (:func:`_spd_solver`); without ``dposv`` the draws fall back to
-``np.linalg.solve``, whose rounding differs.
+``np.linalg.solve``, whose rounding differs. A sweep's n + p normal draws
+are one call, and its shape-1 gamma draws (lam, nu, xi) are taken as the
+standard exponentials numpy draws them as: the same stream either way.
 
 The spike-and-slab mixes a point mass at zero with a N(0, sigma2 sigma_j2)
 slab. A sweep updates (z_j, beta_j) jointly per coordinate with beta_j
@@ -51,7 +53,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, _LATENTS, _rng)
+                   PriorSpec, _LATENTS, _positive_int, _rng)
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
@@ -72,15 +74,15 @@ class McmcConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvariantError("iterations must be positive")
-        if not 0 <= self.burn_in < self.iterations:
+        for name, least in (("iterations", 1), ("burn_in", 0), ("thin", 1),
+                            ("seed", 0)):
+            object.__setattr__(self, name, _positive_int(
+                getattr(self, name), name, least))
+        if not self.burn_in < self.iterations:
             raise InvariantError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise InvariantError("thin must be positive")
         if self.retained < 1:
             raise InvariantError("no draws retained; enlarge iterations")
-        if not 0 <= self.seed < 2 ** 64:
+        if not self.seed < 2 ** 64:
             raise InvariantError("seed must be a 64-bit unsigned integer")
 
     @property
@@ -284,20 +286,23 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
     a, rhs = np.empty((k, k)), np.empty(k)
     diag, solve = a.reshape(-1)[::k + 1], _spd_solver(a, rhs)
     if use_woodbury:
-        xs = np.empty((n, p))
+        xs, u, v = np.empty((n, p)), np.empty(p), np.empty(n)
     else:
         gram, xty = x.T @ x, x.T @ y
-    b2, scaled_b2, resid = np.empty(p), np.empty(p), np.empty(n)
+    e, g, resid = np.empty(n + p), np.empty(2 * p), np.empty(n)
+    d, sd, b2, scaled_b2 = (np.empty(p) for _ in range(4))
     tau_upper = prior.tau_upper or math.inf  # unset: the first draw is kept
     sigma2_shape, tau_shape = prior.ig_shape + 0.5 * (n + p), 0.5 * (p + 1)
     while True:
-        d = state.tau * state.lam
+        lam, nu = state.lam, state.nu  # updated in place
+        np.multiply(lam, state.tau, out=d)
+        np.sqrt(d, out=sd)
         sigma = math.sqrt(state.sigma2)
+        rng.standard_normal(out=e)
         # beta ~ N(A^-1 X'y, sigma2 A^-1), A = X'X + diag(d)^-1, exactly.
         if use_woodbury:  # an n x n solve in place of the p x p one
-            sd = np.sqrt(d)
-            u = sd * rng.standard_normal(p)
-            v = x @ u + rng.standard_normal(n)
+            np.multiply(sd, e[:p], out=u)
+            np.add(np.matmul(x, u, out=v), e[p:], out=v)
             np.multiply(x, sd, out=xs)
             np.matmul(xs, xs.T, out=a)  # a BLAS syrk: half the flops
             diag += 1.0
@@ -309,10 +314,9 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
         else:
             # w = X'e1 + d^-1/2 e2 has covariance A, so A^-1 (X'y + sigma w)
             # has mean A^-1 X'y and covariance sigma2 A^-1.
-            e = rng.standard_normal(n + p)
             np.copyto(a, gram)
             diag += 1.0 / d
-            w = x.T @ e[:n] + e[n:] / np.sqrt(d)
+            w = x.T @ e[:n] + e[n:] / sd
             np.add(xty, np.multiply(w, sigma, out=w), out=rhs)
             beta = solve().copy()
         state.beta = beta
@@ -322,21 +326,23 @@ def _horseshoe_sweeps(rng, x, y, state, prior, use_woodbury):
         state.sigma2 = _inv_gamma(
             rng, sigma2_shape,
             prior.ig_scale + 0.5 * float(resid @ resid) + 0.5 * float(
-                np.divide(b2, state.lam, out=scaled_b2).sum()) / state.tau)
+                np.divide(b2, lam, out=scaled_b2).sum()) / state.tau)
 
-        # The Gamma(1) draws of lam, then of nu: the stream of two calls.
-        g = np.maximum(rng.standard_gamma(1.0, size=2 * p), _TINY)
-        lam, nu = state.lam, state.nu  # updated in place
-        np.add(1.0 / nu, b2 / (2.0 * state.sigma2 * state.tau), out=lam)
+        # The Gamma(1) draws of lam, nu and (below) xi, as the exponentials
+        # they are: the stream of standard_gamma(1.0) calls.
+        np.maximum(rng.standard_exponential(out=g), _TINY, out=g)
+        np.add(np.divide(1.0, nu, out=lam), np.divide(
+            b2, 2.0 * state.sigma2 * state.tau, out=scaled_b2), out=lam)
         np.maximum(np.divide(lam, g[:p], out=lam), _TINY, out=lam)
-        np.add(1.0, 1.0 / lam, out=nu)
+        np.add(1.0, np.divide(1.0, lam, out=nu), out=nu)
         np.maximum(np.divide(nu, g[p:], out=nu), _TINY, out=nu)
 
         tau_scale = 1.0 / state.xi + 0.5 * float(
             np.divide(b2, lam, out=scaled_b2).sum()) / state.sigma2
         state.tau = _draw_truncated_inv_gamma(
             rng, tau_shape, tau_scale, tau_upper)
-        state.xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / state.tau)
+        state.xi = max((1.0 + 1.0 / state.tau)
+                       / max(rng.standard_exponential(), _TINY), _TINY)
         yield
 
 

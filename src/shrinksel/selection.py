@@ -7,7 +7,9 @@ draw by exact 1-D 2-means on the absolute coefficients, aggregate the
 counts by their mode, and pick that many variables off the posterior
 median of ``|beta_j|``. The baselines select from inclusion indicators
 (``hppm``, ``mpm``), credible intervals (``cs``), or shrinkage weights
-(``ht``).
+(``ht``). Given both ``s2m`` and ``2m``, :func:`run_selectors` sorts each
+row block once for the two, takes the ``2m`` count from ``s2m``'s first
+split, and takes each column median once.
 
 The selectors read the T x p draws in row or column blocks of about
 ``core._BLOCK_BYTES``, so their temporaries stay the size of a block
@@ -17,6 +19,8 @@ has the same bits as the whole-matrix numpy call.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +33,13 @@ from .core import (InvariantError, PosteriorDraws, SelectionResult, _blocks,
 
 #: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
 TWO_SIGMA_HAT = "2sigma2"
+
+
+def _checked_b(b) -> None:
+    """Refuse a gap threshold that is not one real number, finite and > 0."""
+    if (isinstance(b, bool) or not isinstance(b, numbers.Real)
+            or not (math.isfinite(b) and b > 0)):
+        raise InvariantError(f"numeric b must be a finite number > 0, got {b!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +60,8 @@ class S2mConfig:
             if self.b != TWO_SIGMA_HAT:
                 raise InvariantError(
                     f"b must be a positive number or {TWO_SIGMA_HAT!r}")
-        elif not (np.isfinite(self.b) and self.b > 0):
-            raise InvariantError("numeric b must be strictly positive")
+        else:
+            _checked_b(self.b)
         if not 0 < self.credible_level < 1:
             raise InvariantError("credible_level must lie in (0, 1)")
         if not 0 < self.kappa_threshold < 1:
@@ -131,9 +142,10 @@ def _best_splits(v, cs, cq, ss_lo, a):
             np.where(const, v[:, 0], s_hi[rows, i] / (a - k_best)))
 
 
-def _signal_counts(beta: np.ndarray, b=None) -> np.ndarray:
+def _signal_counts(beta: np.ndarray, b=None, h_2m=None) -> np.ndarray:
     """Per-row signal counts of ``|beta|``: plain 2-means, or s2m peeling
-    when b is set.
+    when b is set. With b set, an ``h_2m`` array also receives the plain
+    2-means counts, min(k, p - k) of each peel's first split.
 
     Rows go through in blocks of about ``core._BLOCK_BYTES`` of ``beta``,
     each taking its own ``|beta|``; within a block every row is split at
@@ -144,12 +156,15 @@ def _signal_counts(beta: np.ndarray, b=None) -> np.ndarray:
     if p < 2:
         raise InvariantError("need a vector of at least 2 values")
     h = np.empty(t, dtype=np.int64)
+    if b is None:
+        h_2m = h
     for block in _blocks(t, p):
         sums = _row_sums(np.abs(beta[block]))
         rows = np.arange(len(sums[0]))
         k, m, big = _best_splits(*sums, np.full(rows.size, p))
+        if h_2m is not None:
+            h_2m[block] = np.minimum(k, p - k)
         if b is None:
-            h[block] = np.minimum(k, p - k)
             continue
         noise = np.zeros(rows.size, dtype=np.int64)
         while rows.size:
@@ -217,8 +232,7 @@ def count_signals_s2m(abs_beta, b: float) -> int:
     the count is p (all variables declared signals); the loop also stops
     once the noise set is too small to re-cluster.
     """
-    if not (np.isfinite(b) and b > 0):
-        raise InvariantError("b must be strictly positive")
+    _checked_b(b)
     return int(_signal_counts(_checked_abs_values(abs_beta)[None, :], b)[0])
 
 
@@ -231,6 +245,11 @@ def aggregate_mode(h_counts) -> int:
     return int(values[np.argmax(counts)])
 
 
+def _median_order(draws: PosteriorDraws) -> np.ndarray:
+    """Columns by descending posterior median of ``|beta_j|``, ties first."""
+    return np.argsort(-_by_columns(_abs_median, draws.beta), kind="stable")
+
+
 def select_top_h(draws: PosteriorDraws, h: int) -> frozenset[int]:
     """1-based indices of the H largest posterior medians of ``|beta_j|``.
 
@@ -238,9 +257,7 @@ def select_top_h(draws: PosteriorDraws, h: int) -> frozenset[int]:
     """
     if not 0 <= h <= draws.p:
         raise InvariantError(f"H={h} outside 0..{draws.p}")
-    med = _by_columns(_abs_median, draws.beta)
-    order = np.argsort(-med, kind="stable")
-    return frozenset(int(j) + 1 for j in order[:h])
+    return frozenset(int(j) + 1 for j in _median_order(draws)[:h])
 
 
 def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
@@ -250,16 +267,24 @@ def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
     return float(cfg.b)
 
 
-def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> SelectionResult:
-    """Sequential-2-means selection over all retained draws."""
+def _s2m_counts(draws: PosteriorDraws, cfg: S2mConfig,
+                h_2m=None) -> np.ndarray:
+    """``s2m`` counts of every draw (and ``2m`` counts into ``h_2m``, when
+    given); warns once if any draw's first cluster gap is within b."""
     b = resolve_b(draws, cfg)
-    h = _signal_counts(draws.beta, b)
+    h = _signal_counts(draws.beta, b, h_2m)
     degenerate = int(np.sum(h == draws.p))
     if degenerate:
         warnings.warn(
             f"s2m declared every variable a signal in {degenerate} of "
             f"{draws.t} draws (first cluster gap within b={b:g}); consider "
-            f"a smaller b", stacklevel=2)
+            f"a smaller b", stacklevel=3)
+    return h
+
+
+def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> SelectionResult:
+    """Sequential-2-means selection over all retained draws."""
+    h = _s2m_counts(draws, cfg)
     return SelectionResult("s2m", select_top_h(draws, aggregate_mode(h)), h)
 
 
@@ -267,6 +292,18 @@ def select_2m(draws: PosteriorDraws) -> SelectionResult:
     """Plain 2-means selection over all retained draws."""
     h = _signal_counts(draws.beta)
     return SelectionResult("2m", select_top_h(draws, aggregate_mode(h)), h)
+
+
+def _select_s2m_and_2m(draws: PosteriorDraws, cfg: S2mConfig
+                       ) -> dict[str, SelectionResult]:
+    """The results of :func:`select_s2m` and :func:`select_2m` from one
+    sort of each row block, whose first split gives both counts, and one
+    posterior median per column."""
+    h_2m = np.empty(draws.t, dtype=np.int64)
+    h_s2m = _s2m_counts(draws, cfg, h_2m)
+    order = _median_order(draws)
+    return {tag: SelectionResult(tag, order[:aggregate_mode(h)] + 1, h)
+            for tag, h in (("s2m", h_s2m), ("2m", h_2m))}
 
 
 def _from_mask(method: str, mask) -> SelectionResult:
@@ -363,10 +400,17 @@ def run_selectors(draws: PosteriorDraws, methods, cfg: S2mConfig = S2mConfig()
     :class:`InvariantError` by which its selector refused the draws (``hppm``
     and ``mpm`` without ``z``, ``ht`` without ``lam``). Others propagate."""
     check_methods(methods)
+    shared = {}
+    if "s2m" in methods and "2m" in methods:
+        try:
+            shared = _select_s2m_and_2m(draws, cfg)
+        except InvariantError as exc:
+            shared = dict.fromkeys(("s2m", "2m"), str(exc))
     outcomes = {}
     for method in methods:
         try:
-            outcomes[method] = _SELECTORS[method][0](draws, cfg)
+            outcomes[method] = (shared[method] if method in shared
+                                else _SELECTORS[method][0](draws, cfg))
         except InvariantError as exc:
             outcomes[method] = str(exc)
     return outcomes

@@ -73,6 +73,26 @@ class TestMcmcConfig:
         with pytest.raises(InvariantError):
             McmcConfig(iterations=10, burn_in=2, seed=-1)
 
+    @pytest.mark.parametrize("fields", [
+        {"thin": 1.5}, {"iterations": 100.5, "burn_in": 10},
+        {"burn_in": 10.5}, {"seed": 1.5}, {"seed": True}, {"thin": True},
+        {"iterations": True, "burn_in": 0}, {"burn_in": np.False_},
+        {"seed": math.nan}, {"iterations": math.inf}, {"thin": None},
+    ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+    def test_refuses_fractional_or_bool_fields(self, fields):
+        # These used to be accepted, and fit then raised a raw TypeError
+        # (or ran a bool as 1).
+        with pytest.raises(InvariantError, match="expected an integer"):
+            McmcConfig(**fields)
+
+    def test_whole_numbers_are_kept_as_ints(self, signal_data):
+        mcmc = McmcConfig(iterations=20.0, burn_in=np.int64(10), thin=2.0,
+                          seed=0.0)
+        fields = (mcmc.iterations, mcmc.burn_in, mcmc.thin, mcmc.seed)
+        assert fields == (20, 10, 2, 0)
+        assert all(type(v) is int for v in fields)
+        assert fit(signal_data, PriorSpec.horseshoe(), mcmc).t == 5
+
 
 class TestHorseshoe:
     def test_recovers_strong_signal(self, signal_data):
@@ -512,6 +532,33 @@ def _reference_horseshoe(data, prior, mcmc, init, path):
                                 ("lam", lam), ("tau", tau)):
                 kept[name].append(value)
     return {name: np.array(v) for name, v in kept.items()}
+
+
+class TestStreamIdentities:
+    """The equalities of numpy's Philox streams that let the horseshoe sweep
+    draw what the reference loop draws with fewer, cheaper calls. A numpy
+    release that breaks one fails here by name."""
+
+    def test_standard_exponential_is_the_shape_one_gamma(self):
+        a, b = _rng(4), _rng(4)
+        assert np.array_equal(a.standard_exponential(size=257),
+                              b.standard_gamma(1.0, size=257))
+        out = np.empty(64)
+        a.standard_exponential(out=out)
+        assert np.array_equal(out, b.standard_gamma(1.0, size=64))
+        for _ in range(50):
+            assert a.standard_exponential() == b.standard_gamma(1.0)
+        assert np.array_equal(a.bit_generator.random_raw(4),
+                              b.bit_generator.random_raw(4))
+
+    def test_one_normal_call_is_two_in_a_row(self):
+        a, b = _rng(5), _rng(5)
+        e = np.empty(351)
+        a.standard_normal(out=e)
+        assert np.array_equal(e, np.concatenate([b.standard_normal(301),
+                                                 b.standard_normal(50)]))
+        assert np.array_equal(a.bit_generator.random_raw(4),
+                              b.bit_generator.random_raw(4))
 
 
 class TestHorseshoeAgainstReferenceLoop:

@@ -1,5 +1,6 @@
 """Selector behavior: clustering counts, aggregation, baselines, properties."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +122,16 @@ class TestCounts:
     def test_count_rejects_bad_b(self):
         with pytest.raises(InvariantError):
             count_signals_s2m(np.array([1.0, 2.0]), 0.0)
+
+    @pytest.mark.parametrize("b", [True, np.True_, np.array([1.0, 2.0]),
+                                   [1.0], None, np.nan])
+    def test_bool_or_non_scalar_b_refused(self, b):
+        # A bool used to count as b = 1.0, and an array raised numpy's
+        # "truth value of an array is ambiguous" ValueError.
+        with pytest.raises(InvariantError, match="finite number > 0"):
+            count_signals_s2m(np.array([1.0, 2.0, 9.0]), b)
+        with pytest.raises(InvariantError, match="finite number > 0"):
+            S2mConfig(b=b)
 
 
 class TestAggregateMode:
@@ -433,6 +444,52 @@ class TestRunSelectors:
             alone = run_selector(draws, m, S2mConfig(b=1.0))
             assert (outcomes[m].method, outcomes[m].selected,
                     outcomes[m].h_mode) == (m, alone.selected, alone.h_mode)
+
+    @pytest.mark.parametrize("many_blocks", [False, True],
+                             ids=["one-block", "many-blocks"])
+    @pytest.mark.parametrize("family", ["horseshoe", "spike-slab"])
+    def test_shared_clustering_pass_equals_single_selectors(
+            self, monkeypatch, family, many_blocks):
+        # run_selectors sorts each row block once for s2m and 2m together;
+        # every result must be the one its selector gives alone. The draws
+        # hold constant rows and rows whose first gap is within b.
+        if many_blocks:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 40 * 16)
+        rng = np.random.default_rng(31)
+        t, p = 300, 40
+        beta = _awkward_draws(rng, t, p)
+        beta[:5] = 0.7
+        if family == "horseshoe":
+            latents = {"lam": rng.exponential(size=(t, p)),
+                       "tau": rng.uniform(0.1, 1.0, t)}
+            methods = ["cs", "2m", "ht", "s2m"]
+        else:
+            latents = {"z": (rng.random((t, p)) < 0.2).astype(np.int64),
+                       "pi": rng.uniform(0.5, 0.9, t)}
+            methods = ["s2m", "hppm", "2m", "mpm", "cs"]
+        d = draws_from_beta(beta, sigma2=rng.uniform(0.1, 3.0, t), **latents)
+        for b in (0.05, 2.0, 30.0, S2mConfig().b):
+            cfg = S2mConfig(b=b)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes = run_selectors(d, methods, cfg)
+            assert [str(w.message).startswith("s2m declared every variable")
+                    for w in caught] == [True]
+            assert list(outcomes) == methods
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                alone = {m: run_selector(d, m, cfg) for m in methods}
+            for m in methods:
+                assert outcomes[m].selected == alone[m].selected, (m, b)
+                assert np.array_equal(outcomes[m].h_counts,
+                                      alone[m].h_counts), (m, b)
+
+    def test_shared_clustering_pass_refuses_as_each_selector(self):
+        outcomes = run_selectors(draws_from_beta([[1.0], [2.0]]),
+                                 ["2m", "cs", "s2m"])
+        assert outcomes["2m"] == outcomes["s2m"] == (
+            "need a vector of at least 2 values")
+        assert outcomes["cs"].selected == frozenset({1})
 
     @pytest.mark.parametrize("methods,message", [
         (["s2m", "2m", "s2m"], r"\['s2m'\] given more than once"),

@@ -269,9 +269,11 @@ class TestRunBenchmark:
         # Only a selector's refusal of the draws (InvariantError) is a
         # recorded failure. Any other error used to be recorded too: the
         # run warned "2m: 2 of 2 replicates failed" and returned NaN means.
+        # s2m and 2m run together share one pass, which ends, as each
+        # does alone, in the order of the columns' posterior medians.
         def broken(draws):
             raise ZeroDivisionError("integer division or modulo by zero")
-        monkeypatch.setattr(selection, "select_2m", broken)
+        monkeypatch.setattr(selection, "_median_order", broken)
         cfg = SimConfig(n=20, p=5, r=1, strengths=(5.0,),
                         seed=3, replicates=2)
         with pytest.raises(ZeroDivisionError):
