@@ -11,9 +11,9 @@ while a global-only prior provably cannot.
 
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS,
                    PosteriorDraws, PriorSpec, SPIKE_SLAB, SelectionResult,
-                   load_draws, save_draws)
+                   TWO_SIGMA_HAT, load_draws, save_draws)
 from .samplers import McmcConfig, fit
-from .selection import (S2mConfig, TWO_SIGMA_HAT, TwoMeansSplit,
+from .selection import (S2mConfig, TwoMeansSplit,
                         aggregate_mode, count_signals_2m, count_signals_s2m,
                         kmeans2_1d, run_selector, select_2m, select_credible,
                         select_hppm, select_ht, select_mpm, select_s2m,

@@ -10,7 +10,8 @@ failure, 2 on user/config errors.
 A config file holds one section per config dataclass (``sim``, ``prior``,
 ``mcmc``, ``selection``) whose keys are exactly that dataclass's fields,
 plus a top-level ``methods`` list. Each field has one flag, ``--field-name``
-unless ``_FLAGS`` names another, whose argparse ``dest`` is the field.
+unless ``_FLAGS`` names another, typed by the field's kind. The dataclass
+checks every value, so the CLI exits 2 on exactly what the library refuses.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
-from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
-                   _positive_int, _table_lines, atomic_write_lines, load_draws,
-                   load_matrix_csv, save_draws, save_matrix_csv)
+                   TWO_SIGMA_HAT, _GRID_A, _GRID_RHO, _NON_ZERO_REAL,
+                   _POSITIVE_REAL, _number_list, _positive_int, _table_lines,
+                   atomic_write_lines, load_draws, load_matrix_csv, save_draws,
+                   save_matrix_csv)
 from .samplers import McmcConfig, fit
-from .selection import (S2mConfig, TWO_SIGMA_HAT, check_methods,
-                        read_selection_report, resolve_b, run_selectors,
-                        write_selection_report)
+from .selection import (S2mConfig, check_methods, read_selection_report,
+                        resolve_b, run_selectors, write_selection_report)
 from .shrinkage import (DEFAULT_A_GRID, DEFAULT_RHO_GRID, DEFAULT_TAU_GRID,
                         reverse_shrinkage_grid, write_grid_csv)
 from .simulate import (SimConfig, format_benchmark_table, gen_design,
@@ -93,55 +94,20 @@ def _load_config(path):
     return cfg
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _coerce(value, hint, where: str):
-    """``value`` checked against the field type ``hint``.
-
-    bool takes only true/false and int only integers; a number for a float
-    field becomes a float and for a tuple field a one-item tuple. A Union
-    field keeps a number as written (a JSON 2 stays 2), takes
-    'none'/'off' as null when optional, and takes any string when ``str``
-    is a member (the dataclass checks which).
-    """
-    if get_origin(hint) is Union:
-        options = get_args(hint)
-        if type(None) in options and (value is None or str(value).lower()
-                                      in ("none", "off")):
-            return None
-        if _is_number(value) or (str in options and isinstance(value, str)):
-            return value
-    elif get_origin(hint) is tuple:
-        items = value if isinstance(value, list) else [value]
-        if all(_is_number(v) for v in items):
-            return tuple(float(v) for v in items)
-    elif hint in (int, float):
-        if _is_number(value) and (hint is float or isinstance(value, int)):
-            return hint(value)
-    elif isinstance(value, hint):
-        return value
-    name = hint.__name__ if isinstance(hint, type) else \
-        str(hint).replace("typing.", "")
-    raise UsageError(f"{where}: {value!r} is not a valid {name}")
-
-
 def _build(section: str, config: dict, args):
-    """A section's config dataclass: JSON values, then non-None flags."""
+    """A section's config dataclass from its JSON values and set flags."""
     cls = _SECTIONS[section]
-    hints = get_type_hints(cls)
     values = {**_DEFAULTS.get(section, {}), **config.get(section, {})}
-    for name in hints:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    kwargs = {k: _coerce(v, hints[k], f"{section}.{k}")
-              for k, v in values.items()}
     for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING:
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+        elif f.name not in values and f.default is MISSING:
             raise UsageError(f"{section}.{f.name} is required "
                              f"(flag or config)")
-    return cls(**kwargs)
+    try:
+        return cls(**values)
+    except InvariantError as exc:
+        raise UsageError(f"{section}.{exc}") from None
 
 
 def _check_out(out) -> None:
@@ -160,18 +126,11 @@ def _out_dir(args) -> str:
     return out
 
 
-def _jobs(args) -> int:
-    return 1 if args.jobs is None else _positive_int(args.jobs, "--jobs")
-
-
 def _float_list(text: str) -> list[float]:
     """argparse type for a non-empty comma list of numbers."""
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    values = _number_list(text)
+    if not values or any(isinstance(v, str) for v in values):
+        raise argparse.ArgumentTypeError(f"malformed list {text!r}")
     return values
 
 
@@ -184,14 +143,6 @@ class _OneCommaList(argparse.Action):
             parser.error(f"{option_string} given more than once: pass its "
                          f"values as one comma list")
         setattr(namespace, self.dest, values)
-
-
-def _number_or_word(text: str):
-    """argparse type for a Union field: a float if the text parses, else it."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def _methods_list(args, config, default) -> list[str]:
@@ -304,7 +255,7 @@ def cmd_bench(args) -> int:
     default_methods = ("s2m,2m,cs,ht" if prior.family == HORSESHOE
                        else "s2m,2m,hppm,mpm")
     methods = _methods_list(args, config, default=default_methods)
-    jobs = _jobs(args)
+    jobs = _positive_int(args.jobs, "--jobs")
     out = _out_dir(args)
     setting = "cor" if cfg.correlated else "uncor"
     start = time.perf_counter()
@@ -324,22 +275,20 @@ def cmd_bench(args) -> int:
 
 def cmd_shrinkmap(args) -> int:
     x2_values = args.x2 or [1.0]
+    for flag, values, kind in (("--x2", x2_values, _NON_ZERO_REAL),
+                               ("--rho", args.rho, _GRID_RHO),
+                               ("--tau", args.tau, _POSITIVE_REAL),
+                               ("--a", args.a, _GRID_A)):
+        for v in values:
+            if not kind.ok(v):
+                raise UsageError(f"{flag} {v:g}: must be {kind.rule}")
     names = {}
     for x2 in x2_values:
-        if not (np.isfinite(x2) and x2 != 0):
-            raise UsageError(f"--x2 {x2:g}: must be finite and nonzero")
         name = f"shrink_grid_x2_{x2:g}.csv"
         if name in names:
             raise UsageError(f"--x2 {names[name]!r} and --x2 {x2!r} both "
                              f"write {name}")
         names[name] = x2
-    for flag, values, ok, rule in (
-            ("--rho", args.rho, lambda v: 0 <= v < 1, "in [0, 1)"),
-            ("--tau", args.tau, lambda v: v > 0, "> 0"),
-            ("--a", args.a, lambda v: v >= 1, ">= 1")):
-        for v in values:
-            if not (np.isfinite(v) and ok(v)):
-                raise UsageError(f"{flag} {v:g}: must be finite and {rule}")
     out = _out_dir(args)
     written = []
     for name, x2 in names.items():
@@ -359,23 +308,18 @@ def cmd_shrinkmap(args) -> int:
 
 
 def _add_config_flags(parser, *sections, skip=()) -> None:
-    """Add one flag per field of each section, its dest the field name.
-
-    A tuple field takes a comma list, a Union a number or a word, a bool
-    ``--x``/``--no-x``; ``skip`` holds ``section.field`` names left out.
-    """
+    """Add one flag per field of each section, its dest the field name and
+    its type its kind's parse (a true/false field takes ``--x``/``--no-x``);
+    ``skip`` holds ``section.field`` names left out."""
     for section in sections:
-        for name, hint in get_type_hints(_SECTIONS[section]).items():
+        for name, kind in _SECTIONS[section]._KINDS.items():
             if f"{section}.{name}" in skip:
                 continue
             flag, help_text = _FLAGS.get(name, (None, None))
-            if hint is bool:
-                kind = {"action": argparse.BooleanOptionalAction}
-            else:
-                kind = {"type": {Union: _number_or_word, tuple: _float_list}
-                        .get(get_origin(hint), hint)}
+            how = ({"action": argparse.BooleanOptionalAction}
+                   if kind.parse is None else {"type": kind.parse})
             parser.add_argument(flag or "--" + name.replace("_", "-"),
-                                dest=name, help=help_text, **kind)
+                                dest=name, help=help_text, **how)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -424,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="seeded replicate benchmark",
                         parents=[out_flag, config_flag, methods])
     _add_config_flags(sp, *_SECTIONS, skip=("mcmc.seed",))
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("shrinkmap", help="reverse-shrinkage classification grid",

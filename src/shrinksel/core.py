@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -36,6 +38,8 @@ PRIOR_FAMILIES = (HORSESHOE, SPIKE_SLAB)
 
 #: Selector tags understood by the selection module and the CLI.
 METHODS = ("s2m", "2m", "hppm", "mpm", "cs", "ht")
+#: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
+TWO_SIGMA_HAT = "2sigma2"
 
 # One float64 survives a text round trip at 17 significant digits.
 _FLOAT_FMT = "%.17g"
@@ -164,6 +168,113 @@ def _set_read_only(obj, **arrays: np.ndarray) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def _positive_int(value, where: str, least: int = 1) -> int:
+    """``value`` as an integer >= ``least``, else InvariantError naming
+    ``where``: the one rule for a 1-based index or a count. Text must spell
+    an integer; a number must be whole and not a bool (``2.0`` passes,
+    ``1.5`` and NaN do not)."""
+    try:
+        number = int(value)
+        whole = isinstance(value, str) or number == value
+    except (TypeError, ValueError, OverflowError):
+        number, whole = 0, False
+    if isinstance(value, (bool, np.bool_)) or not whole or number < least:
+        raise InvariantError(
+            f"{where}: expected an integer >= {least}, got {value!r}")
+    return number
+
+
+def _number_or_text(text: str):
+    """A flag's text as a float, or as itself when it spells none."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _number_list(text: str) -> list:
+    """A flag's comma list, each item read by :func:`_number_or_text`."""
+    return [_number_or_text(t) for t in text.split(",") if t.strip()]
+
+
+class _Kind(NamedTuple):
+    """What one config field takes: the values that pass ``ok``, kept as
+    ``store`` gives them. ``parse`` reads a flag's text as a value; None
+    marks a true/false field, set by ``--x`` and ``--no-x``."""
+
+    rule: str  # the domain, as messages state it
+    ok: Callable[[object], bool]
+    store: Callable = lambda v: v
+    parse: Optional[Callable[[str], object]] = float
+
+
+def _real(rule: str, ok: Callable[[float], bool]) -> _Kind:
+    """A finite real number, not a bool, that passes ``ok``; kept as a float."""
+    return _Kind(rule, lambda v: isinstance(v, numbers.Real) and not
+                 isinstance(v, bool) and math.isfinite(v) and ok(v), float)
+
+
+def _count(least: int) -> _Kind:
+    """A whole number >= ``least`` by :func:`_positive_int`, but not text."""
+    return _Kind(f"an integer >= {least}", lambda v: not isinstance(v, str),
+                 partial(_positive_int, where="", least=least), int)
+
+
+#: The kinds of config field. Each config dataclass names its fields'
+#: kinds in ``_KINDS``; the CLI takes its flags' types from them, and
+#: ``shrinkmap`` checks its grid values by them.
+_COUNT = _count(1)
+_COUNT_0 = _count(0)
+_SEED = _Kind("an integer in [0, 2**64)",
+              lambda v: _COUNT_0.ok(v) and _COUNT_0.store(v) < 2 ** 64,
+              _COUNT_0.store, int)
+_POSITIVE_REAL = _real("a finite number > 0", lambda v: v > 0)
+_NON_NEGATIVE_REAL = _real("a finite number >= 0", lambda v: v >= 0)
+_UNIT_INTERVAL = _real("a number in (0, 1)", lambda v: 0 < v < 1)
+_NON_ZERO_REAL = _real("a finite non-zero number", lambda v: v != 0)
+_GRID_RHO = _real("a number in [0, 1)", lambda v: 0 <= v < 1)
+_GRID_A = _real("a finite number >= 1", lambda v: v >= 1)
+_FLAG = _Kind("true or false", lambda v: isinstance(v, bool), parse=None)
+_PRIOR_FAMILY = _Kind(f"one of {PRIOR_FAMILIES}",
+                      lambda v: v in PRIOR_FAMILIES, parse=str)
+#: A finite number > 0, or none: None, or the word "none" or "off".
+_OPTIONAL_POSITIVE_REAL = _Kind(
+    f"{_POSITIVE_REAL.rule} or none", lambda v: v is None
+    or _POSITIVE_REAL.ok(v) or str(v).lower() in ("none", "off"),
+    lambda v: float(v) if _POSITIVE_REAL.ok(v) else None, _number_or_text)
+#: s2m's b: a number kept as given (a JSON 2 stays 2), or the rule's word.
+_S2M_B = _Kind(f"{_POSITIVE_REAL.rule} or {TWO_SIGMA_HAT!r}",
+               lambda v: v == TWO_SIGMA_HAT if isinstance(v, str)
+               else _POSITIVE_REAL.ok(v), parse=_number_or_text)
+_NON_ZERO_REALS = _Kind(
+    f"{_NON_ZERO_REAL.rule} or a non-empty list of them",
+    lambda v: _NON_ZERO_REAL.ok(v) or not isinstance(v, str)
+    and len(v) > 0 and all(map(_NON_ZERO_REAL.ok, v)),
+    lambda v: (float(v),) if _NON_ZERO_REAL.ok(v) else tuple(map(float, v)),
+    _number_list)
+
+
+def _checked(value, name: str, kind: _Kind):
+    """``value`` as ``kind`` keeps it, else InvariantError naming ``name``."""
+    try:
+        if kind.ok(value):
+            return kind.store(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvariantError(f"{name}: {value!r} is not {kind.rule}")
+
+
+class _Config:
+    """Base of the frozen config dataclasses: keeps each field as the kind
+    its class's ``_KINDS`` names stores it, else raises InvariantError
+    naming it. Cross-field rules follow in a subclass's ``__post_init__``."""
+
+    def __post_init__(self):
+        for name, kind in self._KINDS.items():
+            object.__setattr__(self, name,
+                               _checked(getattr(self, name), name, kind))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A Gaussian linear-regression problem: response ``y``, design ``x``.
@@ -212,7 +323,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Config):
     """Shrinkage-prior family and hyperparameters.
 
     ``tau_upper`` truncates the global variance scale of the horseshoe
@@ -230,18 +341,9 @@ class PriorSpec:
     ss_beta_a: float = 1.0
     ss_beta_b: float = 15.0
 
-    def __post_init__(self):
-        if self.family not in PRIOR_FAMILIES:
-            raise InvariantError(
-                f"unknown prior family {self.family!r}; expected one of "
-                f"{PRIOR_FAMILIES}")
-        for name in ("ig_shape", "ig_scale", "ss_beta_a", "ss_beta_b"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvariantError(f"{name} must be strictly positive")
-        if self.tau_upper is not None:
-            if not (np.isfinite(self.tau_upper) and self.tau_upper > 0):
-                raise InvariantError("tau_upper must be strictly positive")
+    _KINDS = {"family": _PRIOR_FAMILY, "tau_upper": _OPTIONAL_POSITIVE_REAL,
+              "ig_shape": _POSITIVE_REAL, "ig_scale": _POSITIVE_REAL,
+              "ss_beta_a": _POSITIVE_REAL, "ss_beta_b": _POSITIVE_REAL}
 
     @classmethod
     def horseshoe(cls, **kwargs) -> "PriorSpec":
@@ -405,22 +507,6 @@ def _indexed_block(names: dict[str, int], stem: str,
     pos = [names[found[i]] for i in range(1, k + 1)]
     return slice(pos[0], pos[0] + k) if pos == list(
         range(pos[0], pos[0] + k)) else pos
-
-
-def _positive_int(value, where: str, least: int = 1) -> int:
-    """``value`` as an integer >= ``least``, else InvariantError naming
-    ``where``: the one rule for a 1-based index or a count. Text must spell
-    an integer; a number must be whole and not a bool (``2.0`` passes,
-    ``1.5`` and NaN do not)."""
-    try:
-        number = int(value)
-        whole = isinstance(value, str) or number == value
-    except (TypeError, ValueError, OverflowError):
-        number, whole = 0, False
-    if isinstance(value, (bool, np.bool_)) or not whole or number < least:
-        raise InvariantError(
-            f"{where}: expected an integer >= {least}, got {value!r}")
-    return number
 
 
 def _table_lines(fh, path: str, first_line: int,

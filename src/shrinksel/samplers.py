@@ -53,7 +53,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .core import (Dataset, HORSESHOE, InvariantError, PosteriorDraws,
-                   PriorSpec, _LATENTS, _positive_int, _rng)
+                   PriorSpec, _COUNT, _COUNT_0, _Config, _LATENTS, _SEED, _rng)
 
 _TINY = 1e-300
 _TAU_REJECTION_TRIES = 100
@@ -65,7 +65,7 @@ class NonFiniteStateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class McmcConfig:
+class McmcConfig(_Config):
     """Run schedule: total iterations, burn-in to discard, thinning, seed."""
 
     iterations: int = 5000
@@ -73,17 +73,15 @@ class McmcConfig:
     seed: int = 0
     thin: int = 1
 
+    _KINDS = {"iterations": _COUNT, "burn_in": _COUNT_0, "seed": _SEED,
+              "thin": _COUNT}
+
     def __post_init__(self):
-        for name, least in (("iterations", 1), ("burn_in", 0), ("thin", 1),
-                            ("seed", 0)):
-            object.__setattr__(self, name, _positive_int(
-                getattr(self, name), name, least))
+        super().__post_init__()
         if not self.burn_in < self.iterations:
             raise InvariantError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.retained < 1:
-            raise InvariantError("no draws retained; enlarge iterations")
-        if not self.seed < 2 ** 64:
-            raise InvariantError("seed must be a 64-bit unsigned integer")
+            raise InvariantError("iterations - burn_in < thin: no draws retained")
 
     @property
     def retained(self) -> int:

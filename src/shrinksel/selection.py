@@ -19,8 +19,6 @@ has the same bits as the whole-matrix numpy call.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -28,22 +26,14 @@ from typing import Union
 
 import numpy as np
 
-from .core import (InvariantError, PosteriorDraws, SelectionResult, _blocks,
-                   _positive_int, _table_lines, atomic_write_lines)
-
-#: Symbolic tuning rule: b = 2 * posterior median of the sigma2 draws.
-TWO_SIGMA_HAT = "2sigma2"
-
-
-def _checked_b(b) -> None:
-    """Refuse a gap threshold that is not one real number, finite and > 0."""
-    if (isinstance(b, bool) or not isinstance(b, numbers.Real)
-            or not (math.isfinite(b) and b > 0)):
-        raise InvariantError(f"numeric b must be a finite number > 0, got {b!r}")
+from .core import (InvariantError, PosteriorDraws, SelectionResult,
+                   TWO_SIGMA_HAT, _Config, _POSITIVE_REAL, _S2M_B,
+                   _UNIT_INTERVAL, _blocks, _checked, _positive_int,
+                   _table_lines, atomic_write_lines)
 
 
 @dataclass(frozen=True)
-class S2mConfig:
+class S2mConfig(_Config):
     """Tuning knobs shared by the selectors.
 
     ``b`` is the sequential-2-means gap threshold, either a positive number
@@ -55,17 +45,8 @@ class S2mConfig:
     credible_level: float = 0.95
     kappa_threshold: float = 0.5
 
-    def __post_init__(self):
-        if isinstance(self.b, str):
-            if self.b != TWO_SIGMA_HAT:
-                raise InvariantError(
-                    f"b must be a positive number or {TWO_SIGMA_HAT!r}")
-        else:
-            _checked_b(self.b)
-        if not 0 < self.credible_level < 1:
-            raise InvariantError("credible_level must lie in (0, 1)")
-        if not 0 < self.kappa_threshold < 1:
-            raise InvariantError("kappa_threshold must lie in (0, 1)")
+    _KINDS = {"b": _S2M_B, "credible_level": _UNIT_INTERVAL,
+              "kappa_threshold": _UNIT_INTERVAL}
 
 
 @dataclass(frozen=True)
@@ -232,7 +213,7 @@ def count_signals_s2m(abs_beta, b: float) -> int:
     the count is p (all variables declared signals); the loop also stops
     once the noise set is too small to re-cluster.
     """
-    _checked_b(b)
+    _checked(b, "b", _POSITIVE_REAL)
     return int(_signal_counts(_checked_abs_values(abs_beta)[None, :], b)[0])
 
 
@@ -341,8 +322,7 @@ def select_mpm(draws: PosteriorDraws) -> SelectionResult:
 
 def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResult:
     """Variables whose equal-tailed credible interval excludes zero."""
-    if not 0 < level < 1:
-        raise InvariantError("level must lie in (0, 1)")
+    _checked(level, "level", _UNIT_INTERVAL)
     alpha = 1.0 - level
     lo, hi = _by_columns(
         lambda blk: np.quantile(blk, [alpha / 2, 1 - alpha / 2], axis=0),
@@ -358,8 +338,7 @@ def select_ht(draws: PosteriorDraws, threshold: float = 0.5) -> SelectionResult:
     """
     if draws.lam is None:
         raise InvariantError("ht needs lambda draws (horseshoe chains)")
-    if not 0 < threshold < 1:
-        raise InvariantError("threshold must lie in (0, 1)")
+    _checked(threshold, "threshold", _UNIT_INTERVAL)
     kappa = _by_columns(_mean_weight, draws.lam)
     return _from_mask("ht", kappa < threshold)
 

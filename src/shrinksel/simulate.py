@@ -24,14 +24,15 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.random import Generator, SeedSequence
 
-from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec,
-                   _map_jobs, _positive_int, _present, _rng,
-                   atomic_write_lines)
+from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec, _COUNT,
+                   _Config, _FLAG, _NON_NEGATIVE_REAL, _NON_ZERO_REALS, _SEED,
+                   _UNIT_INTERVAL, _checked, _map_jobs, _positive_int,
+                   _present, _rng, atomic_write_lines)
 from .samplers import McmcConfig, NonFiniteStateError, fit
 from .selection import S2mConfig, check_methods, run_selectors
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Config):
     """One synthetic-benchmark setting.
 
     ``strengths`` lists the nonzero coefficients (length ``r``; a single
@@ -57,36 +58,26 @@ class SimConfig:
     seed: int = 0
     replicates: int = 5
 
+    _KINDS = {"n": _COUNT, "p": _COUNT, "r": _COUNT,
+              "strengths": _NON_ZERO_REALS, "correlated": _FLAG,
+              "cor_pairs": _COUNT, "cor_target": _UNIT_INTERVAL,
+              "noise_sd": _NON_NEGATIVE_REAL, "intercept": _FLAG,
+              "seed": _SEED, "replicates": _COUNT}
+
     def __post_init__(self):
-        if min(self.n, self.p, self.r) < 1:
-            raise InvariantError("n, p and r must be positive")
+        super().__post_init__()
         if self.r > self.p:
             raise InvariantError(f"r={self.r} exceeds p={self.p}")
-        strengths = tuple(float(s) for s in self.strengths)
-        if len(strengths) == 1:
-            strengths *= self.r
-        if len(strengths) != self.r:
-            raise InvariantError(
-                f"{len(strengths)} strengths given for r={self.r} signals")
-        if not all(np.isfinite(s) and s != 0 for s in strengths):
-            raise InvariantError("strengths must be finite and nonzero")
-        object.__setattr__(self, "strengths", strengths)
+        if len(self.strengths) == 1:
+            object.__setattr__(self, "strengths", self.strengths * self.r)
+        if len(self.strengths) != self.r:
+            raise InvariantError(f"strengths has {len(self.strengths)} "
+                                 f"values for r={self.r} signals")
         if self.correlated:
-            if not 1 <= self.cor_pairs <= self.r:
-                raise InvariantError("cor_pairs must lie in 1..r")
-            if self.cor_pairs > self.p - self.r:
-                raise InvariantError(
-                    "not enough noise columns for the requested pairs")
-            if not 0 < self.cor_target < 1:
-                raise InvariantError("cor_target must lie in (0, 1)")
+            if self.cor_pairs > min(self.r, self.p - self.r):
+                raise InvariantError("cor_pairs must lie in 1..min(r, p - r)")
             if self.n < 3:
-                raise InvariantError("a correlated design needs n >= 3")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise InvariantError("noise_sd must be nonnegative")
-        if self.replicates < 1:
-            raise InvariantError("replicates must be positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvariantError("seed must be a 64-bit unsigned integer")
+                raise InvariantError("n >= 3 is needed for a correlated design")
 
 
 @dataclass(frozen=True)
@@ -179,8 +170,7 @@ def gen_response(x: np.ndarray, truth, strengths,
         raise InvariantError("truth indices outside design columns")
     if not all(np.isfinite(strengths)):
         raise InvariantError("strengths must be finite")
-    if not (np.isfinite(noise_sd) and noise_sd >= 0):
-        raise InvariantError("noise_sd must be finite and nonnegative")
+    noise_sd = _checked(noise_sd, "noise_sd", _NON_NEGATIVE_REAL)
     beta = np.zeros(x.shape[1])
     for j, s in zip(truth_sorted, strengths):
         beta[j - 1] = s

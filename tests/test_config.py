@@ -1,13 +1,15 @@
-"""The CLI config layer: strict JSON values and the resolved-config record."""
+"""Config values: one rule per field kind, from a call or the CLI alike, and
+the resolved-config record."""
 
 import argparse
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from shrinksel import McmcConfig, PriorSpec, S2mConfig, SimConfig
-from shrinksel.cli import _build_parser, main
+from shrinksel import InvariantError, McmcConfig, PriorSpec, S2mConfig, SimConfig
+from shrinksel.cli import _SECTIONS, _build_parser, main
 
 SIM_FLAGS = ("-n", "10", "-p", "4", "-r", "1", "--strengths", "3")
 
@@ -22,7 +24,7 @@ def run_simulate(tmp_path, config, *flags):
 class TestStrictValues:
     @pytest.mark.parametrize("key, value", [
         ("n", "fifty"), ("strengths", ["x"]), ("strengths", "3"),
-        ("seed", 2.0), ("noise_sd", "1"), ("noise_sd", True),
+        ("noise_sd", "1"), ("noise_sd", True),
     ])
     def test_wrong_type_names_section_and_key(self, tmp_path, capsys, key,
                                               value):
@@ -86,6 +88,96 @@ class TestStrictValues:
     def test_unused_section_is_still_checked(self, tmp_path, capsys):
         assert run_simulate(tmp_path, {"mcmc": {"iters": 10}}, *SIM_FLAGS) == 2
         assert "mcmc: unknown key(s) ['iters']" in capsys.readouterr().err
+
+
+#: Each config dataclass's section name in a config file.
+SECTION_OF = {cls: name for name, cls in _SECTIONS.items()}
+#: Values for each class's required fields, and a tiny bench config of them.
+BASE = {SimConfig: {"n": 10, "p": 4, "r": 1, "strengths": [3.0],
+                    "replicates": 1},
+        PriorSpec: {"family": "horseshoe"},
+        McmcConfig: {"iterations": 20, "burn_in": 5}, S2mConfig: {}}
+TINY_BENCH = {"sim": BASE[SimConfig], "mcmc": BASE[McmcConfig],
+              "methods": ["s2m"]}
+
+#: (class, field, value) that the class refuses, from a call or a config
+#: file alike. The values are JSON values: a list stands for a tuple.
+REFUSED = [
+    (SimConfig, "n", 20.5), (SimConfig, "seed", 1.5), (SimConfig, "r", True),
+    (SimConfig, "replicates", 2.5), (SimConfig, "cor_pairs", 1.5),
+    (SimConfig, "correlated", 1), (SimConfig, "intercept", "yes"),
+    (SimConfig, "noise_sd", True), (SimConfig, "strengths", [True]),
+    (SimConfig, "strengths", []), (SimConfig, "seed", 2 ** 64),
+    (SimConfig, "cor_target", 1.0),
+    (PriorSpec, "ig_shape", True), (PriorSpec, "ss_beta_b", True),
+    (PriorSpec, "tau_upper", True), (PriorSpec, "ig_scale", "2"),
+    (PriorSpec, "family", "lasso"),
+    (McmcConfig, "thin", 1.5), (McmcConfig, "burn_in", "10"),
+    (S2mConfig, "credible_level", "0.9"), (S2mConfig, "b", True),
+    (S2mConfig, "b", "3sigma2"), (S2mConfig, "kappa_threshold", 0),
+]
+#: (class, field, value, the value kept, in type and value) that the class
+#: accepts.
+ACCEPTED = [
+    (SimConfig, "seed", 2.0, 2), (McmcConfig, "iterations", 30.0, 30),
+    (SimConfig, "replicates", np.int64(10), 10),
+    (SimConfig, "noise_sd", 1, 1.0), (PriorSpec, "ig_shape", 2, 2.0),
+    (S2mConfig, "b", 2, 2), (S2mConfig, "b", "2sigma2", "2sigma2"),
+    (PriorSpec, "tau_upper", "none", None), (PriorSpec, "tau_upper", None, None),
+    (SimConfig, "strengths", 5, (5.0,)),
+]
+JSON_ACCEPTED = [row for row in ACCEPTED if not isinstance(row[2], np.generic)]
+
+
+def row_ids(rows) -> list[str]:
+    return ["-".join([cls.__name__, key, str(value)])
+            for cls, key, value, *_ in rows]
+
+
+def bench_setting(tmp_path, cls, key, value):
+    """The exit code and ``--out`` of a tiny bench run whose config file
+    sets ``key`` of ``cls``'s section to ``value``."""
+    section = SECTION_OF[cls]
+    config = {**TINY_BENCH,
+              section: {**TINY_BENCH.get(section, {}), key: value}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return main(["bench", "--config", str(path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("cls, key, value", REFUSED, ids=row_ids(REFUSED))
+def test_refused_at_construction(cls, key, value):
+    with pytest.raises(InvariantError, match=f"^{key}: "):
+        cls(**{**BASE[cls], key: value})
+
+
+@pytest.mark.parametrize("cls, key, value", REFUSED, ids=row_ids(REFUSED))
+def test_refused_through_a_config(tmp_path, capsys, cls, key, value):
+    code, out = bench_setting(tmp_path, cls, key, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{SECTION_OF[cls]}.{key}: {value!r} is not" in err
+    assert "internal error" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("cls, key, value, kept", ACCEPTED,
+                         ids=row_ids(ACCEPTED))
+def test_accepted_value_kept(cls, key, value, kept):
+    stored = getattr(cls(**{**BASE[cls], key: value}), key)
+    assert stored == kept and type(stored) is type(kept)
+
+
+@pytest.mark.parametrize("cls, key, value, kept", JSON_ACCEPTED,
+                         ids=row_ids(JSON_ACCEPTED))
+def test_accepted_value_kept_through_a_config(tmp_path, cls, key, value,
+                                              kept):
+    code, out = bench_setting(tmp_path, cls, key, value)
+    assert code == 0
+    resolved = json.loads((out / "bench_resolved.json").read_text())
+    kept = list(kept) if isinstance(kept, tuple) else kept
+    stored = resolved[SECTION_OF[cls]][key]
+    assert stored == kept and type(stored) is type(kept)
 
 
 #: ``bench_resolved.json`` for PINNED_CONFIG plus PINNED_FLAGS, byte for

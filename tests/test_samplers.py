@@ -82,7 +82,7 @@ class TestMcmcConfig:
     def test_refuses_fractional_or_bool_fields(self, fields):
         # These used to be accepted, and fit then raised a raw TypeError
         # (or ran a bool as 1).
-        with pytest.raises(InvariantError, match="expected an integer"):
+        with pytest.raises(InvariantError, match="is not an integer"):
             McmcConfig(**fields)
 
     def test_whole_numbers_are_kept_as_ints(self, signal_data):
