@@ -185,7 +185,7 @@ def _positive_int(value, where: str, least: int = 1) -> int:
 
 
 def _number_or_text(text: str):
-    """A flag's text as a float, or as itself when it spells none."""
+    """A flag's text as a float, or as itself when it is not a number."""
     try:
         return float(text)
     except ValueError:
