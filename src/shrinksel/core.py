@@ -239,8 +239,9 @@ _PRIOR_FAMILY = _Kind(f"one of {PRIOR_FAMILIES}",
                       lambda v: v in PRIOR_FAMILIES, parse=str)
 #: A finite number > 0, or none: None, or the word "none" or "off".
 _OPTIONAL_POSITIVE_REAL = _Kind(
-    f"{_POSITIVE_REAL.rule} or none", lambda v: v is None
-    or _POSITIVE_REAL.ok(v) or str(v).lower() in ("none", "off"),
+    f"{_POSITIVE_REAL.rule} or none",
+    lambda v: _POSITIVE_REAL.ok(v) or v is None
+    or isinstance(v, str) and v.lower() in ("none", "off"),
     lambda v: float(v) if _POSITIVE_REAL.ok(v) else None, _number_or_text)
 #: s2m's b: a number kept as given (a JSON 2 stays 2), or the rule's word.
 _S2M_B = _Kind(f"{_POSITIVE_REAL.rule} or {TWO_SIGMA_HAT!r}",
