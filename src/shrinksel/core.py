@@ -52,11 +52,11 @@ class InvariantError(ValueError):
 def _rng(seed: Union[int, SeedSequence]) -> Generator:
     """The package's one RNG: counter-based Philox seeded through SeedSequence.
 
-    Distinct seeds (or spawned sequences) give independent streams, and a
-    repeated seed reproduces the stream bit for bit.
+    Distinct seeds or spawned sequences give independent streams, a repeated
+    seed the same bits. Any seed but a SeedSequence must be a :data:`_SEED`.
     """
-    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    return Generator(Philox(seq))
+    return Generator(Philox(seed if isinstance(seed, SeedSequence)
+                            else SeedSequence(_checked(seed, "seed", _SEED))))
 
 
 #: Bytes of float64 one block of a blocked pass over a draw matrix spans:
@@ -210,8 +210,19 @@ class _Kind(NamedTuple):
 
 def _real(rule: str, ok: Callable[[float], bool]) -> _Kind:
     """A finite real number, not a bool, that passes ``ok``; kept as a float."""
-    return _Kind(rule, lambda v: isinstance(v, numbers.Real) and not
-                 isinstance(v, bool) and math.isfinite(v) and ok(v), float)
+    return _Kind(rule, lambda v: (isinstance(v, float) or isinstance(
+        v, numbers.Real) and not isinstance(v, bool)) and math.isfinite(v)
+        and ok(v), float)
+
+
+def _reals(item: _Kind, rule: str, size_ok: Callable = lambda n: True,
+           lone: bool = False) -> _Kind:
+    """A list of ``item`` values whose length passes ``size_ok``, kept as a
+    tuple of floats; with ``lone``, one value alone too, as a 1-tuple."""
+    return _Kind(rule, lambda v: lone and item.ok(v) or not isinstance(
+        v, str) and size_ok(len(v)) and all(map(item.ok, v)),
+        lambda v: (float(v),) if lone and item.ok(v) else tuple(map(float, v)),
+        _number_list)
 
 
 def _count(least: int) -> _Kind:
@@ -221,8 +232,8 @@ def _count(least: int) -> _Kind:
 
 
 #: The kinds of config field. Each config dataclass names its fields'
-#: kinds in ``_KINDS``; the CLI takes its flags' types from them, and
-#: ``shrinkmap`` checks its grid values by them.
+#: kinds in ``_KINDS``; the CLI takes its flags' types from them, and the
+#: shrinkage grid, the response generator and the seeds check by them.
 _COUNT = _count(1)
 _COUNT_0 = _count(0)
 _SEED = _Kind("an integer in [0, 2**64)",
@@ -247,12 +258,13 @@ _OPTIONAL_POSITIVE_REAL = _Kind(
 _S2M_B = _Kind(f"{_POSITIVE_REAL.rule} or {TWO_SIGMA_HAT!r}",
                lambda v: v == TWO_SIGMA_HAT if isinstance(v, str)
                else _POSITIVE_REAL.ok(v), parse=_number_or_text)
-_NON_ZERO_REALS = _Kind(
-    f"{_NON_ZERO_REAL.rule} or a non-empty list of them",
-    lambda v: _NON_ZERO_REAL.ok(v) or not isinstance(v, str)
-    and len(v) > 0 and all(map(_NON_ZERO_REAL.ok, v)),
-    lambda v: (float(v),) if _NON_ZERO_REAL.ok(v) else tuple(map(float, v)),
-    _number_list)
+_NON_ZERO_REALS = _reals(_NON_ZERO_REAL,
+                         f"{_NON_ZERO_REAL.rule} or a non-empty list of them",
+                         lambda n: n > 0, lone=True)
+_FINITE_REAL = _real("a finite number", lambda v: True)
+_FINITE_REALS = _reals(_FINITE_REAL, "a list of finite numbers")
+_REAL_PAIR = _reals(_FINITE_REAL, "a pair of numbers, both finite",
+                    lambda n: n == 2)
 
 
 def _checked(value, name: str, kind: _Kind):
@@ -367,6 +379,8 @@ class _Latent(NamedTuple):
 
 
 _POSITIVE = ("strictly positive", lambda a: a > 0)
+#: The test and refusal of per-draw signal counts, for :func:`_checked_array`.
+_WHOLE_COUNTS = (lambda a: (a >= 0) & (a % 1 == 0), "must be counts >= 0")
 
 #: Every kind of draw, in draw-file column order. ``beta`` and ``sigma2``
 #: are required; the rest are the optional latents.
@@ -444,9 +458,8 @@ class SelectionResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvariantError(f"unknown method {self.method!r}")
-        h_counts = _checked_array(
-            "h_counts", self.h_counts, np.int64, (np.size(self.h_counts),),
-            lambda a: (a >= 0) & (a % 1 == 0), "must be counts >= 0")
+        h_counts = _checked_array("h_counts", self.h_counts, np.int64,
+                                  (np.size(self.h_counts),), *_WHOLE_COUNTS)
         object.__setattr__(self, "selected", frozenset(
             _positive_int(j, "selected") for j in self.selected))
         _set_read_only(self, h_counts=h_counts)

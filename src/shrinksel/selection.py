@@ -27,9 +27,10 @@ from typing import Union
 import numpy as np
 
 from .core import (InvariantError, PosteriorDraws, SelectionResult,
-                   TWO_SIGMA_HAT, _Config, _POSITIVE_REAL, _S2M_B,
-                   _UNIT_INTERVAL, _blocks, _checked, _positive_int,
-                   _table_lines, atomic_write_lines)
+                   TWO_SIGMA_HAT, _COUNT_0, _Config, _POSITIVE_REAL, _S2M_B,
+                   _UNIT_INTERVAL, _WHOLE_COUNTS, _blocks, _checked,
+                   _checked_array, _positive_int, _table_lines,
+                   atomic_write_lines)
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,8 @@ def _checked_abs_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise InvariantError("need a vector of at least 2 values")
-    if not np.all(np.isfinite(v)):
-        raise InvariantError("values must be finite")
-    if np.any(v < 0):
-        raise InvariantError("values must be nonnegative magnitudes")
-    return v
+    return _checked_array("values", v, float, v.shape, lambda a: a >= 0,
+                          "must be nonnegative magnitudes")
 
 
 def _row_sums(v: np.ndarray):
@@ -190,12 +188,8 @@ def kmeans2_1d(values) -> TwoMeansSplit:
     order = np.argsort(v, kind="stable")
     (k,), (m,), (big,) = _best_splits(*_row_sums(v[None, order]),
                                       np.array([v.size]))
-    return TwoMeansSplit(
-        low_indices=frozenset(int(j) for j in order[:k]),
-        high_indices=frozenset(int(j) for j in order[k:]),
-        m=float(m),
-        M=float(big),
-    )
+    return TwoMeansSplit(frozenset(order[:k].tolist()),
+                         frozenset(order[k:].tolist()), float(m), float(big))
 
 
 def count_signals_2m(abs_beta) -> int:
@@ -219,7 +213,8 @@ def count_signals_s2m(abs_beta, b: float) -> int:
 
 def aggregate_mode(h_counts) -> int:
     """Most frequent count; ties broken toward the smallest (parsimony)."""
-    h = np.asarray(h_counts)
+    h = _checked_array("h_counts", h_counts, np.int64, (np.size(h_counts),),
+                       *_WHOLE_COUNTS)
     if h.size < 1:
         raise InvariantError("h_counts must be nonempty")
     values, counts = np.unique(h, return_counts=True)
@@ -236,7 +231,8 @@ def select_top_h(draws: PosteriorDraws, h: int) -> frozenset[int]:
 
     Ties at the boundary go to the smaller index.
     """
-    if not 0 <= h <= draws.p:
+    h = _checked(h, "H", _COUNT_0)
+    if h > draws.p:
         raise InvariantError(f"H={h} outside 0..{draws.p}")
     return frozenset(int(j) + 1 for j in _median_order(draws)[:h])
 

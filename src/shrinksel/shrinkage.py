@@ -47,7 +47,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import InvariantError, _rng, atomic_write_lines
+from .core import (InvariantError, _Config, _GRID_A, _GRID_RHO,
+                   _NON_ZERO_REAL, _POSITIVE_REAL, _REAL_PAIR, _checked, _rng,
+                   atomic_write_lines)
 
 #: Default classification grids (two MLE levels mirror the two panels).
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.94, 0.9951, 0.01), 2))
@@ -69,7 +71,7 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TwoVarProblem:
+class TwoVarProblem(_Config):
     """One two-predictor shrinkage problem.
 
     ``rho`` is the Gram-matrix off-diagonal in [0, 1); ``tau`` the prior
@@ -84,20 +86,12 @@ class TwoVarProblem:
     tau: float
     mle: tuple[float, float]
 
+    _KINDS = {"rho": _GRID_RHO, "tau": _POSITIVE_REAL, "mle": _REAL_PAIR}
+
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and 0.0 <= self.rho < 1.0):
-            raise InvariantError("rho must lie in [0, 1)")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise InvariantError("tau must be strictly positive")
-        try:
-            x1, x2 = map(float, self.mle)
-        except (TypeError, ValueError):
-            raise InvariantError("mle must be a pair of numbers") from None
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise InvariantError("mle entries must be finite")
-        if abs(x2) == 0 or abs(x1) < abs(x2):
+        super().__post_init__()
+        if not abs(self.mle[0]) >= abs(self.mle[1]) > 0:
             raise InvariantError("need |mle[0]| >= |mle[1]| > 0")
-        object.__setattr__(self, "mle", (x1, x2))
 
     @property
     def a(self) -> float:
@@ -377,22 +371,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_run(problem: TwoVarProblem, point: np.ndarray, seed: int, lo: int,
+def _mc_run(problem: TwoVarProblem, point: np.ndarray, rng, lo: int,
             hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block of samples ``lo`` to ``hi`` of the seed's stream, the sums
+    """Per block of samples ``lo`` to ``hi`` of ``rng``'s stream, the sums
     of (lin1 phi, lin2 phi, phi) and the matrix of their cross-products.
 
-    ``lo`` is a multiple of ``_MC_BLOCK``. The run starts its own generator
-    at sample ``lo``: a sample takes two uniforms and a Philox counter step
-    yields four, so ``lo // 2`` steps skip exactly the uniforms of the
-    samples before it. Each block draws one ``(2, b)`` array of uniforms
-    (row 0 for k1, row 1 for k2) and writes only into buffers allocated
-    once per run: the uniforms, the f rows, the prior weight, and the rows
-    of one matrix product, (lin1, lin2, log E), which become
-    (lin1 phi, lin2 phi, phi).
+    ``rng`` is fresh and ``lo`` a multiple of ``_MC_BLOCK``. The run moves
+    ``rng`` to sample ``lo``: a sample takes two uniforms and a Philox
+    counter step yields four, so ``lo // 2`` steps skip exactly the
+    uniforms of the samples before it. Each block draws one ``(2, b)``
+    array of uniforms (row 0 for k1, row 1 for k2) and writes only into
+    buffers allocated once per run: the uniforms, the f rows, the prior
+    weight, and the rows of one matrix product, (lin1, lin2, log E), which
+    become (lin1 phi, lin2 phi, phi).
     """
     tau = problem.tau
-    rng = _rng(seed)
     rng.bit_generator.advance(lo // 2)
     rows, f_rows = np.empty((3, _MC_BLOCK)), np.empty((3, _MC_BLOCK))
     weights, u = np.empty(_MC_BLOCK), np.empty(2 * _MC_BLOCK)
@@ -437,12 +430,13 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     The samples go in blocks of ``_MC_BLOCK``, and the blocks in contiguous
     runs, one per usable CPU and never more than there are blocks. The
     calling thread does the first run and one worker thread each of the
-    others; a single run starts no thread. Each run skips ahead to its
-    first sample in the seed's stream (see :func:`_mc_run`) and owns about
-    2.4 MB of buffers, so no array grows with ``n_samples``. A run hands
-    back 12 floats per block, its three sums and nine cross-products, which
-    are held until they are added here in block order. Every estimate and
-    standard error therefore keeps its bits at any CPU count.
+    others; a single run starts no thread. Each run gets a generator of
+    the seed, made before any thread starts, skips ahead to its first
+    sample (see :func:`_mc_run`) and owns about 2.4 MB of buffers, so no
+    array grows with ``n_samples``. A run hands back 12 floats per block,
+    its three sums and nine cross-products, which are held until they are
+    added here in block order. Every estimate and standard error
+    therefore keeps its bits at any CPU count.
     """
     if isinstance(n_samples, bool) or not (
             isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
@@ -453,12 +447,12 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     n_runs = min(_usable_cpus(), n_blocks)
     edges = [min(n_blocks * i // n_runs * _MC_BLOCK, n_samples)
              for i in range(n_runs + 1)]
-    runs = list(zip(edges, edges[1:]))
+    runs = [(_rng(seed), lo, hi) for lo, hi in zip(edges, edges[1:])]
     import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max(n_runs - 1, 1)) as pool:
-        later = [pool.submit(_mc_run, problem, point, seed, lo, hi)
-                 for lo, hi in runs[1:]]
-        parts = _mc_run(problem, point, seed, *runs[0])
+        later = [pool.submit(_mc_run, problem, point, *run)
+                 for run in runs[1:]]
+        parts = _mc_run(problem, point, *runs[0])
         for run in later:
             parts += run.result()
     sums, prods = np.zeros(3), np.zeros((3, 3))
@@ -496,12 +490,16 @@ def reverse_shrinkage_grid(rho_grid: Sequence[float] = DEFAULT_RHO_GRID,
     so each rho's quadrature tables are built once. The (tau, A) points of
     one rho are one batch per (rho, order), in chunks under 1 MiB, with
     the bits :func:`hs_shrinkage` gives each alone. Quadrature failures
-    are recorded on the point rather than raised.
+    are recorded on the point rather than raised. Each grid value is
+    checked before any point is evaluated, and kept as a float.
     """
-    a_grid, x2 = [float(a) for a in a_grid], float(x2)
+    rho_grid = [_checked(v, "rho", _GRID_RHO) for v in rho_grid]
+    tau_grid = [_checked(v, "tau", _POSITIVE_REAL) for v in tau_grid]
+    a_grid = [_checked(v, "a", _GRID_A) for v in a_grid]
+    x2 = _checked(x2, "x2", _NON_ZERO_REAL)
     points = []
     for rho in rho_grid:
-        block = [TwoVarProblem(float(rho), float(tau), (a * x2, x2))
+        block = [TwoVarProblem(rho, tau, (a * x2, x2))
                  for tau in tau_grid for a in a_grid]
         for a, pr, res in zip(a_grid * len(tau_grid), block, _hs_row(block)):
             if isinstance(res, QuadratureError):  # nan: not reverse

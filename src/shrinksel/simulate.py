@@ -25,9 +25,9 @@ import numpy as np
 from numpy.random import Generator, SeedSequence
 
 from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec, _COUNT,
-                   _Config, _FLAG, _NON_NEGATIVE_REAL, _NON_ZERO_REALS, _SEED,
-                   _UNIT_INTERVAL, _checked, _map_jobs, _positive_int,
-                   _present, _rng, atomic_write_lines)
+                   _Config, _FINITE_REALS, _FLAG, _NON_NEGATIVE_REAL,
+                   _NON_ZERO_REALS, _SEED, _UNIT_INTERVAL, _checked, _map_jobs,
+                   _positive_int, _present, _rng, atomic_write_lines)
 from .samplers import McmcConfig, NonFiniteStateError, fit
 from .selection import S2mConfig, check_methods, run_selectors
 
@@ -96,8 +96,7 @@ class ErrorReport:
 
 
 def _seed_root(cfg: SimConfig) -> tuple[SeedSequence, SeedSequence]:
-    design_seq, rep_root = SeedSequence(cfg.seed).spawn(2)
-    return design_seq, rep_root
+    return tuple(SeedSequence(cfg.seed).spawn(2))
 
 
 def replicate_streams(cfg: SimConfig) -> list[tuple[SeedSequence, int]]:
@@ -158,18 +157,16 @@ def gen_response(x: np.ndarray, truth, strengths,
                  seed: Union[int, SeedSequence]) -> np.ndarray:
     """y = X beta_T + noise, with the given strengths on the truth set.
 
-    Strengths are assigned to the truth indices in ascending index order.
+    Strengths, zeros allowed, go to the truth indices in ascending order.
     ``noise_sd`` of 0 gives the noise-free response exactly.
     """
     x = np.asarray(x, dtype=float)
     truth_sorted = sorted(_positive_int(j, "truth") for j in truth)
-    strengths = [float(s) for s in strengths]
+    strengths = _checked(strengths, "strengths", _FINITE_REALS)
     if len(strengths) != len(truth_sorted):
         raise InvariantError("one strength per truth index required")
     if truth_sorted and truth_sorted[-1] > x.shape[1]:
         raise InvariantError("truth indices outside design columns")
-    if not all(np.isfinite(strengths)):
-        raise InvariantError("strengths must be finite")
     noise_sd = _checked(noise_sd, "noise_sd", _NON_NEGATIVE_REAL)
     beta = np.zeros(x.shape[1])
     for j, s in zip(truth_sorted, strengths):
@@ -218,8 +215,9 @@ def run_benchmark(cfg: SimConfig, prior: PriorSpec,
     both are excluded with a warning and listed on the report. Any other
     error propagates. Bit-reproducible for a fixed master seed regardless
     of ``jobs``: every chain seed derives from ``cfg.seed`` through the
-    replicate tree, superseding ``mcmc.seed``.
+    replicate tree, superseding ``mcmc.seed``. ``jobs`` is a count >= 1.
     """
+    jobs = _checked(jobs, "jobs", _COUNT)
     check_methods(methods)
     x, truth = gen_design(cfg)
     replicate = partial(_bench_replicate, x=x, truth=truth, cfg=cfg,
@@ -266,14 +264,9 @@ def write_replicate_csv(reports: dict[str, ErrorReport], setting: str,
     for method, rep in reports.items():
         # Completed replicates appear in fold order; failed ones carry
         # their diagnostic instead of scores.
-        failed = dict(rep.failures)
-        total = len(rep.per_replicate) + len(rep.failures)
-        pair_iter = iter(rep.per_replicate)
-        for i in range(total):
-            if i in failed:
-                msg = failed[i].replace(",", ";")
-                lines.append(f"{method},{setting},{i},,,{msg}")
-            else:
-                m, s = next(pair_iter)
-                lines.append(f"{method},{setting},{i},{m},{s},")
+        failed, pairs = dict(rep.failures), iter(rep.per_replicate)
+        for i in range(len(rep.per_replicate) + len(failed)):
+            cells = (",," + failed[i].replace(",", ";") if i in failed
+                     else "{},{},".format(*next(pairs)))
+            lines.append(f"{method},{setting},{i},{cells}")
     atomic_write_lines(path, lines)

@@ -7,9 +7,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
-from shrinksel import InvariantError, McmcConfig, PriorSpec, S2mConfig, SimConfig
+from shrinksel import (InvariantError, McmcConfig, PosteriorDraws, PriorSpec,
+                       S2mConfig, SimConfig, TwoVarProblem, aggregate_mode,
+                       gen_response, hs_estimator_mc, reverse_shrinkage_grid,
+                       run_benchmark, select_top_h)
 from shrinksel.cli import _SECTIONS, _build_parser, main
+from shrinksel.shrinkage import DEFAULT_RHO_GRID, DEFAULT_TAU_GRID
 
 SIM_FLAGS = ("-n", "10", "-p", "4", "-r", "1", "--strengths", "3")
 
@@ -268,3 +273,102 @@ def test_no_flag_overrides_a_true_bool(tmp_path):
     resolved = json.loads(
         (tmp_path / "out" / "simulate_resolved.json").read_text())
     assert resolved["sim"]["correlated"] is False
+
+
+# The plain functions whose arguments follow the same kinds, each called
+# with small valid arguments that a row below overrides by keyword.
+def two_var(**kw):
+    return TwoVarProblem(**{"rho": 0.5, "tau": 1.0, "mle": (2.0, 1.0), **kw})
+
+
+def grid(**kw):
+    return reverse_shrinkage_grid(**{"rho_grid": (0.5, 0.95),
+                                     "tau_grid": (0.5,), "a_grid": (2.0,),
+                                     "x2": 1.0, **kw})
+
+
+def response(**kw):
+    return gen_response(**{"x": np.arange(6.0).reshape(2, 3), "truth": {1},
+                           "strengths": (2.0,), "noise_sd": 1.0, "seed": 0,
+                           **kw})
+
+
+def no_signal_response(**kw):
+    return response(truth=set(), **kw)
+
+
+def mc(**kw):
+    return hs_estimator_mc(**{"problem": two_var(rho=0.95), "n_samples": 100,
+                              "seed": 0, **kw})
+
+
+def top_h(**kw):
+    draws = PosteriorDraws(beta=[[1.0, 3.0, 2.0]], sigma2=[1.0])
+    return select_top_h(**{"draws": draws, "h": 1, **kw})
+
+
+def mode(**kw):
+    return aggregate_mode(**{"h_counts": [1, 2, 2], **kw})
+
+
+def bench(**kw):
+    return run_benchmark(**{"cfg": SimConfig(**BASE[SimConfig]),
+                            "prior": PriorSpec.horseshoe(),
+                            "methods": ["s2m"],
+                            "mcmc": McmcConfig(**BASE[McmcConfig]), **kw})
+
+
+#: The name a refusal gives an argument, where it is not the keyword.
+NAMED = {"rho_grid": "rho", "tau_grid": "tau", "a_grid": "a", "h": "H"}
+#: (entry point, keyword, value) that the entry point refuses.
+#: ``TwoVarProblem``'s fields and ``gen_response``'s strengths are in
+#: ``TestTwoVarProblem.test_rejects_bad_inputs`` and
+#: ``test_strengths_must_be_finite``.
+REFUSED_ARGS = [
+    (grid, "a_grid", ("2",)), (grid, "a_grid", (-2.0,)),
+    (grid, "a_grid", (0.5,)), (grid, "rho_grid", ("0.5",)),
+    (grid, "tau_grid", (True,)), (grid, "x2", "1"),
+    (response, "seed", True), (response, "seed", -1), (response, "seed", 1.5),
+    (mc, "seed", True), (mc, "seed", -1), (mc, "seed", 1.5),
+    (top_h, "h", True), (top_h, "h", 1.5),
+    (mode, "h_counts", [2.7, 2.7, 1]), (mode, "h_counts", [-1, -1, 3]),
+    (bench, "jobs", 0), (bench, "jobs", 1.5), (bench, "jobs", "2"),
+    (bench, "jobs", True),
+]
+#: (entry point, keyword, value, plain value) where the value is accepted
+#: and gives what the plain value gives, to the bit.
+ACCEPTED_ARGS = [
+    (grid, "rho_grid", DEFAULT_RHO_GRID[:2], (0.94, 0.95)),
+    (grid, "tau_grid", DEFAULT_TAU_GRID[:2], (0.05, 0.1)),
+    (response, "seed", np.int64(3), 3), (response, "seed", SeedSequence(3), 3),
+    (mc, "seed", np.int64(3), 3), (mc, "seed", SeedSequence(3), 3),
+    (two_var, "rho", 0, 0.0), (two_var, "tau", 2, 2.0),
+    (two_var, "mle", (2, 1), (2.0, 1.0)),
+    (no_signal_response, "strengths", (), []),
+    (response, "strengths", (0,), (0.0,)),
+    (top_h, "h", np.int64(2), 2), (top_h, "h", 2.0, 2),
+    (mode, "h_counts", np.array([1.0, 2.0, 2.0]), [1, 2, 2]),
+]
+
+
+def arg_ids(rows) -> list[str]:
+    return ["-".join([entry.__name__, key, repr(value)])
+            for entry, key, value, *_ in rows]
+
+
+@pytest.mark.parametrize("entry, key, value", REFUSED_ARGS,
+                         ids=arg_ids(REFUSED_ARGS))
+def test_argument_refused(entry, key, value):
+    with pytest.raises(InvariantError, match=rf"^{NAMED.get(key, key)}\b"):
+        entry(**{key: value})
+
+
+@pytest.mark.parametrize("entry, key, value, plain", ACCEPTED_ARGS,
+                         ids=arg_ids(ACCEPTED_ARGS))
+def test_argument_accepted(entry, key, value, plain):
+    got = entry(**{key: value})
+    np.testing.assert_equal(got, entry(**{key: plain}))
+    problems = ([got] if entry is two_var
+                else [pt.problem for pt in got] if entry is grid else [])
+    for pr in problems:  # numbers kept as Python floats, as the plain ones
+        assert all(type(v) is float for v in (pr.rho, pr.tau, *pr.mle))

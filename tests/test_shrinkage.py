@@ -54,6 +54,24 @@ class TestTwoVarProblem:
         for mle in ((2.0, 1.0, 3.0), (2.0,), 2.0):
             with pytest.raises(InvariantError, match="pair of numbers"):
                 TwoVarProblem(rho=0.5, tau=1.0, mle=mle)
+        # A bool or text is not a number, in a scalar field or in the pair.
+        for bad in ({"rho": False}, {"tau": True}, {"rho": "0.5"},
+                    {"mle": (True, 1)}, {"mle": ("3", "1")}):
+            (name,) = bad
+            with pytest.raises(InvariantError, match=f"^{name}: "):
+                TwoVarProblem(**{"rho": 0.5, "tau": 1.0, "mle": (2.0, 1.0),
+                                 **bad})
+
+
+def test_grid_csv_same_for_numpy_and_python_floats(tmp_path):
+    # The default rho and tau grids hold np.float64 values.
+    grid = (DEFAULT_RHO_GRID[::3], DEFAULT_TAU_GRID[::6], DEFAULT_A_GRID[::2])
+    for name, number in (("py", float), ("np", np.float64)):
+        write_grid_csv(reverse_shrinkage_grid(
+            *(tuple(map(number, g)) for g in grid), x2=number(1.5)),
+            str(tmp_path / f"{name}.csv"))
+    py, np_ = (tmp_path / f"{name}.csv" for name in ("py", "np"))
+    assert py.read_bytes() == np_.read_bytes()
 
 
 class TestNormalFactors:

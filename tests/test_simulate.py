@@ -148,7 +148,7 @@ class TestGenResponse:
         with pytest.raises(InvariantError, match="noise_sd"):
             gen_response(np.ones((4, 3)), {1}, (1.0,), noise_sd, seed=0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "3"])
     def test_strengths_must_be_finite(self, bad):
         with pytest.raises(InvariantError, match="strengths"):
             gen_response(np.ones((4, 3)), {1, 2}, (1.0, bad), 1.0, seed=0)
