@@ -25,9 +25,10 @@ to the BLAS gemv a lone point uses, so each point keeps its bits in any
 batch, and the node-grid array is cut into chunks under 1 MiB. The Monte
 Carlo check splits its blocks into one contiguous run per usable CPU,
 the calling thread doing the first and a worker thread each of the
-others. Philox is counter-based, so each run skips ahead to its first
-sample, and the runs' block sums are added in block order: the result
-has the same bits at any CPU count.
+others. It draws from PCG64DXSM, which fills uniforms faster than the
+Philox the chains keep for byte stability; each run skips ahead to its
+first sample, one 64-bit draw per uniform, and the runs' block sums are
+added in block order: the result has the same bits at any CPU count.
 The quadrature caches what does not depend on the point: each order's
 nodes and weights, and, per (rho, order), one read-only set of four
 node-grid tables: the integrand's rho part (f1, f2, f3) and the tensor
@@ -46,8 +47,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.random import PCG64DXSM
 
-from .core import (InvariantError, _Config, _GRID_A, _GRID_RHO,
+from .core import (InvariantError, _COUNT, _Config, _GRID_A, _GRID_RHO,
                    _NON_ZERO_REAL, _POSITIVE_REAL, _REAL_PAIR, _checked, _rng,
                    atomic_write_lines)
 
@@ -273,7 +275,12 @@ def _rho_tables(rho: float, order: int) -> np.ndarray:
 
     These depend on rho and the order only, so a grid, which visits rho
     outermost, builds them once per (rho, order) rather than once per
-    point. The cache holds every order one rho can need.
+    point. The cache holds every order one rho can need, and lone points
+    of one rho, such as spot checks, hit it. A grid asks for each set
+    once and gets no hits: the default grid at both x2 asks 36 times for
+    18 sets (orders 16 to 64, about 1 MB), 2-4 ms of a 40 ms pass on a
+    2-core VM. Six sets bound the cache at 50 MB; 18 at order 512 would
+    hold 150 MB.
     """
     k, w2 = _quad_rule(order)
     f, inv_d = _f_coeffs(*np.meshgrid(k, k, indexing="ij"), rho)
@@ -376,17 +383,17 @@ def _mc_run(problem: TwoVarProblem, point: np.ndarray, rng, lo: int,
     """Per block of samples ``lo`` to ``hi`` of ``rng``'s stream, the sums
     of (lin1 phi, lin2 phi, phi) and the matrix of their cross-products.
 
-    ``rng`` is fresh and ``lo`` a multiple of ``_MC_BLOCK``. The run moves
-    ``rng`` to sample ``lo``: a sample takes two uniforms and a Philox
-    counter step yields four, so ``lo // 2`` steps skip exactly the
-    uniforms of the samples before it. Each block draws one ``(2, b)``
-    array of uniforms (row 0 for k1, row 1 for k2) and writes only into
-    buffers allocated once per run: the uniforms, the f rows, the prior
-    weight, and the rows of one matrix product, (lin1, lin2, log E), which
-    become (lin1 phi, lin2 phi, phi).
+    ``rng`` is a fresh PCG64DXSM generator and ``lo`` a multiple of
+    ``_MC_BLOCK``. The run moves ``rng`` to sample ``lo``: a sample takes
+    two uniforms and a uniform one 64-bit draw, so ``advance(2 * lo)``
+    skips exactly the uniforms of the samples before it. Each block draws
+    one ``(2, b)`` array of uniforms (row 0 for k1, row 1 for k2) and
+    writes only into buffers allocated once per run: the uniforms, the f
+    rows, the prior weight, and the rows of one matrix product, (lin1,
+    lin2, log E), which become (lin1 phi, lin2 phi, phi).
     """
     tau = problem.tau
-    rng.bit_generator.advance(lo // 2)
+    rng.bit_generator.advance(2 * lo)
     rows, f_rows = np.empty((3, _MC_BLOCK)), np.empty((3, _MC_BLOCK))
     weights, u = np.empty(_MC_BLOCK), np.empty(2 * _MC_BLOCK)
     parts = []
@@ -430,24 +437,25 @@ def hs_estimator_mc(problem: TwoVarProblem, n_samples: int = 10_000_000,
     The samples go in blocks of ``_MC_BLOCK``, and the blocks in contiguous
     runs, one per usable CPU and never more than there are blocks. The
     calling thread does the first run and one worker thread each of the
-    others; a single run starts no thread. Each run gets a generator of
-    the seed, made before any thread starts, skips ahead to its first
-    sample (see :func:`_mc_run`) and owns about 2.4 MB of buffers, so no
-    array grows with ``n_samples``. A run hands back 12 floats per block,
+    others; a single run starts no thread. Each run gets a PCG64DXSM
+    generator of the seed (it fills uniforms faster than the Philox the
+    chains keep for byte stability), made before any thread starts, skips
+    ahead to its first sample by one 64-bit draw per uniform (see
+    :func:`_mc_run`) and owns about 2.4 MB of buffers, so no array grows
+    with ``n_samples``. A run hands back 12 floats per block,
     its three sums and nine cross-products, which are held until they are
     added here in block order. Every estimate and standard error
     therefore keeps its bits at any CPU count.
     """
-    if isinstance(n_samples, bool) or not (
-            isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise InvariantError("n_samples must be an integer at least 1")
+    n_samples = _checked(n_samples, "n_samples", _COUNT)
     x1, x2 = problem.mle
     point = _point_part(problem)
     n_blocks = -(-n_samples // _MC_BLOCK)
     n_runs = min(_usable_cpus(), n_blocks)
     edges = [min(n_blocks * i // n_runs * _MC_BLOCK, n_samples)
              for i in range(n_runs + 1)]
-    runs = [(_rng(seed), lo, hi) for lo, hi in zip(edges, edges[1:])]
+    runs = [(_rng(seed, bits=PCG64DXSM), lo, hi)
+            for lo, hi in zip(edges, edges[1:])]
     import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max(n_runs - 1, 1)) as pool:
         later = [pool.submit(_mc_run, problem, point, *run)

@@ -26,8 +26,9 @@ from numpy.random import Generator, SeedSequence
 
 from .core import (Dataset, InvariantError, PosteriorDraws, PriorSpec, _COUNT,
                    _Config, _FINITE_REALS, _FLAG, _NON_NEGATIVE_REAL,
-                   _NON_ZERO_REALS, _SEED, _UNIT_INTERVAL, _checked, _map_jobs,
-                   _positive_int, _present, _rng, atomic_write_lines)
+                   _NON_ZERO_REALS, _SEED, _UNIT_INTERVAL, _checked,
+                   _checked_array, _map_jobs, _positive_int, _present, _rng,
+                   atomic_write_lines)
 from .samplers import McmcConfig, NonFiniteStateError, fit
 from .selection import S2mConfig, check_methods, run_selectors
 
@@ -158,9 +159,12 @@ def gen_response(x: np.ndarray, truth, strengths,
     """y = X beta_T + noise, with the given strengths on the truth set.
 
     Strengths, zeros allowed, go to the truth indices in ascending order.
-    ``noise_sd`` of 0 gives the noise-free response exactly.
+    ``noise_sd`` of 0 gives the noise-free response exactly. ``x`` must be
+    a finite matrix.
     """
-    x = np.asarray(x, dtype=float)
+    if np.ndim(x) != 2:
+        raise InvariantError(f"x must be a matrix, got shape {np.shape(x)}")
+    x = _checked_array("x", x, float, np.shape(x))
     truth_sorted = sorted(_positive_int(j, "truth") for j in truth)
     strengths = _checked(strengths, "strengths", _FINITE_REALS)
     if len(strengths) != len(truth_sorted):

@@ -342,6 +342,7 @@ ACCEPTED_ARGS = [
     (grid, "tau_grid", DEFAULT_TAU_GRID[:2], (0.05, 0.1)),
     (response, "seed", np.int64(3), 3), (response, "seed", SeedSequence(3), 3),
     (mc, "seed", np.int64(3), 3), (mc, "seed", SeedSequence(3), 3),
+    (mc, "n_samples", 2.0, 2), (mc, "n_samples", 1e5, 100_000),
     (two_var, "rho", 0, 0.0), (two_var, "tau", 2, 2.0),
     (two_var, "mle", (2, 1), (2.0, 1.0)),
     (no_signal_response, "strengths", (), []),

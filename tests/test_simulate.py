@@ -158,6 +158,19 @@ class TestGenResponse:
         y = gen_response(x, {1, 3}, (0.0, 2.0), 0.0, seed=0)
         assert np.array_equal(y, 2.0 * x[:, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_design_must_be_finite(self, bad):
+        # A non-finite entry off the truth columns would give a response
+        # with a non-finite entry even at zero weight: nan * 0 is nan.
+        x = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvariantError, match="x contains non-finite"):
+            gen_response(x, {2}, (2.0,), 0.0, seed=0)
+
+    def test_design_must_be_a_matrix(self):
+        with pytest.raises(InvariantError, match=r"x must be a matrix, got "
+                                                 r"shape \(3,\)"):
+            gen_response(np.ones(3), {1}, (1.0,), 0.0, seed=0)
+
 
 class TestScore:
     def test_basic(self):
