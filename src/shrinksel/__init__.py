@@ -16,8 +16,7 @@ from .samplers import McmcConfig, fit
 from .selection import (S2mConfig, TwoMeansSplit,
                         aggregate_mode, count_signals_2m, count_signals_s2m,
                         kmeans2_1d, run_selector, select_2m, select_credible,
-                        select_hppm, select_ht, select_mpm, select_s2m,
-                        select_top_h)
+                        select_hppm, select_ht, select_mpm, select_s2m)
 from .shrinkage import (HsEstimate, McEstimate, QuadratureError,
                         ShrinkFactors, ShrinkGridPoint, TwoVarProblem,
                         hs_estimator_mc, hs_shrinkage, normal_estimator,
@@ -35,7 +34,7 @@ __all__ = [
     "McmcConfig", "fit",
     "S2mConfig", "TWO_SIGMA_HAT", "TwoMeansSplit", "kmeans2_1d",
     "count_signals_2m", "count_signals_s2m", "aggregate_mode",
-    "select_top_h", "select_s2m", "select_2m", "select_hppm", "select_mpm",
+    "select_s2m", "select_2m", "select_hppm", "select_mpm",
     "select_credible", "select_ht", "run_selector",
     "TwoVarProblem", "ShrinkFactors", "ShrinkGridPoint", "HsEstimate",
     "McEstimate", "QuadratureError", "normal_shrink_factors",

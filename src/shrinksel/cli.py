@@ -26,8 +26,7 @@ from dataclasses import MISSING, asdict, fields
 import numpy as np
 
 from .core import (Dataset, HORSESHOE, InvariantError, METHODS, PriorSpec,
-                   TWO_SIGMA_HAT, _GRID_A, _GRID_RHO, _NON_ZERO_REAL,
-                   _POSITIVE_REAL, _number_list, _positive_int, _table_lines,
+                   TWO_SIGMA_HAT, _number_list, _positive_int, _table_lines,
                    atomic_write_lines, load_draws, load_matrix_csv, save_draws,
                    save_matrix_csv)
 from .samplers import McmcConfig, fit
@@ -275,13 +274,6 @@ def cmd_bench(args) -> int:
 
 def cmd_shrinkmap(args) -> int:
     x2_values = args.x2 or [1.0]
-    for flag, values, kind in (("--x2", x2_values, _NON_ZERO_REAL),
-                               ("--rho", args.rho, _GRID_RHO),
-                               ("--tau", args.tau, _POSITIVE_REAL),
-                               ("--a", args.a, _GRID_A)):
-        for v in values:
-            if not kind.ok(v):
-                raise UsageError(f"{flag} {v:g}: must be {kind.rule}")
     names = {}
     for x2 in x2_values:
         name = f"shrink_grid_x2_{x2:g}.csv"
@@ -289,10 +281,13 @@ def cmd_shrinkmap(args) -> int:
             raise UsageError(f"--x2 {names[name]!r} and --x2 {x2!r} both "
                              f"write {name}")
         names[name] = x2
+    # Every grid, each value checked, before anything is written.
+    grids = {name: (x2, reverse_shrinkage_grid(args.rho, args.tau, args.a,
+                                               x2=x2))
+             for name, x2 in names.items()}
     out = _out_dir(args)
     written = []
-    for name, x2 in names.items():
-        points = reverse_shrinkage_grid(args.rho, args.tau, args.a, x2=x2)
+    for name, (x2, points) in grids.items():
         path = os.path.join(out, name)
         write_grid_csv(points, path)
         n_blue = sum(p.reverse for p in points)

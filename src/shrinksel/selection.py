@@ -7,9 +7,9 @@ draw by exact 1-D 2-means on the absolute coefficients, aggregate the
 counts by their mode, and pick that many variables off the posterior
 median of ``|beta_j|``. The baselines select from inclusion indicators
 (``hppm``, ``mpm``), credible intervals (``cs``), or shrinkage weights
-(``ht``). Given both ``s2m`` and ``2m``, :func:`run_selectors` sorts each
-row block once for the two, takes the ``2m`` count from ``s2m``'s first
-split, and takes each column median once.
+(``ht``). ``s2m`` and ``2m``, alone or together, come from one function
+that sorts each row block once, takes the ``2m`` count from ``s2m``'s
+first split, and takes each column median once.
 
 The selectors read the T x p draws in row or column blocks of about
 ``core._BLOCK_BYTES``, so their temporaries stay the size of a block
@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .core import (InvariantError, PosteriorDraws, SelectionResult,
-                   TWO_SIGMA_HAT, _COUNT_0, _Config, _POSITIVE_REAL, _S2M_B,
+                   TWO_SIGMA_HAT, _Config, _POSITIVE_REAL, _S2M_B,
                    _UNIT_INTERVAL, _WHOLE_COUNTS, _blocks, _checked,
                    _checked_array, _positive_int, _table_lines,
                    atomic_write_lines)
@@ -121,41 +121,36 @@ def _best_splits(v, cs, cq, ss_lo, a):
             np.where(const, v[:, 0], s_hi[rows, i] / (a - k_best)))
 
 
-def _signal_counts(beta: np.ndarray, b=None, h_2m=None) -> np.ndarray:
-    """Per-row signal counts of ``|beta|``: plain 2-means, or s2m peeling
-    when b is set. With b set, an ``h_2m`` array also receives the plain
-    2-means counts, min(k, p - k) of each peel's first split.
+def _signal_counts(beta: np.ndarray, b: float):
+    """Per-row ``s2m`` and ``2m`` signal counts of ``|beta|``, as
+    ``(h_s2m, h_2m)``: s2m peels while a gap exceeds b (at b = inf no row
+    peels), and 2m is min(k, p - k) of each row's first split.
 
     Rows go through in blocks of about ``core._BLOCK_BYTES`` of ``beta``,
     each taking its own ``|beta|``; within a block every row is split at
     once, and each peel re-splits only the rows still peeling, from sums
-    cut down to those rows.
+    cut down to those rows, until none is left.
     """
     t, p = beta.shape
     if p < 2:
         raise InvariantError("need a vector of at least 2 values")
-    h = np.empty(t, dtype=np.int64)
-    if b is None:
-        h_2m = h
+    h_s2m, h_2m = np.empty(t, dtype=np.int64), np.empty(t, dtype=np.int64)
     for block in _blocks(t, p):
         sums = _row_sums(np.abs(beta[block]))
         rows = np.arange(len(sums[0]))
         k, m, big = _best_splits(*sums, np.full(rows.size, p))
-        if h_2m is not None:
-            h_2m[block] = np.minimum(k, p - k)
-        if b is None:
-            continue
+        h_2m[block] = np.minimum(k, p - k)
         noise = np.zeros(rows.size, dtype=np.int64)
-        while rows.size:
+        while True:
             gap = big - m > b
-            rows, k = rows[gap], k[gap]
-            noise[rows] = k
-            again = k >= 2
-            keep = np.flatnonzero(gap)[again]
-            sums = [s[keep] for s in sums]
-            rows, k, m, big = rows[again], *_best_splits(*sums, k[again])
-        h[block] = p - noise
-    return h
+            noise[rows[gap]] = k[gap]
+            gap &= k >= 2
+            if not gap.any():
+                break
+            sums = [s[gap] for s in sums]
+            rows, (k, m, big) = rows[gap], _best_splits(*sums, k[gap])
+        h_s2m[block] = p - noise
+    return h_s2m, h_2m
 
 
 def _by_columns(fn, a: np.ndarray) -> np.ndarray:
@@ -194,7 +189,8 @@ def kmeans2_1d(values) -> TwoMeansSplit:
 
 def count_signals_2m(abs_beta) -> int:
     """Signal count for one draw: the smaller of the two cluster sizes."""
-    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :])[0])
+    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :],
+                              np.inf)[1][0])
 
 
 def count_signals_s2m(abs_beta, b: float) -> int:
@@ -208,7 +204,7 @@ def count_signals_s2m(abs_beta, b: float) -> int:
     once the noise set is too small to re-cluster.
     """
     _checked(b, "b", _POSITIVE_REAL)
-    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :], b)[0])
+    return int(_signal_counts(_checked_abs_values(abs_beta)[None, :], b)[0][0])
 
 
 def aggregate_mode(h_counts) -> int:
@@ -226,17 +222,6 @@ def _median_order(draws: PosteriorDraws) -> np.ndarray:
     return np.argsort(-_by_columns(_abs_median, draws.beta), kind="stable")
 
 
-def select_top_h(draws: PosteriorDraws, h: int) -> frozenset[int]:
-    """1-based indices of the H largest posterior medians of ``|beta_j|``.
-
-    Ties at the boundary go to the smaller index.
-    """
-    h = _checked(h, "H", _COUNT_0)
-    if h > draws.p:
-        raise InvariantError(f"H={h} outside 0..{draws.p}")
-    return frozenset(int(j) + 1 for j in _median_order(draws)[:h])
-
-
 def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
     """Numeric gap threshold: either cfg.b or 2 * median(sigma2 draws)."""
     if isinstance(cfg.b, str):
@@ -244,43 +229,36 @@ def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
     return float(cfg.b)
 
 
-def _s2m_counts(draws: PosteriorDraws, cfg: S2mConfig,
-                h_2m=None) -> np.ndarray:
-    """``s2m`` counts of every draw (and ``2m`` counts into ``h_2m``, when
-    given); warns once if any draw's first cluster gap is within b."""
-    b = resolve_b(draws, cfg)
-    h = _signal_counts(draws.beta, b, h_2m)
-    degenerate = int(np.sum(h == draws.p))
+def _clustering(draws, cfg, tags) -> dict[str, SelectionResult]:
+    """The ``s2m`` and ``2m`` results that ``tags`` asks for, each the mode
+    of its counts off :func:`_median_order`, from one sort of each row
+    block (its first split gives both counts) and one median per column.
+
+    Only ``s2m`` resolves b, and warns, at the line that called
+    :func:`select_s2m` or :func:`run_selectors`, if any draw's first
+    cluster gap is within b.
+    """
+    b = resolve_b(draws, cfg) if "s2m" in tags else np.inf
+    counts = dict(zip(("s2m", "2m"), _signal_counts(draws.beta, b)))
+    degenerate = int(np.sum(counts["s2m"] == draws.p)) if "s2m" in tags else 0
     if degenerate:
         warnings.warn(
             f"s2m declared every variable a signal in {degenerate} of "
             f"{draws.t} draws (first cluster gap within b={b:g}); consider "
             f"a smaller b", stacklevel=3)
-    return h
+    order = _median_order(draws)
+    return {tag: SelectionResult(tag, order[:aggregate_mode(counts[tag])] + 1,
+                                 counts[tag]) for tag in tags}
 
 
 def select_s2m(draws: PosteriorDraws, cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Sequential-2-means selection over all retained draws."""
-    h = _s2m_counts(draws, cfg)
-    return SelectionResult("s2m", select_top_h(draws, aggregate_mode(h)), h)
+    return _clustering(draws, cfg, ["s2m"])["s2m"]
 
 
 def select_2m(draws: PosteriorDraws) -> SelectionResult:
     """Plain 2-means selection over all retained draws."""
-    h = _signal_counts(draws.beta)
-    return SelectionResult("2m", select_top_h(draws, aggregate_mode(h)), h)
-
-
-def _select_s2m_and_2m(draws: PosteriorDraws, cfg: S2mConfig
-                       ) -> dict[str, SelectionResult]:
-    """The results of :func:`select_s2m` and :func:`select_2m` from one
-    sort of each row block, whose first split gives both counts, and one
-    posterior median per column."""
-    h_2m = np.empty(draws.t, dtype=np.int64)
-    h_s2m = _s2m_counts(draws, cfg, h_2m)
-    order = _median_order(draws)
-    return {tag: SelectionResult(tag, order[:aggregate_mode(h)] + 1, h)
-            for tag, h in (("s2m", h_s2m), ("2m", h_2m))}
+    return _clustering(draws, None, ["2m"])["2m"]
 
 
 def _from_mask(method: str, mask) -> SelectionResult:
@@ -375,12 +353,11 @@ def run_selectors(draws: PosteriorDraws, methods, cfg: S2mConfig = S2mConfig()
     :class:`InvariantError` by which its selector refused the draws (``hppm``
     and ``mpm`` without ``z``, ``ht`` without ``lam``). Others propagate."""
     check_methods(methods)
-    shared = {}
-    if "s2m" in methods and "2m" in methods:
-        try:
-            shared = _select_s2m_and_2m(draws, cfg)
-        except InvariantError as exc:
-            shared = dict.fromkeys(("s2m", "2m"), str(exc))
+    tags = [m for m in methods if m in ("s2m", "2m")]
+    try:
+        shared = _clustering(draws, cfg, tags) if tags else {}
+    except InvariantError as exc:
+        shared = dict.fromkeys(tags, str(exc))
     outcomes = {}
     for method in methods:
         try:

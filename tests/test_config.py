@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
-from shrinksel import (InvariantError, McmcConfig, PosteriorDraws, PriorSpec,
-                       S2mConfig, SimConfig, TwoVarProblem, aggregate_mode,
-                       gen_response, hs_estimator_mc, reverse_shrinkage_grid,
-                       run_benchmark, select_top_h)
+from shrinksel import (InvariantError, McmcConfig, PriorSpec, S2mConfig,
+                       SimConfig, TwoVarProblem, aggregate_mode, gen_response,
+                       hs_estimator_mc, reverse_shrinkage_grid, run_benchmark)
 from shrinksel.cli import _SECTIONS, _build_parser, main
 from shrinksel.shrinkage import DEFAULT_RHO_GRID, DEFAULT_TAU_GRID
 
@@ -302,11 +301,6 @@ def mc(**kw):
                               "seed": 0, **kw})
 
 
-def top_h(**kw):
-    draws = PosteriorDraws(beta=[[1.0, 3.0, 2.0]], sigma2=[1.0])
-    return select_top_h(**{"draws": draws, "h": 1, **kw})
-
-
 def mode(**kw):
     return aggregate_mode(**{"h_counts": [1, 2, 2], **kw})
 
@@ -319,7 +313,7 @@ def bench(**kw):
 
 
 #: The name a refusal gives an argument, where it is not the keyword.
-NAMED = {"rho_grid": "rho", "tau_grid": "tau", "a_grid": "a", "h": "H"}
+NAMED = {"rho_grid": "rho", "tau_grid": "tau", "a_grid": "a"}
 #: (entry point, keyword, value) that the entry point refuses.
 #: ``TwoVarProblem``'s fields and ``gen_response``'s strengths are in
 #: ``TestTwoVarProblem.test_rejects_bad_inputs`` and
@@ -330,7 +324,6 @@ REFUSED_ARGS = [
     (grid, "tau_grid", (True,)), (grid, "x2", "1"),
     (response, "seed", True), (response, "seed", -1), (response, "seed", 1.5),
     (mc, "seed", True), (mc, "seed", -1), (mc, "seed", 1.5),
-    (top_h, "h", True), (top_h, "h", 1.5),
     (mode, "h_counts", [2.7, 2.7, 1]), (mode, "h_counts", [-1, -1, 3]),
     (bench, "jobs", 0), (bench, "jobs", 1.5), (bench, "jobs", "2"),
     (bench, "jobs", True),
@@ -347,7 +340,6 @@ ACCEPTED_ARGS = [
     (two_var, "mle", (2, 1), (2.0, 1.0)),
     (no_signal_response, "strengths", (), []),
     (response, "strengths", (0,), (0.0,)),
-    (top_h, "h", np.int64(2), 2), (top_h, "h", 2.0, 2),
     (mode, "h_counts", np.array([1.0, 2.0, 2.0]), [1, 2, 2]),
 ]
 

@@ -209,7 +209,7 @@ class TestSelectionResult:
             beta=np.array([[3.0, 0.1, 2.9], [0.2, 3.1, 3.0]]),
             sigma2=np.ones(2)))
         assert res.h_counts.tolist() == [1, 1]
-        assert np.shares_memory(res.h_counts, counts[0])
+        assert np.shares_memory(res.h_counts, counts[0][1])
 
     def test_fractional_counts_refused_not_truncated(self):
         with pytest.raises(InvariantError, match="must be counts >= 0"):

@@ -15,8 +15,7 @@ from shrinksel.selection import (S2mConfig, aggregate_mode, count_signals_2m,
                                  run_selector, run_selectors, select_2m,
                                  select_credible,
                                  select_hppm, select_ht, select_mpm,
-                                 select_s2m, select_top_h,
-                                 write_selection_report)
+                                 select_s2m, write_selection_report)
 
 
 def draws_from_beta(beta, sigma2=None, **kwargs) -> PosteriorDraws:
@@ -149,26 +148,6 @@ class TestAggregateMode:
             aggregate_mode([])
 
 
-class TestSelectTopH:
-    def test_order_statistics(self):
-        d = draws_from_beta([[3.9, 0.01, 4.1]])
-        assert select_top_h(d, 2) == frozenset({1, 3})
-
-    def test_extremes(self):
-        d = draws_from_beta([[1.0, 2.0, 3.0]])
-        assert select_top_h(d, 0) == frozenset()
-        assert select_top_h(d, 3) == frozenset({1, 2, 3})
-
-    def test_boundary_tie_prefers_smaller_index(self):
-        d = draws_from_beta([[2.0, 2.0, 1.0]])
-        assert select_top_h(d, 1) == frozenset({1})
-
-    def test_out_of_range(self):
-        d = draws_from_beta([[1.0, 2.0]])
-        with pytest.raises(InvariantError):
-            select_top_h(d, 3)
-
-
 class TestS2mSelection:
     def test_idealized_draws_recover_truth(self):
         beta_t = np.zeros(300)
@@ -197,6 +176,17 @@ class TestS2mSelection:
             res = select_s2m(d, S2mConfig(b=50.0))
         assert res.h_mode == 3
 
+    @pytest.mark.parametrize("call", [
+        select_s2m, lambda d: run_selectors(d, ["s2m"]),
+        lambda d: run_selectors(d, ["s2m", "2m"])],
+        ids=["select_s2m", "run_selectors-s2m", "run_selectors-s2m-2m"])
+    def test_warning_points_at_the_caller(self, call):
+        # run_selectors used to report a line of selection.py.
+        d = draws_from_beta([[0.1, 0.2, 0.3]], sigma2=[100.0])
+        with pytest.warns(UserWarning, match="every variable") as record:
+            call(d)
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.filterwarnings("ignore:s2m declared every variable")
     def test_h_counts_recorded(self):
         rng = np.random.default_rng(5)
@@ -223,6 +213,25 @@ class TestTwoMSelection:
         d = draws_from_beta(row[None, :])
         res = select_2m(d)
         assert res.h_mode == count_signals_2m(np.abs(row)) == 2
+
+    def test_no_b_resolved_and_no_warning_without_s2m(self, monkeypatch):
+        # sigma2 puts b = 2 * median(sigma2) above every gap, so each s2m
+        # count would be p and s2m would warn; 2m alone does neither.
+        rng = np.random.default_rng(8)
+        t, p = 12, 8
+        d = draws_from_beta(rng.standard_normal((t, p)) * rng.uniform(
+            0.1, 4.0, p), sigma2=np.full(t, 1e6))
+        with pytest.warns(UserWarning, match="every variable"):
+            assert np.all(select_s2m(d).h_counts == p)
+        expected = [_oracle_2m_count(row) for row in np.abs(d.beta)]
+        monkeypatch.setattr(selection, "resolve_b", None)  # never called
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = select_2m(d)
+            outcomes = run_selectors(d, ["2m", "cs"])
+        for res in (alone, outcomes["2m"]):
+            assert res.h_counts.tolist() == expected
+        assert outcomes["2m"].selected == alone.selected
 
     def test_masks_weak_signals_on_mixed_profile(self):
         profile = table2_profile()
@@ -522,6 +531,18 @@ def _reference_split(v):
     i = total.size - 1 - int(np.argmin(total[::-1]))
     kbest = i + 1
     return kbest, float(s_lo[i] / kbest), float(s_hi[i] / (n - kbest))
+
+
+def _oracle_2m_count(v):
+    """The 2m count of one row by exhaustive search: the smaller side of
+    the contiguous split whose cost is the least over all 2-partitions."""
+    order = np.argsort(v, kind="stable")
+    best = brute_force_two_partition_ss(v)
+    sizes = {min(k, v.size - k) for k in range(1, v.size)
+             if within_ss_of_split(v, SimpleNamespace(
+                 low_indices=frozenset(order[:k].tolist()))) == best}
+    assert len(sizes) == 1, v
+    return sizes.pop()
 
 
 def _reference_counts(abs_beta, b=None):
