@@ -13,8 +13,11 @@ first split, and takes each column median once.
 
 The selectors read the T x p draws in row or column blocks of about
 ``core._BLOCK_BYTES``, so their temporaries stay the size of a block
-however many draws there are, and each blocked median, quantile or mean
-has the same bits as the whole-matrix numpy call.
+however many draws there are. Column medians and credible bounds come
+from one sort per column block, read by numpy's own rules, so they have
+the bits of ``np.median`` and ``np.quantile`` (but for the sign of a
+bound between zeros of both signs, which numpy's partition leaves in no
+defined order); a blocked mean has the bits of the whole-matrix call.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ def _row_sums(v: np.ndarray):
     v.sort(axis=1)
     cs, cq = np.cumsum(v, axis=1), np.cumsum(v * v, axis=1)
     s_lo = cs[:, :-1]
-    return v, cs, cq, cq[:, :-1] - s_lo * s_lo / np.arange(1, v.shape[1])
+    return v, cs, cq, cq[:, :-1] - s_lo * s_lo / np.arange(1.0, v.shape[1])
 
 
 def _best_splits(v, cs, cq, ss_lo, a):
-    """Optimal contiguous split of each ascending prefix ``v[r, :a[r]]``.
+    """Optimal contiguous split of each ascending prefix ``v[r, :a[r]]``,
+    or of every row's first ``a`` values if ``a`` is one length.
 
     Returns arrays (low-cluster size k, low mean, high mean), one entry
     per row. Scans all contiguous splits; the optimum of 1-D 2-means is
@@ -97,28 +101,34 @@ def _best_splits(v, cs, cq, ss_lo, a):
     would otherwise break their exact tie) so a constant prefix ends up
     with one element alone in the high cluster and equal means.
     """
+    if np.ndim(a) == 0 or a.min() == a.max():
+        # One length: the sums cut to it share one row of divisors, and no
+        # split runs past a prefix.
+        a = int(np.max(a))
+        v, cs, cq, ss_lo = v[:, :a], cs[:, :a], cq[:, :a], ss_lo[:, :a - 1]
     rows = np.arange(v.shape[0])
     last = (rows, a - 1)
-    n_hi = a[:, None] - np.arange(1, v.shape[1])
+    n_hi = np.subtract.outer(a, np.arange(1.0, v.shape[1]))
     s_lo = cs[:, :-1]
-    s_hi = cs[last][:, None] - s_lo
-    # total = ss_lo + ss_hi, built in place. Splits past a row's prefix get
-    # an infinite cost; the clamped divisor only keeps them finite until
-    # then.
+    # total = ss_lo + ss_hi, built in place, where ss_hi is the high sum of
+    # squares less s_hi^2 / n_hi. Splits past a row's prefix get an
+    # infinite cost; the clamped divisor only keeps them finite until then.
     total = cq[last][:, None] - cq[:, :-1]
-    sq = s_hi * s_hi
-    sq /= np.maximum(n_hi, 1)
+    sq = cs[last][:, None] - s_lo
+    sq *= sq
+    sq /= np.maximum(n_hi, 1.0)
     total -= sq
     total += ss_lo
-    total[n_hi <= 0] = np.inf
+    if np.ndim(a):
+        total[n_hi <= 0] = np.inf
     # np.argmin takes the first minimum; reversing yields the last, i.e.
     # the largest low cluster among ties.
     i = total.shape[1] - 1 - np.argmin(total[:, ::-1], axis=1)
-    k_best = i + 1
+    k_best, lo = i + 1, s_lo[rows, i]
     const = v[:, 0] == v[last]
     return (np.where(const, a - 1, k_best),
-            np.where(const, v[:, 0], s_lo[rows, i] / k_best),
-            np.where(const, v[:, 0], s_hi[rows, i] / (a - k_best)))
+            np.where(const, v[:, 0], lo / k_best),
+            np.where(const, v[:, 0], (cs[last] - lo) / (a - k_best)))
 
 
 def _signal_counts(beta: np.ndarray, b: float):
@@ -129,7 +139,7 @@ def _signal_counts(beta: np.ndarray, b: float):
     Rows go through in blocks of about ``core._BLOCK_BYTES`` of ``beta``,
     each taking its own ``|beta|``; within a block every row is split at
     once, and each peel re-splits only the rows still peeling, from sums
-    cut down to those rows, until none is left.
+    cut down to those rows once some stop, until none is left.
     """
     t, p = beta.shape
     if p < 2:
@@ -138,7 +148,7 @@ def _signal_counts(beta: np.ndarray, b: float):
     for block in _blocks(t, p):
         sums = _row_sums(np.abs(beta[block]))
         rows = np.arange(len(sums[0]))
-        k, m, big = _best_splits(*sums, np.full(rows.size, p))
+        k, m, big = _best_splits(*sums, p)
         h_2m[block] = np.minimum(k, p - k)
         noise = np.zeros(rows.size, dtype=np.int64)
         while True:
@@ -147,8 +157,9 @@ def _signal_counts(beta: np.ndarray, b: float):
             gap &= k >= 2
             if not gap.any():
                 break
-            sums = [s[gap] for s in sums]
-            rows, (k, m, big) = rows[gap], _best_splits(*sums, k[gap])
+            if not gap.all():
+                sums, rows, k = [s[gap] for s in sums], rows[gap], k[gap]
+            k, m, big = _best_splits(*sums, k)
         h_s2m[block] = p - noise
     return h_s2m, h_2m
 
@@ -161,9 +172,34 @@ def _by_columns(fn, a: np.ndarray) -> np.ndarray:
                           axis=-1)
 
 
-def _abs_median(beta: np.ndarray) -> np.ndarray:
-    """Posterior median of each ``|beta_j|``."""
-    return np.median(np.abs(beta), axis=0)
+def _sorted_columns(block: np.ndarray, fn=np.copy) -> np.ndarray:
+    """``fn`` (a copy, or ``np.abs``) of the columns of ``block`` as the
+    rows of a new array, each sorted ascending in place."""
+    rows = fn(block.T, order="C")
+    rows.sort(axis=1)
+    return rows
+
+
+def _sorted_medians(block: np.ndarray) -> np.ndarray:
+    """Each column's median of ``|block|`` as ``np.median`` takes it, off
+    one sort: the middle value, or ``(a + b) / 2`` of the middle pair."""
+    rows = _sorted_columns(block, np.abs)
+    h, odd = divmod(rows.shape[1], 2)
+    return rows[:, h] if odd else (rows[:, h - 1] + rows[:, h]) / 2
+
+
+def _sorted_quantiles(block: np.ndarray, qs) -> np.ndarray:
+    """Each column's quantiles ``qs`` by ``np.quantile``'s ``'linear'``
+    rule, off one sort: virtual index (T - 1) q, weight ``virtual - floor``
+    and numpy's ``_lerp`` (past the last index, index -1 at weight v + 1)."""
+    rows = _sorted_columns(block)
+    last = rows.shape[1] - 1
+    out = []
+    for virtual in (last * q for q in qs):
+        i = int(virtual) if virtual < last else -1
+        a, b, w = rows[:, i], rows[:, i + 1 if i >= 0 else -1], virtual - i
+        out.append(b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w)
+    return np.array(out)
 
 
 def _mean_weight(lam: np.ndarray) -> np.ndarray:
@@ -181,8 +217,7 @@ def kmeans2_1d(values) -> TwoMeansSplit:
     """
     v = _checked_abs_values(values)
     order = np.argsort(v, kind="stable")
-    (k,), (m,), (big,) = _best_splits(*_row_sums(v[None, order]),
-                                      np.array([v.size]))
+    (k,), (m,), (big,) = _best_splits(*_row_sums(v[None, order]), v.size)
     return TwoMeansSplit(frozenset(order[:k].tolist()),
                          frozenset(order[k:].tolist()), float(m), float(big))
 
@@ -219,7 +254,7 @@ def aggregate_mode(h_counts) -> int:
 
 def _median_order(draws: PosteriorDraws) -> np.ndarray:
     """Columns by descending posterior median of ``|beta_j|``, ties first."""
-    return np.argsort(-_by_columns(_abs_median, draws.beta), kind="stable")
+    return np.argsort(-_by_columns(_sorted_medians, draws.beta), kind="stable")
 
 
 def resolve_b(draws: PosteriorDraws, cfg: S2mConfig) -> float:
@@ -235,8 +270,8 @@ def _clustering(draws, cfg, tags) -> dict[str, SelectionResult]:
     block (its first split gives both counts) and one median per column.
 
     Only ``s2m`` resolves b, and warns, at the line that called
-    :func:`select_s2m` or :func:`run_selectors`, if any draw's first
-    cluster gap is within b.
+    :func:`select_s2m`, :func:`run_selector` or :func:`run_selectors`, if
+    any draw's first cluster gap is within b.
     """
     b = resolve_b(draws, cfg) if "s2m" in tags else np.inf
     counts = dict(zip(("s2m", "2m"), _signal_counts(draws.beta, b)))
@@ -299,7 +334,7 @@ def select_credible(draws: PosteriorDraws, level: float = 0.95) -> SelectionResu
     _checked(level, "level", _UNIT_INTERVAL)
     alpha = 1.0 - level
     lo, hi = _by_columns(
-        lambda blk: np.quantile(blk, [alpha / 2, 1 - alpha / 2], axis=0),
+        lambda blk: _sorted_quantiles(blk, (alpha / 2, 1 - alpha / 2)),
         draws.beta)
     return _from_mask("cs", (lo > 0) | (hi < 0))
 
@@ -344,6 +379,8 @@ def run_selector(draws: PosteriorDraws, method: str,
                  cfg: S2mConfig = S2mConfig()) -> SelectionResult:
     """Dispatch one selector by its tag."""
     check_methods([method])
+    if method in ("s2m", "2m"):  # so that s2m warns at the caller's line
+        return _clustering(draws, cfg, [method])[method]
     return _SELECTORS[method][0](draws, cfg)
 
 

@@ -178,10 +178,13 @@ class TestS2mSelection:
 
     @pytest.mark.parametrize("call", [
         select_s2m, lambda d: run_selectors(d, ["s2m"]),
-        lambda d: run_selectors(d, ["s2m", "2m"])],
-        ids=["select_s2m", "run_selectors-s2m", "run_selectors-s2m-2m"])
+        lambda d: run_selectors(d, ["s2m", "2m"]),
+        lambda d: run_selector(d, "s2m")],
+        ids=["select_s2m", "run_selectors-s2m", "run_selectors-s2m-2m",
+             "run_selector-s2m"])
     def test_warning_points_at_the_caller(self, call):
-        # run_selectors used to report a line of selection.py.
+        # run_selectors and run_selector used to report a line of
+        # selection.py.
         d = draws_from_beta([[0.1, 0.2, 0.3]], sigma2=[100.0])
         with pytest.warns(UserWarning, match="every variable") as record:
             call(d)
@@ -636,6 +639,23 @@ class TestBatchedAgainstRowReference:
                 assert np.array_equal(res.h_counts, expected), (t, p, b)
                 assert res.h_mode == aggregate_mode(expected)
 
+    def test_every_row_peeling_twice(self):
+        # One to three strong values near 55, one to seven near 9 and
+        # noise below 0.1: every row peels the strong values, then the
+        # middle ones, so both re-splits run on every row's sums uncut.
+        rng = np.random.default_rng(29)
+        t, p = 60, 40
+        beta = rng.uniform(-0.1, 0.1, (t, p))
+        strong, middle = rng.integers(1, 4, t), rng.integers(1, 8, t)
+        for row, s, m in zip(beta, strong, middle):
+            cols = rng.permutation(p)
+            row[cols[:s]] = rng.uniform(50.0, 60.0, s)
+            row[cols[s:s + m]] = -rng.uniform(8.0, 10.0, m)
+        res = select_s2m(draws_from_beta(beta), S2mConfig(b=1.0))
+        assert np.array_equal(res.h_counts, strong + middle)
+        assert np.array_equal(res.h_counts,
+                              _reference_counts(np.abs(beta), 1.0))
+
 
 class TestColumnBlocks:
     """Blocked reductions give the bits of the whole-matrix numpy calls."""
@@ -649,10 +669,15 @@ class TestColumnBlocks:
         rng = np.random.default_rng(100 * t + p)
         a = rng.standard_normal((t, p)) * rng.choice([1e-3, 1.0, 1e3], p)
         lam = np.exp(3 * rng.standard_normal((t, p)))
-        quantiles = lambda b: np.quantile(b, [0.025, 0.975], axis=0)
-        for fn, x in ((selection._abs_median, a), (quantiles, a),
-                      (selection._mean_weight, lam)):
-            assert selection._by_columns(fn, x).tobytes() == fn(x).tobytes()
+        qs = (0.025, 0.975)
+        for blocked, whole, x in (
+                (selection._sorted_medians,
+                 lambda b: np.median(np.abs(b), axis=0), a),
+                (lambda b: selection._sorted_quantiles(b, qs),
+                 lambda b: np.quantile(b, qs, axis=0), a),
+                (selection._mean_weight, selection._mean_weight, lam)):
+            got = selection._by_columns(blocked, x)
+            assert got.tobytes() == whole(x).tobytes()
 
     def test_mean_weight_bits_over_many_rows(self, monkeypatch):
         # Long columns, where pairwise and row-by-row sums part ways.
@@ -669,3 +694,64 @@ class TestColumnBlocks:
                 widths = [s.stop - s.start for s in core._blocks(n, across)]
                 assert sum(widths) == n
                 assert min(widths) >= 2 or n == 1
+
+
+class TestSortedOrderStatistics:
+    """The medians and credible bounds read off one sort per column block
+    have the bits of ``np.median`` and ``np.quantile`` on the whole matrix."""
+
+    @staticmethod
+    def order_statistics(beta, level):
+        alpha = 1.0 - level
+        qs = (alpha / 2, 1 - alpha / 2)
+        got = (selection._by_columns(selection._sorted_medians, beta),
+               selection._by_columns(
+                   lambda b: selection._sorted_quantiles(b, qs), beta))
+        want = (np.median(np.abs(beta), axis=0),
+                np.quantile(beta, qs, axis=0))
+        return got, want
+
+    @staticmethod
+    def awkward_columns(rng, t):
+        """Continuous columns at three scales, then tied, constant and
+        signed-zero ones; the last holds zeros of both signs."""
+        beta = rng.standard_normal((t, 11)) * rng.choice([1e-3, 1.0, 1e3], 11)
+        beta[:, 3] = np.round(beta[:, 3]) + 0.0  # no -0.0
+        beta[:, 4] = 0.7
+        beta[:, 5] = -2.5
+        beta[:, 6] = -0.0
+        beta[:, 7] = np.where(rng.random(t) < 0.5, -0.0, np.abs(beta[:, 7]))
+        beta[:, 8] = np.where(rng.random(t) < 0.5, 0.0, -np.abs(beta[:, 8]))
+        beta[:, 9] = rng.choice([-1.0, 1.0], t) * rng.integers(0, 3, t) + 0.0
+        beta[:, 10] = rng.choice([-0.0, 0.0, 1.0, -1.0], t,
+                                 p=[0.47, 0.47, 0.03, 0.03])
+        return beta
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99,
+                                       float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 750, 3000])
+    def test_bits_of_whole_matrix_calls(self, monkeypatch, t, level):
+        # Four columns per block: the eleven columns span three blocks.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * t * 4)
+        beta = self.awkward_columns(np.random.default_rng(t), t)
+        (medians, bounds), (want_medians, want_bounds) = \
+            self.order_statistics(beta, level)
+        assert medians.view(np.int64).tolist() == \
+            want_medians.view(np.int64).tolist()
+        same = bounds.view(np.int64) == want_bounds.view(np.int64)
+        assert same[:, :10].all(), np.argwhere(~same)
+        # numpy's partition leaves -0.0 and 0.0 in no defined order, so a
+        # bound between zeros of both signs may differ from it in its sign
+        # alone; the interval excludes zero in both or in neither.
+        assert (same | (bounds == 0) & (want_bounds == 0)).all()
+
+    def test_bits_over_real_sized_blocks(self):
+        # At T = 3000 a block holds ten columns: 25 columns span three.
+        rng = np.random.default_rng(31)
+        beta = rng.standard_normal((3000, 25)) * rng.choice([1e-3, 1.0], 25)
+        beta[:, :11] = self.awkward_columns(rng, 3000)
+        beta[:, 10] = np.round(beta[:, 12], 1) + 0.0
+        for level in (0.9, 0.95, 0.99):
+            got, want = self.order_statistics(beta, level)
+            for g, w in zip(got, want):
+                assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
